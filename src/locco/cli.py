@@ -364,6 +364,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "max_degree", 0) < 0:
+            raise ValueError(f"--max-degree must be nonnegative, got {args.max_degree}")
         result, passed = args.handler(args)
     except BudgetError as exc:
         _emit({"command": args.command, "version": __version__,
@@ -398,3 +400,7 @@ def _emit(doc: dict, output) -> None:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -24,8 +24,9 @@ from .coeff import CoefficientSystem, Integers, Rationals
 from .errors import AcyclicityError, CoefficientError, ModelError
 from .homology import (CechComplexSpec, LocalComplexSpec,
                        SimplicialComplexSpec, TotalComplexSpec,
-                       assemble_matrix, cohomology_profile, field_cohomology,
-                       field_ops_for, kernel_basis, rank_in_quotient)
+                       assemble_matrix, cohomology_profile, kernel_basis,
+                       matrix_rank, profile_from_ranks, rank_in_quotient,
+                       transpose)
 from .model import CoverModel, left_invariant_cover
 
 
@@ -283,33 +284,28 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
 
     local_spec = LocalComplexSpec(model)
     simp_spec = SimplicialComplexSpec(model.u_small_subcomplex(), model.point_key)
-    local_profile = field_cohomology(local_spec, system, max_degree)
-    simp_profile = field_cohomology(simp_spec, system, max_degree)
-
+    local_ranks, simp_ranks, induced = [], [], []
     chain_map_ok = True
+    d_simp_below = None
     for n in range(max_degree + 1):
         d_local = assemble_matrix(local_spec, n)
         d_simp = assemble_matrix(simp_spec, n)
-        lam_n = _restriction_matrix(model, simp_spec.basis(n), local_spec.basis(n))
-        lam_next = _restriction_matrix(model, simp_spec.basis(n + 1),
-                                       local_spec.basis(n + 1))
-        if _compose(d_simp.rows, lam_n) != _compose(lam_next, list(d_local.rows)):
+        local_ranks.append(matrix_rank(d_local, system))
+        simp_ranks.append(matrix_rank(d_simp, system))
+        lam_n = _restriction_matrix(model, d_simp.col_labels, d_local.col_labels)
+        lam_next = _restriction_matrix(model, d_simp.row_labels, d_local.row_labels)
+        if _compose(d_simp.rows, lam_n) != _compose(lam_next, d_local.rows):
             chain_map_ok = False
-
-    ops = field_ops_for(system)
-    induced = []
-    for n in range(max_degree + 1):
-        cocycles = kernel_basis(assemble_matrix(local_spec, n), system)
-        lam_rows = _restriction_matrix(model, simp_spec.basis(n), local_spec.basis(n))
-        images = []
-        for vec in cocycles:
-            images.append([vec[next(iter(row))] if row else ops.zero()
-                           for row in lam_rows])
-        if n == 0:
-            boundaries = []
-        else:
-            boundaries = _transpose_columns(assemble_matrix(simp_spec, n - 1), ops)
+        images = [{s: vec[c] for s, row in enumerate(lam_n) for c in row if c in vec}
+                  for vec in kernel_basis(d_local, system)]
+        boundaries = ([] if d_simp_below is None else
+                      transpose(d_simp_below.rows, len(d_simp_below.col_labels)))
         induced.append(rank_in_quotient(images, boundaries, system))
+        d_simp_below = d_simp
+    local_profile = profile_from_ranks(
+        [len(local_spec.basis(n)) for n in range(max_degree + 2)], local_ranks)
+    simp_profile = profile_from_ranks(
+        [len(simp_spec.basis(n)) for n in range(max_degree + 2)], simp_ranks)
 
     matches = tuple(local_profile[n] == simp_profile[n] and induced[n] == local_profile[n]
                     for n in range(max_degree + 1))
@@ -325,15 +321,6 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
         coefficients=system.name, max_degree=max_degree, profiles=profiles,
         matches=matches, isomorphic=all(matches) and chain_map_ok,
         induced_ranks=tuple(induced), extras=extras)
-
-
-def _transpose_columns(mat, ops) -> list:
-    """Column vectors of a sparse row matrix as dense field rows."""
-    nrows = len(mat.row_labels)
-    cols = []
-    for c in range(len(mat.col_labels)):
-        cols.append([ops.of_int(mat.rows[r].get(c, 0)) for r in range(nrows)])
-    return cols
 
 
 # ---------------------------------------------------------------------------

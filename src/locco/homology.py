@@ -1,18 +1,19 @@
 """Exact cohomology: basis enumeration, integer matrices, ranks and torsion.
 
 Differentials of all complexes used here have integer entries, so dimension
-profiles over a field reduce to exact ranks of integer matrices.  Over the
-rationals ranks come from fraction-free sparse elimination with gcd
-stripping; over a prime field from modular elimination; over the integers
-the Smith normal form provides free ranks and torsion, with unimodular
-certificates checked by exact determinants.
+profiles over a field reduce to exact ranks of integer matrices.  One sparse
+eliminator, :class:`Echelon`, takes every field rank, kernel and quotient
+rank: it inserts rows one at a time into pivot rows keyed by leading column,
+fraction-free with gcd stripping over Q and with normalised pivots over
+GF(p).  A matrix with more rows than columns has its rank taken through its
+transpose.  Over the integers the Smith normal form provides free ranks and
+torsion, with unimodular certificates checked by exact determinants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .coeff import CoefficientSystem, Integers, PrimeField, Rationals
@@ -28,7 +29,17 @@ class ComplexSpec:
 
     label = ""
 
+    def __init__(self):
+        self._bases: dict = {}
+
     def basis(self, n: int) -> tuple:
+        """Ordered degree-n basis, built once per degree and then reused."""
+        out = self._bases.get(n)
+        if out is None:
+            out = self._bases[n] = self._build_basis(n)
+        return out
+
+    def _build_basis(self, n: int) -> tuple:
         raise NotImplementedError
 
     def row_entries(self, n: int, row_label) -> list:
@@ -43,10 +54,11 @@ class LocalComplexSpec(ComplexSpec):
     label = "local"
 
     def __init__(self, model: CoverModel, budget: Optional[int] = None):
+        super().__init__()
         self.model = model
         self.budget = budget
 
-    def basis(self, n: int) -> tuple:
+    def _build_basis(self, n: int) -> tuple:
         return self.model.diagonal_neighborhood(n, budget=self.budget).tuples
 
     def row_entries(self, n: int, row_label) -> list:
@@ -67,10 +79,11 @@ class CechComplexSpec(ComplexSpec):
     label = "cech"
 
     def __init__(self, model: CoverModel):
+        super().__init__()
         self.model = model
         self.nerve = model.nerve()
 
-    def basis(self, n: int) -> tuple:
+    def _build_basis(self, n: int) -> tuple:
         return self.nerve.of_dimension(n)
 
     def row_entries(self, n: int, row_label) -> list:
@@ -88,11 +101,12 @@ class SimplicialComplexSpec(ComplexSpec):
     label = "simplicial"
 
     def __init__(self, simplices: Sequence[tuple], order_key=None):
+        super().__init__()
         key = order_key or (lambda s: s)
         self.simplices = tuple(sorted((tuple(s) for s in simplices), key=lambda s: (len(s), key(s))))
         self._faces = {s for s in self.simplices}
 
-    def basis(self, n: int) -> tuple:
+    def _build_basis(self, n: int) -> tuple:
         return tuple(s for s in self.simplices if len(s) == n + 1)
 
     def row_entries(self, n: int, row_label) -> list:
@@ -118,6 +132,7 @@ class TotalComplexSpec(ComplexSpec):
     label = "total"
 
     def __init__(self, model: CoverModel, budget: Optional[int] = None):
+        super().__init__()
         self.model = model
         self.nerve = model.nerve()
         self.budget = budget
@@ -125,7 +140,7 @@ class TotalComplexSpec(ComplexSpec):
         for s in self.nerve.simplices:
             self._inter[s] = set(model.intersection(s))
 
-    def basis(self, n: int) -> tuple:
+    def _build_basis(self, n: int) -> tuple:
         limit = enumeration_budget(self.budget)
         out = []
         total = 0
@@ -173,12 +188,13 @@ class AugmentedRowSpec(ComplexSpec):
     label = "augmented-row"
 
     def __init__(self, model: CoverModel, q: int, budget: Optional[int] = None):
+        super().__init__()
         self.model = model
         self.q = q
         self.nerve = model.nerve()
         self.budget = budget
 
-    def basis(self, n: int) -> tuple:
+    def _build_basis(self, n: int) -> tuple:
         if n == 0:
             return self.model.diagonal_neighborhood(self.q, budget=self.budget).tuples
         out = []
@@ -218,13 +234,14 @@ class AugmentedColumnSpec(ComplexSpec):
     label = "augmented-column"
 
     def __init__(self, model: CoverModel, indices: tuple):
+        super().__init__()
         self.model = model
         self.indices = tuple(indices)
         self.members = model.sort_points(model.intersection(self.indices))
         if not self.members:
             raise ModelError(f"intersection of {self.indices} is empty")
 
-    def basis(self, n: int) -> tuple:
+    def _build_basis(self, n: int) -> tuple:
         if n == 0:
             return (self.indices,)
         return self.model.intersection_power(self.indices, n).tuples
@@ -283,202 +300,193 @@ def assemble_matrix(spec: ComplexSpec, n: int) -> BoundaryMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact ranks
+# exact sparse elimination
 
 
-def rank_int(rows: Sequence[dict]) -> int:
-    """Rank over the rationals of a sparse integer matrix.
+class Echelon:
+    """Exact row echelon form of sparse integer rows, filled one row at a time.
 
-    Fraction-free row elimination; rows are rescaled by gcd stripping, which
-    leaves the rank unchanged.
+    Pivot rows are kept in a dict keyed by their leading column, so a new row
+    meets only the pivots of the columns it reaches and no row is scanned
+    again when a pivot is chosen.  With ``p = 0`` elimination is
+    fraction-free over the integers and gives ranks over Q: a pivot row is
+    primitive with a positive lead, a lead of 1 is subtracted without
+    rescaling, and any other lead cross-multiplies by gcd-reduced factors,
+    after which the row's content is divided out.  With a prime ``p`` rows
+    are reduced mod p and pivot rows are scaled to lead 1.
     """
-    work = [dict(r) for r in rows if r]
-    rank = 0
-    while work:
-        col = min(min(r) for r in work)
-        holders = [r for r in work if col in r]
-        pivot = min(holders, key=lambda r: (len(r), abs(r[col])))
-        work.remove(pivot)
-        rank += 1
-        pv = pivot[col]
-        nxt = []
-        for r in work:
-            a = r.pop(col, None)
-            if a is None:
-                nxt.append(r)
-                continue
-            out = {c: pv * v for c, v in r.items()}
-            for c, v in pivot.items():
-                if c == col:
-                    continue
-                nv = out.get(c, 0) - a * v
+
+    def __init__(self, p: int = 0):
+        self.p = p
+        self.pivots: dict = {}   # leading column -> pivot row
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def insert(self, row) -> bool:
+        """Reduce a copy of ``row`` by the pivots; keep it if it is independent."""
+        p = self.p
+        row = {c: v % p for c, v in row.items() if v % p} if p else dict(row)
+        pivots = self.pivots
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = self._normalise(row, c)
+                return True
+            row = self._eliminate(row, pivot, c)
+        return False
+
+    def _normalise(self, row: dict, c: int) -> dict:
+        p, lead = self.p, row[c]
+        if p:
+            if lead == 1:
+                return row
+            inv = pow(lead, -1, p)
+            return {k: v * inv % p for k, v in row.items()}
+        g = gcd(*row.values())
+        if lead < 0:
+            g = -g
+        return row if g == 1 else {k: v // g for k, v in row.items()}
+
+    def _eliminate(self, row: dict, pivot: dict, c: int) -> dict:
+        """Clear column ``c`` of ``row`` with the pivot row leading there."""
+        a, p, lead = row[c], self.p, pivot[c]
+        if p:
+            for k, v in pivot.items():
+                nv = (row.get(k, 0) - a * v) % p
                 if nv:
-                    out[c] = nv
-                elif c in out:
-                    del out[c]
-            if out:
-                g = 0
-                for v in out.values():
-                    g = gcd(g, abs(v))
-                    if g == 1:
-                        break
+                    row[k] = nv
+                else:
+                    del row[k]
+            return row
+        if lead != 1:
+            g = gcd(a, lead)
+            a //= g
+            scale = lead // g
+            if scale != 1:
+                row = {k: scale * v for k, v in row.items()}
+        for k, v in pivot.items():
+            nv = row.get(k, 0) - a * v
+            if nv:
+                row[k] = nv
+            else:
+                del row[k]
+        if lead != 1 and row:
+            g = gcd(*row.values())
+            if g > 1:
+                row = {k: v // g for k, v in row.items()}
+        return row
+
+    def kernel(self, ncols: int) -> list:
+        """Sparse basis of the vectors of length ``ncols`` that every inserted
+        row annihilates: one per free column, with integer entries over Q.
+
+        The pivot rows are first reduced against each other, so each keeps
+        only its lead and free columns; this rewrites them in place.
+        """
+        pivots, p = self.pivots, self.p
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
+            for j in [k for k in row if k != c and k in pivots]:
+                row = self._eliminate(row, pivots[j], j)
+            pivots[c] = row
+        reach: dict = {}   # free column -> [(pivot column, entry)]
+        for c, row in pivots.items():
+            for k, v in row.items():
+                if k != c:
+                    reach.setdefault(k, []).append((c, v))
+        basis = []
+        for f in range(ncols):
+            if f in pivots:
+                continue
+            terms = reach.get(f, ())
+            if p:
+                vec = {f: 1}
+                vec.update((c, -v % p) for c, v in terms)
+            else:
+                scale = lcm(*(pivots[c][c] for c, _ in terms))
+                vec = {f: scale}
+                vec.update((c, -v * (scale // pivots[c][c])) for c, v in terms)
+                g = gcd(*vec.values())
                 if g > 1:
-                    out = {c: v // g for c, v in out.items()}
-                nxt.append(out)
-        work = nxt
-    return rank
+                    vec = {k: v // g for k, v in vec.items()}
+            basis.append(vec)
+        return basis
 
 
-def rank_mod_p(rows: Sequence[dict], p: int) -> int:
-    """Rank over the field with p elements of a sparse integer matrix."""
-    work = []
-    for r in rows:
-        rr = {c: v % p for c, v in r.items() if v % p}
-        if rr:
-            work.append(rr)
-    rank = 0
-    while work:
-        col = min(min(r) for r in work)
-        holders = [r for r in work if col in r]
-        pivot = min(holders, key=len)
-        work.remove(pivot)
-        rank += 1
-        inv = pow(pivot[col], p - 2, p)
-        pivot = {c: (v * inv) % p for c, v in pivot.items()}
-        nxt = []
-        for r in work:
-            a = r.pop(col, None)
-            if a is None:
-                nxt.append(r)
-                continue
-            for c, v in pivot.items():
-                if c == col:
-                    continue
-                nv = (r.get(c, 0) - a * v) % p
-                if nv:
-                    r[c] = nv
-                elif c in r:
-                    del r[c]
-            if r:
-                nxt.append(r)
-        work = nxt
-    return rank
+def transpose(rows: Sequence[dict], ncols: int) -> list:
+    """Columns of a sparse row matrix, as sparse rows."""
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return cols
+
+
+def _modulus(system: CoefficientSystem) -> int:
+    """The ``p`` of :class:`Echelon` for a field: 0 for Q, p for GF(p)."""
+    if isinstance(system, Rationals):
+        return 0
+    if isinstance(system, PrimeField):
+        return system.p
+    raise CoefficientError(f"no exact elimination over {system.name}")
 
 
 def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem) -> int:
-    if isinstance(system, (Rationals, Integers)):
-        return rank_int(mat.rows)
-    if isinstance(system, PrimeField):
-        return rank_mod_p(mat.rows, system.p)
-    raise CoefficientError(f"no exact rank over {system.name}")
+    """Rank over a field; over the integers, the rank over Q.
 
-
-# ---------------------------------------------------------------------------
-# dense field elimination, kernels, quotient ranks
-
-
-class FieldOps:
-    def zero(self): raise NotImplementedError
-    def one(self): raise NotImplementedError
-    def add(self, a, b): raise NotImplementedError
-    def sub(self, a, b): raise NotImplementedError
-    def mul(self, a, b): raise NotImplementedError
-    def inv(self, a): raise NotImplementedError
-    def of_int(self, n): raise NotImplementedError
-    def is_zero(self, a): raise NotImplementedError
-
-
-class RationalOps(FieldOps):
-    def zero(self): return Fraction(0)
-    def one(self): return Fraction(1)
-    def add(self, a, b): return a + b
-    def sub(self, a, b): return a - b
-    def mul(self, a, b): return a * b
-    def inv(self, a): return Fraction(1) / a
-    def of_int(self, n): return Fraction(n)
-    def is_zero(self, a): return a == 0
-
-
-class PrimeFieldOps(FieldOps):
-    def __init__(self, p: int):
-        self.p = p
-    def zero(self): return 0
-    def one(self): return 1
-    def add(self, a, b): return (a + b) % self.p
-    def sub(self, a, b): return (a - b) % self.p
-    def mul(self, a, b): return (a * b) % self.p
-    def inv(self, a): return pow(a % self.p, self.p - 2, self.p)
-    def of_int(self, n): return n % self.p
-    def is_zero(self, a): return a % self.p == 0
-
-
-def field_ops_for(system: CoefficientSystem) -> FieldOps:
-    if isinstance(system, Rationals):
-        return RationalOps()
-    if isinstance(system, PrimeField):
-        return PrimeFieldOps(system.p)
-    raise CoefficientError(f"{system.name} is not a supported field")
-
-
-def dense_rref(rows: list, ops: FieldOps) -> tuple:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if not ops.is_zero(rows[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = ops.inv(rows[r][c])
-        rows[r] = [ops.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not ops.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [ops.sub(v, ops.mul(factor, w)) for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    A matrix with more rows than columns is eliminated through its
+    transpose, which has fewer rows to insert and the same rank.  Its rows
+    are popped last column first, so each is freed once inserted; on the
+    differentials here that order also leaves sparser pivot rows than
+    column order does.
+    """
+    ech = Echelon(0 if isinstance(system, Integers) else _modulus(system))
+    rows, ncols = mat.rows, len(mat.col_labels)
+    if len(rows) > ncols:
+        cols = transpose(rows, ncols)
+        while cols:
+            ech.insert(cols.pop())
+    else:
+        for row in rows:
+            ech.insert(row)
+    return ech.rank
 
 
 def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem) -> list:
-    """Basis vectors (length = #columns) of the nullspace over a field."""
-    ops = field_ops_for(system)
-    ncols = len(mat.col_labels)
-    dense = [[ops.of_int(row.get(c, 0)) for c in range(ncols)] for row in mat.rows]
-    dense, pivots = dense_rref(dense, ops)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [ops.zero()] * ncols
-        vec[f] = ops.one()
-        for r, c in enumerate(pivots):
-            vec[c] = ops.sub(ops.zero(), dense[r][f])
-        basis.append(vec)
-    return basis
+    """Sparse basis (dicts column -> value) of the nullspace over a field."""
+    ech = Echelon(_modulus(system))
+    for row in mat.rows:
+        ech.insert(row)
+    return ech.kernel(len(mat.col_labels))
 
 
-def dense_rank(vectors: list, ops: FieldOps) -> int:
-    rows = [list(v) for v in vectors if any(not ops.is_zero(x) for x in v)]
-    _, pivots = dense_rref(rows, ops)
-    return len(pivots)
+def _integral(vec) -> dict:
+    """A vector (dict or sequence) of rationals as an integer row of the same span."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    row = {c: v for c, v in items if v}
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {c: int(v * scale) for c, v in row.items()}
 
 
 def rank_in_quotient(vectors: list, subspace: list, system: CoefficientSystem) -> int:
-    """Dimension of span(vectors) inside the quotient by span(subspace)."""
-    ops = field_ops_for(system)
-    base = dense_rank(subspace, ops)
-    joint = dense_rank(list(subspace) + list(vectors), ops)
-    return joint - base
+    """Dimension of span(vectors) inside the quotient by span(subspace).
+
+    Vectors are dicts or sequences: integers or fractions over Q, integers
+    over GF(p).  One elimination takes the subspace first; each vector that
+    still adds a pivot after it counts once.
+    """
+    ech = Echelon(_modulus(system))
+    for vec in subspace:
+        ech.insert(_integral(vec))
+    return sum(ech.insert(_integral(vec)) for vec in vectors)
+
+
+def profile_from_ranks(dims: Sequence[int], ranks: Sequence[int]) -> list:
+    """Cohomology dimensions from basis sizes and the ranks of d_0, d_1, ..."""
+    return [dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(len(ranks))]
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +676,7 @@ def field_cohomology(spec: ComplexSpec, system: CoefficientSystem, max_degree: i
         raise CoefficientError(f"{system.name} is not a field; use the integer path")
     dims = [len(spec.basis(n)) for n in range(max_degree + 2)]
     ranks = [matrix_rank(assemble_matrix(spec, n), system) for n in range(max_degree + 1)]
-    out = []
-    for n in range(max_degree + 1):
-        below = ranks[n - 1] if n >= 1 else 0
-        out.append(dims[n] - ranks[n] - below)
-    return out
+    return profile_from_ranks(dims, ranks)
 
 
 def integer_cohomology(spec: ComplexSpec, max_degree: int) -> list:
@@ -680,9 +684,9 @@ def integer_cohomology(spec: ComplexSpec, max_degree: int) -> list:
     dims = [len(spec.basis(n)) for n in range(max_degree + 2)]
     decs = []
     for n in range(max_degree + 1):
-        mat = assemble_matrix(spec, n)
-        dec = smith_normal_form(mat.dense())
-        if not check_smith_certificate(mat.dense(), dec):
+        dense = assemble_matrix(spec, n).dense()
+        dec = smith_normal_form(dense)
+        if not check_smith_certificate(dense, dec):
             raise ModelError(f"Smith certificate failed in degree {n}")
         decs.append(dec)
     out = []

@@ -276,6 +276,14 @@ class CoverModel:
         return doc
 
 
+def _point_ids(values: list, what: str) -> tuple:
+    """Point ids are JSON scalars; a list or an object cannot name a point."""
+    for v in values:
+        if isinstance(v, (list, dict)):
+            raise ModelError(f"{what} must hold scalar point ids, got {v!r}")
+    return tuple(values)
+
+
 def model_from_json_dict(doc: dict, name: str = "") -> CoverModel:
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
@@ -295,16 +303,16 @@ def model_from_json_dict(doc: dict, name: str = "") -> CoverModel:
         members = entry["members"]
         if not isinstance(members, list):
             raise ModelError(f"cover entry {k} members must be a list")
-        cover.append(frozenset(members))
+        cover.append(frozenset(_point_ids(members, f"cover entry {k} members")))
         names.append(str(entry.get("name", f"U{k}")))
     complex_raw = doc.get("complex")
     cx = None
     if complex_raw is not None:
-        if not isinstance(complex_raw, list):
+        if not (isinstance(complex_raw, list) and all(isinstance(s, list) for s in complex_raw)):
             raise ModelError("complex must be a list of vertex lists")
-        cx = tuple(tuple(s) for s in complex_raw)
+        cx = tuple(_point_ids(s, "complex simplices") for s in complex_raw)
     return CoverModel(
-        points=tuple(points),
+        points=_point_ids(points, "points"),
         cover=tuple(cover),
         cover_names=tuple(names),
         complex=cx,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import locco
 from locco.cli import (bundled_model_names, build_parser, load_bundled_model,
                        run)
 
@@ -151,3 +156,36 @@ def test_parser_covers_all_subcommands():
     for sub in ("cohomology", "compare", "verify-contraction", "sigma-check",
                 "sigma-eval", "pou-check", "examples"):
         assert sub in text
+
+
+@pytest.mark.parametrize("doc", [
+    {"points": [[0], [1]], "cover": [{"members": [0, 1]}]},
+    {"points": [[0], [1]], "cover": [{"members": [[0], [1]]}]},
+], ids=["points-only", "points-and-members"])
+def test_list_point_ids_exit_code(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run_to_file(tmp_path, ["cohomology", str(bad)])
+    assert code == 2
+    assert out["error"]["kind"] == "ModelError"
+    assert "scalar point ids" in out["error"]["message"]
+
+
+def test_negative_max_degree_exit_code(tmp_path):
+    for argv in (["cohomology", model_path("interval")],
+                 ["compare", model_path("interval")]):
+        code, doc, _ = run_to_file(tmp_path, argv + ["--max-degree", "-1"])
+        assert code == 2
+        assert "--max-degree" in doc["error"]["message"]
+        assert "result" not in doc
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    src = str(Path(locco.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "locco.cli", "cohomology",
+                           model_path("interval"), "--max-degree", "0"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["profile"]["0"]["rank"] == 1

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locco import (AugmentedColumnSpec, AugmentedRowSpec, CechComplexSpec,
                    Integers, LocalComplexSpec, PrimeField, Rationals,
@@ -10,7 +12,7 @@ from locco import (AugmentedColumnSpec, AugmentedRowSpec, CechComplexSpec,
                    cohomology_profile, field_cohomology, integer_cohomology,
                    kernel_basis, matrix_rank, rank_in_quotient,
                    smith_normal_form)
-from locco.homology import BoundaryMatrix, rank_int, rank_mod_p
+from locco.homology import BoundaryMatrix
 from locco.cli import load_bundled_model
 
 Q = Rationals()
@@ -72,11 +74,16 @@ def to_sparse(dense):
     return [{c: v for c, v in enumerate(row) if v} for row in dense]
 
 
+def as_matrix(dense, ncols):
+    return BoundaryMatrix(row_labels=tuple(range(len(dense))),
+                          col_labels=tuple(range(ncols)), rows=tuple(to_sparse(dense)))
+
+
 def test_rank_int_against_fraction_oracle():
     rng = random.Random(1)
     for _ in range(30):
         dense = random_int_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8))
-        assert rank_int(to_sparse(dense)) == oracle_rank_fraction(dense)
+        assert matrix_rank(as_matrix(dense, len(dense[0])), Q) == oracle_rank_fraction(dense)
 
 
 def test_rank_mod_p_against_oracle():
@@ -84,7 +91,8 @@ def test_rank_mod_p_against_oracle():
     for p in (2, 3, 5):
         for _ in range(20):
             dense = random_int_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7))
-            assert rank_mod_p(to_sparse(dense), p) == oracle_rank_mod_p(dense, p)
+            assert (matrix_rank(as_matrix(dense, len(dense[0])), PrimeField(p))
+                    == oracle_rank_mod_p(dense, p))
 
 
 def test_matrix_rank_dispatch():
@@ -135,7 +143,7 @@ def test_kernel_basis_annihilates():
     assert len(basis) == len(mat.col_labels) - matrix_rank(mat, Q)
     for vec in basis:
         for row in mat.rows:
-            assert sum(Fraction(c) * vec[j] for j, c in row.items()) == 0
+            assert sum(c * vec.get(j, 0) for j, c in row.items()) == 0
 
 
 def test_rank_in_quotient():
@@ -144,6 +152,62 @@ def test_rank_in_quotient():
     assert rank_in_quotient([one, two], [one], Q) == 1
     assert rank_in_quotient([one], [one], Q) == 0
     assert rank_in_quotient([two], [], Q) == 1
+
+
+# property tests of the sparse eliminator against the dense oracles above
+
+FIELDS = [(Q, 0), (PrimeField(2), 2), (PrimeField(3), 3), (Z5, 5)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Dense integer matrices, half zeros, entries in [-4, 4]: tall, wide, empty,
+    with zero rows; returned with their column count (rows may be empty)."""
+    nrows = draw(st.integers(0, 9))
+    ncols = draw(st.integers(0, 9))
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    dense = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                          min_size=nrows, max_size=nrows))
+    return dense, ncols
+
+
+def oracle_rank(dense, p):
+    return oracle_rank_mod_p(dense, p) if p else oracle_rank_fraction(dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_eliminator_rank_matches_oracles(case):
+    dense, ncols = case
+    for system, p in FIELDS:
+        assert matrix_rank(as_matrix(dense, ncols), system) == oracle_rank(dense, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_eliminator_kernel_is_exact(case):
+    dense, ncols = case
+    for system, p in FIELDS:
+        basis = kernel_basis(as_matrix(dense, ncols), system)
+        assert len(basis) == ncols - oracle_rank(dense, p)
+        for vec in basis:
+            assert all(0 <= c < ncols for c in vec)
+            for row in dense:
+                total = sum(row[c] * v for c, v in vec.items())
+                assert (total % p if p else total) == 0
+        as_dense = [[vec.get(c, 0) for c in range(ncols)] for vec in basis]
+        assert oracle_rank(as_dense, p) == len(basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.integers(0, 9))
+def test_eliminator_quotient_rank_matches_oracles(case, split):
+    dense, _ = case
+    subspace, vectors = dense[:split], dense[split:]
+    for system, p in FIELDS:
+        expected = oracle_rank(subspace + vectors, p) - oracle_rank(subspace, p)
+        assert rank_in_quotient(vectors, subspace, system) == expected
+        assert rank_in_quotient(to_sparse(vectors), to_sparse(subspace), system) == expected
 
 
 def test_frozen_profiles():

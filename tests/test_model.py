@@ -99,6 +99,15 @@ def test_validation_rejects_bad_models():
                    complex=((0, 1),))
 
 
+def test_list_point_ids_are_model_errors():
+    with pytest.raises(ModelError, match="points must hold scalar point ids"):
+        model_from_json_dict({"points": [[0], [1]], "cover": [{"members": [0, 1]}]})
+    with pytest.raises(ModelError, match="members must hold scalar point ids"):
+        model_from_json_dict({"points": [[0], [1]], "cover": [{"members": [[0], [1]]}]})
+    with pytest.raises(ModelError, match="complex"):
+        model_from_json_dict({"points": [0], "cover": [{"members": [0]}], "complex": [[[0]]]})
+
+
 def test_complex_helpers():
     m = load_bundled_model("hexagon")
     assert m.u_small_subcomplex() == m.complex
