@@ -300,8 +300,24 @@ def _cmd_examples(args) -> tuple:
 # wiring
 
 
+class _UsageError(Exception):
+    """A command line the parser rejected, with the (sub)parser that did."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(f"{parser.prog}: error: {message}")
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises on a usage error instead of exiting, so
+    the error is reported as a JSON document like any other."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="locco",
         description="Cohomology of finite cover models: local, nerve and "
                     "total complexes, contraction identities, simplex "
@@ -362,7 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        # usage text for people on stderr, the error document on stdout
+        sys.stderr.write(exc.parser.format_usage())
+        _emit({"command": exc.parser.prog.partition(" ")[2] or None, "version": __version__,
+               "error": {"kind": "usage", "message": str(exc)}}, None)
+        return EXIT_USAGE
     try:
         if getattr(args, "max_degree", 0) < 0:
             raise ValueError(f"--max-degree must be nonnegative, got {args.max_degree}")

@@ -6,13 +6,15 @@ eliminator, :class:`Echelon`, takes every field rank, kernel and quotient
 rank: it inserts rows one at a time into pivot rows keyed by leading column,
 fraction-free with gcd stripping over Q and with normalised pivots over
 GF(p).  A matrix with more rows than columns has its rank taken through its
-transpose.  Over the integers the Smith normal form provides free ranks and
-torsion, with unimodular certificates checked by exact determinants.
+transpose.  Over the integers a sparse Smith elimination gives free ranks and
+torsion; its certificate, every elementary operation it made, is checked by
+replaying them on a fresh copy of the matrix, with no determinant taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -495,9 +497,16 @@ def profile_from_ranks(dims: Sequence[int], ranks: Sequence[int]) -> list:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
+    """Smith normal form of M with the elementary operations that certify it:
+    ``("row", src, dst, f)`` is row dst += f * row src, ``("col", src, dst,
+    f)`` col dst += f * col src and ``("neg", i)`` row i = -row i.  Replayed
+    on M they leave U * M * V, U and V in GL(Z): ``d`` at ``(row, col)`` for
+    each pivot and zeros elsewhere, the diagonal of invariants up to a
+    permutation of rows and columns."""
+
     invariants: tuple        # nonzero diagonal entries, each dividing the next
-    left: tuple              # U, unimodular, rows x rows
-    right: tuple             # V, unimodular, cols x cols
+    pivots: tuple            # (row, col, d) per invariant, in the same order
+    ops: tuple               # elementary operations, in the order applied
     shape: tuple
 
     @property
@@ -508,162 +517,153 @@ class SmithDecomposition:
         return tuple(d for d in self.invariants if abs(d) != 1)
 
 
-def _identity(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+class _SparseIntegers:
+    """An integer matrix as sparse rows (dicts column -> entry), each column
+    keeping the set of rows that reach it, changed by elementary operations."""
 
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        ncols = len(matrix[0]) if matrix else 0
+        self.rows = []
+        self.cols = [set() for _ in range(ncols)]
+        for r, row in enumerate(matrix):
+            if len(row) != ncols:
+                raise ModelError("ragged integer matrix")
+            if set(map(type, row)) - {int}:
+                bad = next(v for v in row if type(v) is not int)
+                raise CoefficientError(f"Smith normal form needs integer entries, got {bad!r}")
+            entries = {c: v for c, v in enumerate(row) if v}
+            for c in entries:
+                self.cols[c].add(r)
+            self.rows.append(entries)
 
-def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    def _set(self, r: int, c: int, v: int) -> None:
+        if v:
+            self.rows[r][c] = v
+            self.cols[c].add(r)
+        elif self.rows[r].pop(c, None) is not None:
+            self.cols[c].discard(r)
+
+    def apply(self, op: tuple) -> None:
+        """Carry out one operation in the encoding of :class:`SmithDecomposition`."""
+        rows = self.rows
+        if op[0] == "neg":
+            rows[op[1]] = {c: -v for c, v in rows[op[1]].items()}
+            return
+        kind, src, dst, f = op
+        if kind == "row":
+            row = rows[dst]
+            for c, v in rows[src].items():
+                self._set(dst, c, row.get(c, 0) + f * v)
+        else:
+            for r in list(self.cols[src]):
+                row = rows[r]
+                self._set(r, dst, row.get(dst, 0) + f * row[src])
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Diagonalize an integer matrix as U * M * V with unimodular U, V.
+    """Smith normal form of a dense integer matrix by sparse elimination.
 
-    Pivots are chosen with smallest absolute value; a divisibility repair
-    folds offending rows into the pivot row, so the diagonal entries form a
-    divisor chain.
+    The next pivot is the entry of least absolute value among rows and
+    columns not yet pivoted, ties broken by Markowitz cost
+    (row nnz - 1) * (col nnz - 1) as last seen, so unit pivots come first.
+    Row operations clear the pivot column, then column operations, which
+    meet only the pivot row, clear the pivot row; a remainder becomes the
+    new pivot, Euclid-style.  A divisibility repair folds in a row with an
+    entry the pivot does not divide, so the pivots form a divisor chain.
+    Pivots stay in place and every operation is recorded.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    d = []
-    for row in matrix:
-        if len(row) != cols:
-            raise ModelError("ragged integer matrix")
-        fixed = []
-        for v in row:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise CoefficientError(f"Smith normal form needs integer entries, got {v!r}")
-            fixed.append(v)
-        d.append(fixed)
-    u = _identity(rows)
-    v = _identity(cols)
+    work = _SparseIntegers(matrix)
+    rows, cols = work.rows, work.cols
+    ops, pivots, done_rows, done_cols = [], [], set(), set()
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+    def cost(r, c):
+        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    heap = [(abs(v), cost(r, c), r, c) for r, row in enumerate(rows) for c, v in row.items()]
+    heapify(heap)
 
-    def add_row(src, dst, factor):  # row_dst += factor * row_src
-        d[dst] = [a + factor * b for a, b in zip(d[dst], d[src])]
-        u[dst] = [a + factor * b for a, b in zip(u[dst], u[src])]
+    def apply(op):
+        ops.append(op)
+        work.apply(op)
+        kind, src, dst, _ = op
+        changed = ((dst, c) for c in rows[src]) if kind == "row" else ((r, dst) for r in cols[src])
+        for r, c in changed:
+            v = rows[r].get(c)
+            if v:
+                heappush(heap, (abs(v), cost(r, c), r, c))
 
-    def add_col(src, dst, factor):  # col_dst += factor * col_src
-        for row in d:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        d[i] = [-a for a in d[i]]
-        u[i] = [-a for a in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+    while heap:
+        a, m, r, c = heappop(heap)
+        if r in done_rows or c in done_cols or abs(rows[r].get(c, 0)) != a:
+            continue
+        if cost(r, c) != m:
+            heappush(heap, (a, cost(r, c), r, c))
+            continue
         while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    qt = d[i][t] // d[t][t]
-                    add_row(t, i, -qt)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    qt = d[t][j] // d[t][t]
-                    add_col(t, j, -qt)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # divisibility repair: fold a bad row in and restart the pivot
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] % d[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
+            d, moved = rows[r][c], None
+            for i in [i for i in cols[c] if i != r]:
+                apply(("row", r, i, -(rows[i][c] // d)))
+                if c in rows[i]:
+                    moved = (i, c)
                     break
-            if bad is None:
+            if moved is None:
+                # column c now holds d alone, so these touch row r only
+                for j in [j for j in rows[r] if j != c]:
+                    apply(("col", c, j, -(rows[r][j] // d)))
+                    if j in rows[r]:
+                        moved = (r, j)
+                        break
+            if moved is None and abs(d) != 1:
+                bad = next((i for i, row in enumerate(rows) if i != r and i not in done_rows
+                            and any(v % d for v in row.values())), None)
+                if bad is not None:
+                    apply(("row", bad, r, 1))
+                    moved = (r, c)
+            if moved is None:
                 break
-            add_row(bad, t, 1)
-        if d[t][t] < 0:
-            negate_row(t)
-        t += 1
+            r, c = moved
+        if d < 0:
+            ops.append(("neg", r))
+            work.apply(ops[-1])
+        done_rows.add(r)
+        done_cols.add(c)
+        pivots.append((r, c, abs(d)))
+    return SmithDecomposition(invariants=tuple(d for _, _, d in pivots), pivots=tuple(pivots),
+                              ops=tuple(ops), shape=(len(matrix), len(cols)))
 
-    invariants = tuple(d[i][i] for i in range(limit) if d[i][i] != 0)
-    return SmithDecomposition(invariants=invariants, left=tuple(map(tuple, u)),
-                              right=tuple(map(tuple, v)), shape=(rows, cols))
+
+def _is_elementary(op, nrows: int, ncols: int) -> bool:
+    """Whether ``op`` adds an integer multiple of one row or column to
+    another, or negates a row: unimodular, with an elementary inverse."""
+    if not isinstance(op, tuple) or not all(type(x) is int for x in op[1:]):
+        return False
+    if len(op) == 4 and op[0] in ("row", "col"):
+        bound = nrows if op[0] == "row" else ncols
+        return 0 <= op[1] < bound and 0 <= op[2] < bound and op[1] != op[2]
+    return len(op) == 2 and op[0] == "neg" and 0 <= op[1] < nrows
 
 
 def check_smith_certificate(matrix: Sequence[Sequence[int]], dec: SmithDecomposition) -> bool:
-    """Re-multiply U * M * V and confirm diagonality, chain and unimodularity."""
-    rows, cols = dec.shape
-    if rows != len(matrix) or (rows and cols != len(matrix[0])):
+    """Replay the operations on a fresh sparse copy of M and confirm that only
+    the recorded pivots remain, positive, a divisor chain equal to the
+    invariants.  Each operation must be elementary, which makes U and V
+    unimodular without a determinant."""
+    nrows, ncols = dec.shape
+    if nrows != len(matrix) or (nrows and ncols != len(matrix[0])):
         return False
-    if abs(bareiss_determinant(dec.left)) != 1:
-        return False
-    if abs(bareiss_determinant(dec.right)) != 1:
-        return False
-    # product U * M
-    um = [[sum(dec.left[i][k] * matrix[k][j] for k in range(rows)) for j in range(cols)]
-          for i in range(rows)]
-    prod = [[sum(um[i][k] * dec.right[k][j] for k in range(cols)) for j in range(cols)]
-            for i in range(rows)]
-    seen = []
-    for i in range(rows):
-        for j in range(cols):
-            if i == j and prod[i][j] != 0:
-                seen.append(prod[i][j])
-            elif i != j and prod[i][j] != 0:
-                return False
-    if tuple(seen) != dec.invariants:
-        return False
-    for a, b in zip(seen, seen[1:]):
-        if b % a != 0:
+    work = _SparseIntegers(matrix)
+    for op in dec.ops:
+        if not _is_elementary(op, nrows, ncols):
             return False
-    return all(a > 0 for a in seen)
+        work.apply(op)
+    pivots = dec.pivots
+    if (len({r for r, _, _ in pivots}) != len(pivots) or len({c for _, c, _ in pivots}) != len(pivots)
+            or sum(map(len, work.rows)) != len(pivots)
+            or any(not 0 <= r < nrows or work.rows[r].get(c) != d for r, c, d in pivots)):
+        return False
+    seen = tuple(d for _, _, d in pivots)
+    return (seen == dec.invariants and all(d > 0 for d in seen)
+            and all(b % a == 0 for a, b in zip(seen, seen[1:])))
 
 
 # ---------------------------------------------------------------------------

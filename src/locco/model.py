@@ -158,7 +158,11 @@ class CoverModel:
     # -- cover combinatorics --------------------------------------------------
 
     def diagonal_neighborhood(self, n: int, budget: Optional[int] = None) -> TupleSet:
-        """All (n+1)-tuples lying in some cover set's (n+1)-st power."""
+        """All (n+1)-tuples lying in some cover set's (n+1)-st power.
+
+        The budget is charged for the tuples the loop visits, the sum of
+        |U_i|^(n+1) over the cover sets, before any is enumerated.
+        """
         if n < 0:
             raise ModelError(f"level must be nonnegative, got {n}")
         with self._lock:
@@ -166,9 +170,10 @@ class CoverModel:
         if cached is not None:
             return cached
         limit = enumeration_budget(budget)
-        size = len(self.points) ** (n + 1)
+        size = sum(len(members) ** (n + 1) for members in self.cover)
         if size > limit:
-            raise BudgetError(size, limit, f"|X|^{n + 1} = {len(self.points)}^{n + 1}")
+            raise BudgetError(size, limit,
+                              f"sum of |U_i|^{n + 1} over {len(self.cover)} cover sets")
         found = set()
         for members in self.cover:
             ordered = self.sort_points(members)

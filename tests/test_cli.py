@@ -189,3 +189,30 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["profile"]["0"]["rank"] == 1
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["cohomology", "MODEL", "--max-degree", "abc"], "cohomology"),
+    (["compare", "MODEL", "--coeff"], "compare"),
+    (["cohomology", "MODEL", "--complex", "nope"], "cohomology"),
+    (["frobnicate"], None),
+    ([], None),
+], ids=["bad-int", "missing-value", "bad-choice", "bad-command", "no-command"])
+def test_usage_errors_are_json(capsys, argv, command):
+    argv = [model_path("interval") if a == "MODEL" else a for a in argv]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["command"] == command
+    assert doc["error"]["kind"] == "usage"
+    assert "error:" in doc["error"]["message"]
+    assert "result" not in doc
+    assert err.startswith("usage: locco")
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["cohomology", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert "usage: locco" in capsys.readouterr().out

@@ -1,19 +1,23 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locco import (AugmentedColumnSpec, AugmentedRowSpec, CechComplexSpec,
                    Integers, LocalComplexSpec, PrimeField, Rationals,
-                   SimplicialComplexSpec, TotalComplexSpec, assemble_matrix,
-                   bareiss_determinant, check_smith_certificate,
+                   SimplicialComplexSpec, TotalComplexSpec,
+                   assemble_matrix, check_smith_certificate,
                    cohomology_profile, field_cohomology, integer_cohomology,
-                   kernel_basis, matrix_rank, rank_in_quotient,
-                   smith_normal_form)
+                   kernel_basis, left_invariant_cover, matrix_rank,
+                   rank_in_quotient, smith_normal_form, verify_local_vs_cech)
 from locco.homology import BoundaryMatrix
-from locco.cli import load_bundled_model
+from locco.cli import load_bundled_model, run
 
 Q = Rationals()
 Z5 = PrimeField(5)
@@ -104,6 +108,45 @@ def test_matrix_rank_dispatch():
     assert matrix_rank(mat, Z5) == 1
 
 
+def bareiss_determinant(matrix):
+    """Exact integer determinant by fraction-free elimination."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def oracle_invariants(dense):
+    """Invariant factors from determinantal divisors: D_k is the gcd of the
+    k x k minors, and the k-th invariant is D_k / D_(k-1)."""
+    nrows, ncols = len(dense), len(dense[0]) if dense else 0
+    divisors = [1]
+    for k in range(1, min(nrows, ncols) + 1):
+        g = 0
+        for rows in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
+                g = gcd(g, bareiss_determinant([[dense[i][j] for j in cols] for i in rows]))
+        if g == 0:
+            break
+        divisors.append(g)
+    return tuple(b // a for a, b in zip(divisors, divisors[1:]))
+
+
 def test_bareiss_determinant():
     assert bareiss_determinant([[1, 2], [3, 4]]) == -2
     assert bareiss_determinant([[2, 0, 1], [1, 1, 0], [0, 3, 1]]) == 5
@@ -132,6 +175,82 @@ def test_smith_normal_form_random_certified():
 def test_smith_rejects_nonintegers():
     with pytest.raises(Exception):
         smith_normal_form([[Fraction(1, 2)]])
+
+
+@st.composite
+def smith_matrices(draw):
+    """Integer matrices with 0-6 rows and columns, mostly small entries, some
+    scaled by 2 or 3 so that torsion is common."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, -6))
+    scale = draw(st.sampled_from((1, 1, 2, 3)))
+    return [[scale * v for v in draw(st.lists(entry, min_size=ncols, max_size=ncols))]
+            for _ in range(nrows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(smith_matrices())
+@example([[2, 4], [6, 8]])
+@example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+@example([[2, 0], [0, 3]])
+@example([[0, 0, 0], [0, 0, 0]])
+def test_smith_invariants_match_determinantal_divisors(dense):
+    dec = smith_normal_form(dense)
+    assert dec.invariants == oracle_invariants(dense)
+    assert check_smith_certificate(dense, dec)
+
+
+TAMPER_CASE = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+
+
+def _first(ops, kind):
+    return next(k for k, op in enumerate(ops) if op[0] == kind)
+
+
+def _tampered():
+    """Certificates of TAMPER_CASE, each with one defect."""
+    dec = smith_normal_form(TAMPER_CASE)
+    ops, pivots = list(dec.ops), list(dec.pivots)
+    k = _first(ops, "row")
+    kind, src, dst, f = ops[k]
+    out = {"changed factor": ops[:k] + [(kind, src, dst, f + 1)] + ops[k + 1:],
+           "dropped op": ops[:k] + ops[k + 1:],
+           "src equals dst": ops[:k] + [(kind, dst, dst, f)] + ops[k + 1:]}
+    k = _first(ops, "col")
+    kind, src, dst, f = ops[k]
+    out["changed column factor"] = ops[:k] + [(kind, src, dst, f - 1)] + ops[k + 1:]
+    out["fractional factor"] = ops[:k] + [(kind, src, dst, Fraction(f))] + ops[k + 1:]
+    cases = {name: replace(dec, ops=tuple(o)) for name, o in out.items()}
+    r, c, d = pivots[0]
+    cases["moved pivot"] = replace(dec, pivots=((r, (c + 1) % 3, d),) + dec.pivots[1:])
+    cases["swapped pivots"] = replace(dec, pivots=(dec.pivots[1], dec.pivots[0], dec.pivots[2]))
+    cases["altered invariant"] = replace(dec, invariants=dec.invariants[:-1] + (24,))
+    r, c, d = pivots[-1]
+    cases["altered pivot and invariant"] = replace(
+        dec, pivots=dec.pivots[:-1] + ((r, c, 24),), invariants=dec.invariants[:-1] + (24,))
+    return dec, cases
+
+
+def test_smith_certificate_rejects_tampering():
+    dec, cases = _tampered()
+    assert dec.invariants == (2, 6, 12)
+    assert check_smith_certificate(TAMPER_CASE, dec)
+    for name, bad in cases.items():
+        assert not check_smith_certificate(TAMPER_CASE, bad), name
+
+
+def test_smith_certificate_rejects_non_elementary_operations():
+    # each forgery replays to a divisor chain with false torsion, so only the
+    # check that every operation is elementary can reject it
+    doubled = smith_normal_form([[1]])
+    assert check_smith_certificate([[1]], doubled)
+    forged = replace(doubled, invariants=(2,), pivots=((0, 0, 2),), ops=(("row", 0, 0, 1),))
+    assert not check_smith_certificate([[1]], forged)
+    halved = replace(smith_normal_form([[2], [1]]), invariants=(2,), pivots=((0, 0, 2),),
+                     ops=(("row", 0, 1, Fraction(-1, 2)),))
+    assert not check_smith_certificate([[2], [1]], halved)
+    assert not check_smith_certificate([[1]], replace(doubled, ops=(("scale", 0, 1),)))
 
 
 def test_kernel_basis_annihilates():
@@ -249,3 +368,62 @@ def test_integer_profile_dispatch():
     m = load_bundled_model("interval")
     prof = cohomology_profile(LocalComplexSpec(m), Integers(), 1)
     assert prof == [(1, ()), (0, ())]
+
+
+# integer reach: profiles over Z that a dense certificate could not reach
+
+
+def test_cyclic_cover_16_2_local_vs_cech_over_integers():
+    rep = verify_local_vs_cech(left_invariant_cover(16, 2), Integers(), 1, spot_checks=False)
+    assert rep.isomorphic
+    for label in ("local", "cech", "total"):
+        assert rep.profiles[label] == [(1, ()), (1, ())]
+
+
+def seeded_cover_sets(seed, npoints, sizes):
+    """Cover sets of the given sizes: every point is dealt to a set with
+    room, then each set is filled up with other points."""
+    rng = random.Random(seed)
+    order = list(range(npoints))
+    rng.shuffle(order)
+    sets = [set() for _ in sizes]
+    for p in order:
+        sets[rng.choice([i for i, s in enumerate(sets) if len(s) < sizes[i]])].add(p)
+    for s, size in zip(sets, sizes):
+        s.update(rng.sample(sorted(set(range(npoints)) - s), size - len(s)))
+    return [sorted(s) for s in sets]
+
+
+def nerve_betti_numbers(sets, max_degree):
+    """Rational Betti numbers of the nerve, from its simplicial coboundaries."""
+    simplices = [[c for c in combinations(range(len(sets)), n + 1)
+                  if set(sets[c[0]]).intersection(*(sets[i] for i in c))]
+                 for n in range(max_degree + 2)]
+    ranks = []
+    for n in range(max_degree + 1):
+        index = {s: k for k, s in enumerate(simplices[n])}
+        dense = [[0] * len(simplices[n]) for _ in simplices[n + 1]]
+        for r, s in enumerate(simplices[n + 1]):
+            for k in range(len(s)):
+                dense[r][index[s[:k] + s[k + 1:]]] = (-1) ** k
+        ranks.append(oracle_rank_fraction(dense))
+    return [len(simplices[n]) - ranks[n] - (ranks[n - 1] if n else 0)
+            for n in range(max_degree + 1)]
+
+
+def test_random_cover_compare_over_integers_to_degree_two(tmp_path):
+    sets = seeded_cover_sets(5, 8, (4, 4, 3, 3))
+    doc = {"name": "random-8", "points": list(range(8)),
+           "cover": [{"name": f"U{i}", "members": s} for i, s in enumerate(sets)]}
+    path, out = tmp_path / "random-8.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert run(["--output", str(out), "compare", str(path), "--coeff", "Z",
+                "--max-degree", "2"]) == 0
+    report = json.loads(out.read_text())
+    assert report["passed"]
+    # a nerve on four vertices has no torsion, so its integer profile is the
+    # rational Betti numbers with empty torsion
+    betti = nerve_betti_numbers(sets, 2)
+    assert betti == [1, 2, 0]
+    for label in ("local", "cech", "total"):
+        assert report["result"]["comparison"]["profiles"][label] == [[b, []] for b in betti]

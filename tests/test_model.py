@@ -59,6 +59,22 @@ def test_budget_error(monkeypatch):
     assert enumeration_budget() == 2_000_000
 
 
+def test_budget_charges_cover_powers(monkeypatch):
+    # level 2 visits the cubes of the three 3-point sets, 81 tuples, not 6^3
+    m = load_bundled_model("hexagon")
+    assert sum(len(members) ** 3 for members in m.cover) == 81
+
+    def fresh():
+        return CoverModel(points=m.points, cover=m.cover, cover_names=m.cover_names,
+                          complex=m.complex)
+
+    monkeypatch.setenv("LOCCO_BUDGET", "100")
+    assert set(fresh().diagonal_neighborhood(2).tuples) == brute_diagonal(m, 2)
+    monkeypatch.setenv("LOCCO_BUDGET", "80")
+    with pytest.raises(BudgetError, match=r"sum of \|U_i\|\^3 .* needs 81 raw"):
+        fresh().diagonal_neighborhood(2)
+
+
 def test_nerve_oracle_hexagon():
     m = load_bundled_model("hexagon")
     nerve = m.nerve()
