@@ -25,8 +25,7 @@ from .errors import AcyclicityError, CoefficientError, ModelError
 from .homology import (CechComplexSpec, LocalComplexSpec,
                        SimplicialComplexSpec, TotalComplexSpec,
                        assemble_matrix, cohomology_profile, kernel_basis,
-                       matrix_rank, profile_from_ranks, rank_in_quotient,
-                       transpose)
+                       matrix_rank, profile_from_ranks, rank_in_quotient)
 from .model import CoverModel, left_invariant_cover
 
 
@@ -290,16 +289,16 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
     for n in range(max_degree + 1):
         d_local = assemble_matrix(local_spec, n)
         d_simp = assemble_matrix(simp_spec, n)
-        local_ranks.append(matrix_rank(d_local, system))
+        kernel = kernel_basis(d_local, system)
+        local_ranks.append(len(d_local.col_labels) - len(kernel))
         simp_ranks.append(matrix_rank(d_simp, system))
         lam_n = _restriction_matrix(model, d_simp.col_labels, d_local.col_labels)
         lam_next = _restriction_matrix(model, d_simp.row_labels, d_local.row_labels)
         if _compose(d_simp.rows, lam_n) != _compose(lam_next, d_local.rows):
             chain_map_ok = False
         images = [{s: vec[c] for s, row in enumerate(lam_n) for c in row if c in vec}
-                  for vec in kernel_basis(d_local, system)]
-        boundaries = ([] if d_simp_below is None else
-                      transpose(d_simp_below.rows, len(d_simp_below.col_labels)))
+                  for vec in kernel]
+        boundaries = [] if d_simp_below is None else d_simp_below.columns
         induced.append(rank_in_quotient(images, boundaries, system))
         d_simp_below = d_simp
     local_profile = profile_from_ranks(

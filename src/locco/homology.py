@@ -6,7 +6,10 @@ eliminator, :class:`Echelon`, takes every field rank, kernel and quotient
 rank: it inserts rows one at a time into pivot rows keyed by leading column,
 fraction-free with gcd stripping over Q and with normalised pivots over
 GF(p).  A matrix with more rows than columns has its rank taken through its
-transpose.  Over the integers a sparse Smith elimination gives free ranks and
+columns.  Every differential is assembled in index space by one kernel,
+:func:`assemble_matrix`: basis elements are integer codes, faces are found
+by deleting a digit or swapping a block and matched to their columns by
+binary search.  Over the integers a sparse Smith elimination gives free ranks and
 torsion; its certificate, every elementary operation it made, is checked by
 replaying them on a fresh copy of the matrix, with no determinant taken.
 """
@@ -14,40 +17,120 @@ replaying them on a fresh copy of the matrix, with no determinant taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .coeff import CoefficientSystem, Integers, PrimeField, Rationals
 from .errors import BudgetError, CoefficientError, ModelError
-from .model import CoverModel, enumeration_budget
+from .model import CoverModel, code_dtype, delete_digit, encode, enumeration_budget
 
 # ---------------------------------------------------------------------------
-# complex descriptors: ordered bases plus face rules
+# complex descriptors: ordered bases, their integer codes and one face rule
+
+
+class FaceRule:
+    """How d_n finds the faces of the degree-(n+1) basis on integer codes.
+
+    A code is ``block * row_size + t``, where ``t`` codes a tuple of
+    ``arity[block]`` digits in base ``radix``, the first most significant.
+    Deleting tuple position j gives a face in the same block with sign
+    ``weight[block] * (-1)^j`` (none where the weight is 0).  Deleting
+    index k of the block keeps the tuple and moves to block
+    ``face_blocks[block][k]`` (none where it is -1) with sign (-1)^k.  Face
+    codes are ``block * col_size + tuple code``.  The kernel reads three
+    tables with one row per block: ``places``, the place value of each
+    deleted digit; ``blocks``, the face blocks; and ``signs``, point faces
+    then index faces, 0 where there is no face.
+    """
+
+    def __init__(self, radix: int, row_size: int, col_size: int, arity: list,
+                 weight: list, face_blocks: list):
+        self.radix, self.row_size, self.col_size = radix, row_size, col_size
+        width = max(arity, default=0)
+        self.places = np.array([[radix ** (a - 1 - j) if j < a else 1 for j in range(width)]
+                                for a in arity], dtype=code_dtype(radix ** width))
+        self.blocks = np.array(face_blocks, dtype=np.int64)
+        self.signs = np.array([[w * (-1) ** j if j < a else 0 for j in range(width)]
+                               + [(-1) ** k if f >= 0 else 0 for k, f in enumerate(fb)]
+                               for a, w, fb in zip(arity, weight, face_blocks)], dtype=np.int64)
+
+
+@lru_cache(maxsize=256)
+def _one_block_rule(radix: int, arity: int) -> FaceRule:
+    """Alternating deletion on one block of arity-tuples, shared by every spec."""
+    return FaceRule(radix, radix ** arity, radix ** (arity - 1), [arity], [1], [[]])
+
+
+def _block_faces(simplices: Sequence[tuple], offset: int = 0, empty: int = -1) -> list:
+    """Face blocks of index tuples for :class:`FaceRule`: ``simplices[b]`` is
+    block ``offset + b`` and its row lists it with each index deleted in
+    turn, padded with -1.  The empty tuple is block ``empty`` (-1: no face);
+    the ``offset`` leading blocks have no index faces."""
+    position = {s: b for b, s in enumerate(simplices, offset)}
+    position[()] = empty
+    width = max(map(len, simplices), default=0)
+    table = [[-1] * width for _ in range(offset)]
+    for s in simplices:
+        faces = [position[s[:k] + s[k + 1:]] for k in range(len(s))]
+        table.append(faces + [-1] * (width - len(faces)))
+    return table
+
+
+def _power_blocks(model: CoverModel, blocks: list, size: int, budget: Optional[int],
+                  what: str) -> tuple:
+    """Tuples from intersections, in (block id, index tuple, arity) blocks.
+
+    The budget is charged |U_indices|^arity per block before any block is
+    enumerated.  Returns the blocks' :class:`TupleSet`s and their codes,
+    ``block id * size + tuple code``, in block order.
+    """
+    limit = enumeration_budget(budget)
+    charge = sum(len(model.intersection(idx)) ** arity for _, idx, arity in blocks)
+    if charge > limit:
+        raise BudgetError(charge, limit, what)
+    dtype = code_dtype(max((b + 1) * size for b, _, _ in blocks) if blocks else 1)
+    powers = [model.intersection_power(idx, arity) for _, idx, arity in blocks]
+    codes = [b * size + power.codes.astype(dtype) for (b, _, _), power in zip(blocks, powers)]
+    return powers, np.concatenate([np.zeros(0, dtype=dtype)] + codes)
 
 
 class ComplexSpec:
-    """A cochain complex presented by ordered bases and face incidences."""
+    """A cochain complex presented by ordered bases, their ascending integer
+    codes and a :class:`FaceRule` per differential.
+
+    The default rule has one block of (n + 1)-tuples in degree n, digits in
+    base ``radix``, and the alternating point-deletion differential.
+    """
 
     label = ""
+    radix = 1
+    drops_missing_faces = False
 
     def __init__(self):
         self._bases: dict = {}
 
     def basis(self, n: int) -> tuple:
         """Ordered degree-n basis, built once per degree and then reused."""
-        out = self._bases.get(n)
-        if out is None:
-            out = self._bases[n] = self._build_basis(n)
-        return out
+        built = self._bases.get(n)
+        if built is None:
+            built = self._bases[n] = self._build_basis(n)
+        return built[0]
+
+    def codes(self, n: int) -> np.ndarray:
+        """Ascending integer codes of the degree-n basis, in basis order."""
+        self.basis(n)
+        return self._bases[n][1]
 
     def _build_basis(self, n: int) -> tuple:
+        """(labels, codes) of degree n."""
         raise NotImplementedError
 
-    def row_entries(self, n: int, row_label) -> list:
-        """Pairs (column label, integer coefficient) describing d_n pulled
-        back to one degree-(n+1) basis element."""
-        raise NotImplementedError
+    def face_rule(self, n: int) -> FaceRule:
+        return _one_block_rule(self.radix, n + 2)
 
 
 class LocalComplexSpec(ComplexSpec):
@@ -59,20 +142,11 @@ class LocalComplexSpec(ComplexSpec):
         super().__init__()
         self.model = model
         self.budget = budget
+        self.radix = len(model.points)
 
     def _build_basis(self, n: int) -> tuple:
-        return self.model.diagonal_neighborhood(n, budget=self.budget).tuples
-
-    def row_entries(self, n: int, row_label) -> list:
         domain = self.model.diagonal_neighborhood(n, budget=self.budget)
-        out = {}
-        sign = 1
-        for i in range(len(row_label)):
-            face = row_label[:i] + row_label[i + 1:]
-            if face in domain:
-                out[face] = out.get(face, 0) + sign
-            sign = -sign
-        return list(out.items())
+        return domain.tuples, domain.codes
 
 
 class CechComplexSpec(ComplexSpec):
@@ -84,42 +158,47 @@ class CechComplexSpec(ComplexSpec):
         super().__init__()
         self.model = model
         self.nerve = model.nerve()
+        self._faces = _block_faces(self.nerve.simplices)
 
     def _build_basis(self, n: int) -> tuple:
-        return self.nerve.of_dimension(n)
+        simplices = self.nerve.simplices
+        return self.nerve.of_dimension(n), np.flatnonzero([len(s) == n + 1 for s in simplices])
 
-    def row_entries(self, n: int, row_label) -> list:
-        out = []
-        sign = 1
-        for k in range(len(row_label)):
-            out.append((row_label[:k] + row_label[k + 1:], sign))
-            sign = -sign
-        return out
+    def face_rule(self, n: int) -> FaceRule:
+        blocks = len(self._faces)
+        return FaceRule(1, 1, 1, [0] * blocks, [0] * blocks, [f[:n + 2] for f in self._faces])
 
 
 class SimplicialComplexSpec(ComplexSpec):
-    """Simplicial cochains of an ordered complex."""
+    """Simplicial cochains of an ordered complex.
+
+    Vertices are ranked by ``order_key((v,))`` and simplices ordered by
+    length, then lexicographically by vertex rank; a face that is not a
+    simplex is dropped from the differential.
+    """
 
     label = "simplicial"
+    drops_missing_faces = True
 
     def __init__(self, simplices: Sequence[tuple], order_key=None):
         super().__init__()
         key = order_key or (lambda s: s)
-        self.simplices = tuple(sorted((tuple(s) for s in simplices), key=lambda s: (len(s), key(s))))
-        self._faces = {s for s in self.simplices}
+        faces = {tuple(s) for s in simplices}
+        vertices = sorted({v for s in faces for v in s}, key=lambda v: key((v,)))
+        rank = {v: k for k, v in enumerate(vertices)}
+        ranked = sorted((len(s), tuple(rank[v] for v in s), s) for s in faces)
+        self.simplices = tuple(s for _, _, s in ranked)
+        self.radix = max(len(vertices), 1)
+        self._by_length: dict = {}   # length -> (simplices, vertex ranks)
+        for length, ranks, s in ranked:
+            group = self._by_length.setdefault(length, ([], []))
+            group[0].append(s)
+            group[1].append(ranks)
 
     def _build_basis(self, n: int) -> tuple:
-        return tuple(s for s in self.simplices if len(s) == n + 1)
-
-    def row_entries(self, n: int, row_label) -> list:
-        out = []
-        sign = 1
-        for k in range(len(row_label)):
-            face = row_label[:k] + row_label[k + 1:]
-            if face in self._faces:
-                out.append((face, sign))
-            sign = -sign
-        return out
+        simplices, ranks = self._by_length.get(n + 1, ((), ()))
+        digits = np.array(ranks, dtype=np.int64).reshape(-1, n + 1)
+        return tuple(simplices), encode(digits, self.radix, code_dtype(self.radix ** (n + 1)))
 
 
 class TotalComplexSpec(ComplexSpec):
@@ -128,7 +207,9 @@ class TotalComplexSpec(ComplexSpec):
     Degree-n basis elements are triples (p, index tuple, point tuple) with
     the point tuple of arity n - p + 1 drawn from the intersection named by
     the index tuple.  The differential combines index insertion with the
-    alternating point-tuple differential weighted by (-1)^p.
+    alternating point-tuple differential weighted by (-1)^p.  Blocks are the
+    nerve simplices in nerve order, so codes ascend with p, then the index
+    tuple, then the point tuple.
     """
 
     label = "total"
@@ -138,45 +219,25 @@ class TotalComplexSpec(ComplexSpec):
         self.model = model
         self.nerve = model.nerve()
         self.budget = budget
-        self._inter = {}
-        for s in self.nerve.simplices:
-            self._inter[s] = set(model.intersection(s))
+        self.radix = len(model.points)
+        self._faces = _block_faces(self.nerve.simplices)
 
     def _build_basis(self, n: int) -> tuple:
-        limit = enumeration_budget(self.budget)
-        out = []
-        total = 0
-        for p in range(min(n, self.nerve.dimension) + 1):
-            q = n - p
-            for idx in self.nerve.of_dimension(p):
-                power = self.model.intersection_power(idx, q + 1)
-                total += len(power)
-                if total > limit:
-                    raise BudgetError(total, limit, f"total-complex basis in degree {n}")
-                for t in power.tuples:
-                    out.append((p, idx, t))
-        return tuple(out)
+        blocks = [(b, idx, n + 2 - len(idx)) for b, idx in enumerate(self.nerve.simplices)
+                  if len(idx) <= n + 1]
+        powers, codes = _power_blocks(self.model, blocks, self.radix ** (n + 1), self.budget,
+                                      f"total-complex basis in degree {n}")
+        labels = tuple((len(idx) - 1, idx, t)
+                       for (_, idx, _), power in zip(blocks, powers) for t in power.tuples)
+        return labels, codes
 
-    def row_entries(self, n: int, row_label) -> list:
-        p, idx, t = row_label
-        out = {}
-        # index-deletion part: contributions from (p - 1, n + 1 - p)
-        if p >= 1:
-            sign = 1
-            for k in range(len(idx)):
-                face = idx[:k] + idx[k + 1:]
-                key = (p - 1, face, t)
-                out[key] = out.get(key, 0) + sign
-                sign = -sign
-        # point-deletion part: contributions from (p, n - p), sign (-1)^p
-        if len(t) >= 2:
-            base = -1 if p % 2 else 1
-            sign = base
-            for i in range(len(t)):
-                key = (p, idx, t[:i] + t[i + 1:])
-                out[key] = out.get(key, 0) + sign
-                sign = -sign
-        return [(k, v) for k, v in out.items() if v]
+    def face_rule(self, n: int) -> FaceRule:
+        # a block of dimension p holds (n + 2 - p)-tuples in degree n + 1
+        dims = [len(idx) - 1 for idx in self.nerve.simplices]
+        arity = [n + 2 - p for p in dims]
+        weight = [(-1) ** p if a >= 2 else 0 for p, a in zip(dims, arity)]
+        return FaceRule(self.radix, self.radix ** (n + 2), self.radix ** (n + 1),
+                        arity, weight, [f[:n + 2] for f in self._faces])
 
 
 class AugmentedRowSpec(ComplexSpec):
@@ -184,7 +245,8 @@ class AugmentedRowSpec(ComplexSpec):
 
     Degree 0 is the local degree-q space; degree p >= 1 holds the families
     indexed by (p-1)-dimensional nerve simplices.  Exactness of this complex
-    is the row-contraction statement in matrix form.
+    is the row-contraction statement in matrix form.  The local space is
+    block 0 and the nerve simplices follow, so d_0 deletes the only index.
     """
 
     label = "augmented-row"
@@ -195,34 +257,25 @@ class AugmentedRowSpec(ComplexSpec):
         self.q = q
         self.nerve = model.nerve()
         self.budget = budget
+        self.radix = len(model.points)
+        self._faces = _block_faces(self.nerve.simplices, offset=1, empty=0)
 
     def _build_basis(self, n: int) -> tuple:
         if n == 0:
-            return self.model.diagonal_neighborhood(self.q, budget=self.budget).tuples
-        out = []
-        for idx in self.nerve.of_dimension(n - 1):
-            power = self.model.intersection_power(idx, self.q + 1)
-            out.extend((idx, t) for t in power.tuples)
-        return tuple(out)
+            domain = self.model.diagonal_neighborhood(self.q, budget=self.budget)
+            return domain.tuples, domain.codes
+        blocks = [(b, idx, self.q + 1) for b, idx in enumerate(self.nerve.simplices, 1)
+                  if len(idx) == n]
+        powers, codes = _power_blocks(self.model, blocks, self.radix ** (self.q + 1), self.budget,
+                                      f"augmented-row basis in degree {n}")
+        labels = tuple((idx, t) for (_, idx, _), power in zip(blocks, powers) for t in power.tuples)
+        return labels, codes
 
-    def row_entries(self, n: int, row_label) -> list:
-        if n == 0:
-            idx, t = row_label
-            return [(t, 1)]  # restriction of the local cochain
-        idx, t = row_label
-        inter_cache = {}
-        out = []
-        sign = 1
-        for k in range(len(idx)):
-            face = idx[:k] + idx[k + 1:]
-            members = inter_cache.get(face)
-            if members is None:
-                members = set(self.model.intersection(face))
-                inter_cache[face] = members
-            if all(c in members for c in t):
-                out.append(((face, t), sign))
-            sign = -sign
-        return out
+    def face_rule(self, n: int) -> FaceRule:
+        blocks = len(self._faces)
+        size = self.radix ** (self.q + 1)
+        return FaceRule(self.radix, size, size, [self.q + 1] * blocks, [0] * blocks,
+                        [f[:n + 1] for f in self._faces])
 
 
 class AugmentedColumnSpec(ComplexSpec):
@@ -230,7 +283,8 @@ class AugmentedColumnSpec(ComplexSpec):
 
     Degree 0 is one coefficient copy (the constants); degree k >= 1 holds
     functions on arity-k tuples of the intersection.  Exactness is the cone
-    contraction in matrix form.
+    contraction in matrix form.  The copy is coded as the empty tuple, so d_0
+    is point deletion too.
     """
 
     label = "augmented-column"
@@ -242,63 +296,117 @@ class AugmentedColumnSpec(ComplexSpec):
         self.members = model.sort_points(model.intersection(self.indices))
         if not self.members:
             raise ModelError(f"intersection of {self.indices} is empty")
+        self.radix = len(model.points)
 
     def _build_basis(self, n: int) -> tuple:
         if n == 0:
-            return (self.indices,)
-        return self.model.intersection_power(self.indices, n).tuples
+            return (self.indices,), np.zeros(1, dtype=np.int64)
+        power = self.model.intersection_power(self.indices, n)
+        return power.tuples, power.codes
 
-    def row_entries(self, n: int, row_label) -> list:
-        if n == 0:
-            return [(self.indices, 1)]  # constants embed
-        out = {}
-        sign = 1
-        for i in range(len(row_label)):
-            face = row_label[:i] + row_label[i + 1:]
-            out[face] = out.get(face, 0) + sign
-            sign = -sign
-        return [(k, v) for k, v in out.items() if v]
+    def face_rule(self, n: int) -> FaceRule:
+        return _one_block_rule(self.radix, n + 1)
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """Sparse integer matrix of a differential, with frozen basis labels."""
+    """Sparse integer matrix of a differential, with frozen basis labels.
+
+    ``entries`` holds int64 arrays (row, column, value), one per nonzero
+    cell, sorted by row and then column.  ``rows`` are built from it on
+    first use and kept; ``columns`` are built afresh on each use, so that a
+    caller may free each column once it is done with it.
+    """
 
     row_labels: tuple
     col_labels: tuple
-    rows: tuple  # tuple of dicts column index -> integer
+    entries: tuple
 
     @property
     def shape(self) -> tuple:
         return (len(self.row_labels), len(self.col_labels))
 
+    @cached_property
+    def rows(self) -> tuple:
+        """Dicts column index -> integer, one per row."""
+        r, c, v = self.entries
+        return tuple(_split(r, c, v, len(self.row_labels)))
+
+    @property
+    def columns(self) -> list:
+        """Dicts row index -> integer, one per column."""
+        r, c, v = self.entries
+        order = np.argsort(c, kind="stable")
+        return _split(c[order], r[order], v[order], len(self.col_labels))
+
     def dense(self) -> list:
         out = [[0] * len(self.col_labels) for _ in self.row_labels]
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                out[r][c] = v
+        for r, c, v in zip(*(x.tolist() for x in self.entries)):
+            out[r][c] = v
         return out
 
 
+def _split(major: np.ndarray, minor: np.ndarray, values: np.ndarray, count: int) -> list:
+    """``count`` dicts minor -> value, one per major index; ``major`` ascends."""
+    bounds = major.searchsorted(np.arange(count + 1)).tolist()
+    minor, values = minor.tolist(), values.tolist()
+    return [dict(zip(minor[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
+def _faces(rule: FaceRule, rows: np.ndarray) -> tuple:
+    """(row index, face code, sign) of every face of every row, row by row."""
+    block_code = rows // rule.row_size
+    t = (rows % rule.row_size)[:, None]
+    block = block_code.astype(np.int64, copy=False)
+    place = rule.places[block].astype(rows.dtype, copy=False)
+    point = (block_code * rule.col_size)[:, None] + delete_digit(t, rule.radix, place)
+    index = rule.blocks[block].astype(rows.dtype, copy=False) * rule.col_size + t
+    sign = rule.signs[block]
+    live = sign != 0
+    return live.nonzero()[0], np.concatenate((point, index), axis=1)[live], sign[live]
+
+
+def _summed(cell: np.ndarray, sign: np.ndarray) -> tuple:
+    """Distinct cells in ascending order with their signs summed, zeros dropped."""
+    order = cell.argsort(kind="stable")
+    cell, sign = cell[order], sign[order]
+    new = np.ones(len(cell), dtype=bool)
+    new[1:] = cell[1:] != cell[:-1]
+    first = new.nonzero()[0]
+    value = np.add.reduceat(sign, first) if len(first) else sign
+    keep = value != 0
+    return cell[first[keep]], value[keep]
+
+
 def assemble_matrix(spec: ComplexSpec, n: int) -> BoundaryMatrix:
-    """Matrix of d_n with rows indexed by the degree-(n+1) basis."""
-    cols = spec.basis(n)
-    rows = spec.basis(n + 1)
-    col_index = {label: k for k, label in enumerate(cols)}
-    data = []
-    for label in rows:
-        entry = {}
-        for col_label, coef in spec.row_entries(n, label):
-            c = col_index.get(col_label)
-            if c is None:
-                raise ModelError(f"face {col_label!r} missing from degree-{n} basis")
-            entry[c] = entry.get(c, 0) + coef
-        data.append({c: v for c, v in entry.items() if v})
-    return BoundaryMatrix(row_labels=tuple(rows), col_labels=tuple(cols), rows=tuple(data))
+    """Matrix of d_n with rows indexed by the degree-(n+1) basis.
+
+    Every face of every row is found at once on integer codes: point faces
+    by deleting one digit, index faces through the spec's block table, each
+    matched to its column by binary search in the ascending column codes.
+    Repeated cells are summed and zeros dropped.
+    """
+    col_labels, row_labels = spec.basis(n), spec.basis(n + 1)
+    cols, rows = spec.codes(n), spec.codes(n + 1)
+    if cols.dtype != rows.dtype:   # one degree outgrew int64
+        cols, rows = cols.astype(object), rows.astype(object)
+    r, face, sign = _faces(spec.face_rule(n), rows)
+    c = cols.searchsorted(face)
+    found = np.concatenate((cols, [-1]))[c] == face   # live faces are never negative
+    del face   # not needed for the sort below, where memory peaks
+    if not found.all():
+        if not spec.drops_missing_faces:
+            missing = row_labels[r[~found][0]]
+            raise ModelError(f"a face of {missing!r} is missing from the degree-{n} basis")
+        r, c, sign = r[found], c[found], sign[found]
+    ncols = max(len(cols), 1)
+    cell, value = _summed(r * ncols + c, sign)
+    entries = (cell // ncols, cell % ncols, value)
+    return BoundaryMatrix(row_labels, col_labels, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +526,6 @@ class Echelon:
         return basis
 
 
-def transpose(rows: Sequence[dict], ncols: int) -> list:
-    """Columns of a sparse row matrix, as sparse rows."""
-    cols = [{} for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            cols[c][r] = v
-    return cols
-
-
 def _modulus(system: CoefficientSystem) -> int:
     """The ``p`` of :class:`Echelon` for a field: 0 for Q, p for GF(p)."""
     if isinstance(system, Rationals):
@@ -440,19 +539,18 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem) -> int:
     """Rank over a field; over the integers, the rank over Q.
 
     A matrix with more rows than columns is eliminated through its
-    transpose, which has fewer rows to insert and the same rank.  Its rows
-    are popped last column first, so each is freed once inserted; on the
+    columns, which are fewer to insert and have the same rank.  They are
+    popped last column first, so each is freed once inserted; on the
     differentials here that order also leaves sparser pivot rows than
     column order does.
     """
     ech = Echelon(0 if isinstance(system, Integers) else _modulus(system))
-    rows, ncols = mat.rows, len(mat.col_labels)
-    if len(rows) > ncols:
-        cols = transpose(rows, ncols)
+    if len(mat.row_labels) > len(mat.col_labels):
+        cols = mat.columns
         while cols:
             ech.insert(cols.pop())
     else:
-        for row in rows:
+        for row in mat.rows:
             ech.insert(row)
     return ech.rank
 

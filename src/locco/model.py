@@ -3,16 +3,21 @@
 A model is the combinatorial stand-in for a space with an open cover.  All
 tuple enumerations are ordered lexicographically by the position of each
 point in the model's point list, so every downstream basis is reproducible.
+A tuple is also coded as one integer, its point positions read as digits in
+base |X| with the first most significant, so ascending codes are exactly that
+order; bases are built as sorted code arrays and decoded to tuples once.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import BudgetError, ModelError
 
@@ -35,6 +40,53 @@ def enumeration_budget(override: Optional[int] = None) -> int:
         raise ModelError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
+# ---------------------------------------------------------------------------
+# integer codes of tuples
+
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def code_dtype(bound: int):
+    """int64 when every code below ``bound`` fits, else ``object`` (Python ints).
+
+    Digit weights and partial codes stay below the bound too, so once a basis
+    has its dtype no arithmetic on it can wrap around.
+    """
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+def encode(digits: np.ndarray, radix: int, dtype) -> np.ndarray:
+    """Codes of the rows of a (count, arity) digit array, first digit most significant."""
+    digits = np.asarray(digits)
+    arity = digits.shape[1]
+    places = np.array([radix ** (arity - 1 - j) for j in range(arity)], dtype=dtype)
+    return digits.astype(dtype) @ places
+
+
+def decode(codes: np.ndarray, radix: int, arity: int) -> np.ndarray:
+    """The (count, arity) int64 digit array of ``codes``; inverse of :func:`encode`."""
+    digits = np.empty((len(codes), arity), dtype=np.int64)
+    for j in reversed(range(arity)):
+        digits[:, j] = codes % radix
+        codes = codes // radix
+    return digits
+
+
+def delete_digit(codes: np.ndarray, radix: int, weight) -> np.ndarray:
+    """Codes with the digit of place value ``weight`` (a power of the radix,
+    one per code or shared) removed: ``(c // (weight * radix)) * weight + c % weight``."""
+    return codes // (weight * radix) * weight + codes % weight
+
+
+def product_codes(positions: np.ndarray, arity: int, radix: int) -> np.ndarray:
+    """Ascending codes of all arity-tuples over ascending ``positions``."""
+    codes = np.zeros(1, dtype=positions.dtype)
+    for _ in range(arity):
+        codes = (codes[:, None] * radix + positions[None, :]).ravel()
+    return codes
+
+
 @dataclass(frozen=True)
 class TupleSet:
     """A finite set of point tuples of fixed length with a frozen basis order."""
@@ -42,9 +94,11 @@ class TupleSet:
     arity: int                      # tuple length, n + 1 for level n
     tuples: tuple                   # tuples sorted by point order
     label: str = ""
+    codes: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {t: k for k, t in enumerate(self.tuples)})
+    @cached_property
+    def _index(self) -> dict:
+        return {t: k for k, t in enumerate(self.tuples)}
 
     @property
     def degree(self) -> int:
@@ -95,6 +149,10 @@ class CoverModel:
     def __post_init__(self):
         object.__setattr__(self, "cover", tuple(frozenset(m) for m in self.cover))
         object.__setattr__(self, "point_index", {p: k for k, p in enumerate(self.points)})
+        names = np.empty(len(self.points), dtype=object)   # point ids by position
+        for k, p in enumerate(self.points):
+            names[k] = p
+        object.__setattr__(self, "_names", names)
         self.validate()
 
     # -- validation ---------------------------------------------------------
@@ -149,9 +207,6 @@ class CoverModel:
     def point_key(self, t: Sequence) -> tuple:
         return tuple(self.point_index[p] for p in t)
 
-    def sort_tuples(self, tuples: Iterable[tuple]) -> tuple:
-        return tuple(sorted(set(tuples), key=self.point_key))
-
     def sort_points(self, pts: Iterable) -> tuple:
         return tuple(sorted(set(pts), key=lambda p: self.point_index[p]))
 
@@ -174,18 +229,35 @@ class CoverModel:
         if size > limit:
             raise BudgetError(size, limit,
                               f"sum of |U_i|^{n + 1} over {len(self.cover)} cover sets")
-        found = set()
-        for members in self.cover:
-            ordered = self.sort_points(members)
-            found.update(itertools.product(ordered, repeat=n + 1))
-        ts = TupleSet(arity=n + 1, tuples=self.sort_tuples(found), label=f"diag[{n}]")
+        radix = len(self.points)
+        dtype = code_dtype(radix ** (n + 1))
+        codes = np.concatenate([product_codes(self._positions(members, dtype), n + 1, radix)
+                                for members in self.cover])
+        # a stable sort shares its code with the assembly kernel's; np.unique
+        # would fault in about 0.8 MB more of numpy at first use
+        codes.sort(kind="stable")
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+        ts = self._tuple_set(codes, n + 1, f"diag[{n}]")
         with self._lock:
             self._cache[("diag", n)] = ts
         return ts
 
+    def _positions(self, pts: Iterable, dtype) -> np.ndarray:
+        """Ascending point positions of ``pts``, as digits of the given dtype."""
+        return np.array(sorted(self.point_index[p] for p in pts), dtype=dtype)
+
+    def _tuple_set(self, codes: np.ndarray, arity: int, label: str) -> TupleSet:
+        """The tuples of ``codes``, decoded once, with the codes kept alongside."""
+        tuples = tuple(map(tuple, self._names[decode(codes, len(self.points), arity)].tolist()))
+        return TupleSet(arity=arity, tuples=tuples, label=label, codes=codes)
+
     def intersection(self, indices: Sequence[int]) -> tuple:
         """Common points of the named cover sets, in point order."""
         idx = tuple(indices)
+        with self._lock:
+            cached = self._cache.get(("inter", idx))
+        if cached is not None:
+            return cached
         if len(idx) == 0:
             raise ModelError("need at least one cover index")
         if any(a >= b for a, b in zip(idx, idx[1:])):
@@ -196,7 +268,10 @@ class CoverModel:
         common = set(self.cover[idx[0]])
         for i in idx[1:]:
             common &= self.cover[i]
-        return self.sort_points(common)
+        out = self.sort_points(common)
+        with self._lock:
+            self._cache[("inter", idx)] = out
+        return out
 
     def intersection_power(self, indices: Sequence[int], arity: int) -> TupleSet:
         """All arity-tuples drawn from the intersection of the named sets."""
@@ -205,12 +280,10 @@ class CoverModel:
             cached = self._cache.get(key)
         if cached is not None:
             return cached
-        base = self.intersection(indices)
-        ts = TupleSet(
-            arity=arity,
-            tuples=tuple(itertools.product(base, repeat=arity)),
-            label=f"U{tuple(indices)}^{arity}",
-        )
+        radix = len(self.points)
+        positions = self._positions(self.intersection(indices), code_dtype(radix ** arity))
+        ts = self._tuple_set(product_codes(positions, arity, radix), arity,
+                             f"U{tuple(indices)}^{arity}")
         with self._lock:
             self._cache[key] = ts
         return ts

@@ -2,22 +2,25 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from locco import (AugmentedColumnSpec, AugmentedRowSpec, CechComplexSpec,
-                   Integers, LocalComplexSpec, PrimeField, Rationals,
+from locco import (AugmentedColumnSpec, AugmentedRowSpec, BudgetError,
+                   CechComplexSpec, CoverModel, Integers, LocalComplexSpec,
+                   ModelError, PrimeField, Rationals,
                    SimplicialComplexSpec, TotalComplexSpec,
                    assemble_matrix, check_smith_certificate,
                    cohomology_profile, field_cohomology, integer_cohomology,
                    kernel_basis, left_invariant_cover, matrix_rank,
                    rank_in_quotient, smith_normal_form, verify_local_vs_cech)
 from locco.homology import BoundaryMatrix
-from locco.cli import load_bundled_model, run
+from locco.cli import bundled_model_names, load_bundled_model, run
+from locco.compare import random_cover_model
 
 Q = Rationals()
 Z5 = PrimeField(5)
@@ -78,9 +81,11 @@ def to_sparse(dense):
     return [{c: v for c, v in enumerate(row) if v} for row in dense]
 
 
-def as_matrix(dense, ncols):
-    return BoundaryMatrix(row_labels=tuple(range(len(dense))),
-                          col_labels=tuple(range(ncols)), rows=tuple(to_sparse(dense)))
+def as_matrix(dense, ncols, row_labels=None, col_labels=None):
+    cells = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+    entries = tuple(np.array([cell[k] for cell in cells], dtype=np.int64) for k in range(3))
+    return BoundaryMatrix(row_labels or tuple(range(len(dense))),
+                          col_labels or tuple(range(ncols)), entries)
 
 
 def test_rank_int_against_fraction_oracle():
@@ -101,8 +106,7 @@ def test_rank_mod_p_against_oracle():
 
 def test_matrix_rank_dispatch():
     dense = [[2, 0], [0, 5]]
-    mat = BoundaryMatrix(row_labels=("a", "b"), col_labels=("x", "y"),
-                         rows=tuple(to_sparse(dense)))
+    mat = as_matrix(dense, 2, ("a", "b"), ("x", "y"))
     assert matrix_rank(mat, Q) == 2
     assert matrix_rank(mat, Integers()) == 2
     assert matrix_rank(mat, Z5) == 1
@@ -427,3 +431,176 @@ def test_random_cover_compare_over_integers_to_degree_two(tmp_path):
     assert betti == [1, 2, 0]
     for label in ("local", "cech", "total"):
         assert report["result"]["comparison"]["profiles"][label] == [[b, []] for b in betti]
+
+
+# brute-force oracle of every differential: the alternating face sums written
+# out per basis element, with labels rather than codes
+
+
+def oracle_faces(spec, n, label):
+    """Pairs (column label, coefficient) of d_n at one degree-(n+1) element."""
+    def drop(t, k):
+        return t[:k] + t[k + 1:]
+    if isinstance(spec, TotalComplexSpec):
+        p, idx, t = label
+        out = [((p - 1, drop(idx, k), t), (-1) ** k) for k in range(len(idx))] if p else []
+        if len(t) >= 2:
+            out += [((p, idx, drop(t, i)), (-1) ** (p + i)) for i in range(len(t))]
+        return out
+    if isinstance(spec, AugmentedRowSpec):
+        idx, t = label
+        return [(t, 1)] if n == 0 else [((drop(idx, k), t), (-1) ** k) for k in range(len(idx))]
+    if isinstance(spec, AugmentedColumnSpec) and n == 0:
+        return [(spec.indices, 1)]
+    return [(drop(label, i), (-1) ** i) for i in range(len(label))]
+
+
+def oracle_basis(spec, n):
+    """Each basis enumerated by brute force in its documented order."""
+    model = getattr(spec, "model", None)
+    if isinstance(spec, LocalComplexSpec):
+        found = {t for members in model.cover for t in product(members, repeat=n + 1)}
+        return tuple(sorted(found, key=model.point_key))
+    if isinstance(spec, CechComplexSpec):
+        return model.nerve().of_dimension(n)
+    if isinstance(spec, TotalComplexSpec):
+        return tuple((p, idx, t) for p in range(n + 1) for idx in model.nerve().of_dimension(p)
+                     for t in product(model.intersection(idx), repeat=n - p + 1))
+    if isinstance(spec, AugmentedRowSpec):
+        if n == 0:
+            return oracle_basis(LocalComplexSpec(model), spec.q)
+        return tuple((idx, t) for idx in model.nerve().of_dimension(n - 1)
+                     for t in product(model.intersection(idx), repeat=spec.q + 1))
+    if isinstance(spec, AugmentedColumnSpec):
+        return (spec.indices,) if n == 0 else tuple(product(spec.members, repeat=n))
+    simplices, key = spec.oracle_input
+    return tuple(sorted((s for s in simplices if len(s) == n + 1), key=key))
+
+
+def oracle_rows(spec, n):
+    """Sparse rows of d_n: faces summed, zeros dropped; only a simplicial
+    complex may lack a face, which is then dropped."""
+    index = {label: k for k, label in enumerate(spec.basis(n))}
+    rows = []
+    for label in spec.basis(n + 1):
+        row = {}
+        for face, coef in oracle_faces(spec, n, label):
+            if face not in index:
+                assert isinstance(spec, SimplicialComplexSpec), (label, face)
+                continue
+            row[index[face]] = row.get(index[face], 0) + coef
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def simplicial(simplices, key=None):
+    spec = SimplicialComplexSpec(simplices, key)
+    spec.oracle_input = (tuple(map(tuple, simplices)), key or (lambda s: s))
+    return spec
+
+
+def every_spec(model, rng):
+    """(spec, closed) for each kind of complex on the model; closed specs
+    are cochain complexes, so d_{n+1} d_n = 0 holds on them."""
+    nerve = model.nerve().simplices
+    specs = [LocalComplexSpec(model), CechComplexSpec(model), TotalComplexSpec(model),
+             AugmentedRowSpec(model, 0), AugmentedRowSpec(model, 1),
+             AugmentedColumnSpec(model, rng.choice(nerve)), simplicial(nerve)]
+    if model.complex is not None:
+        specs += [simplicial(model.complex, model.point_key),
+                  simplicial(model.u_small_subcomplex(), model.point_key)]
+    closed = [(spec, True) for spec in specs]
+    # a set of simplices missing some faces: those are dropped, not errors
+    return closed + [(simplicial(rng.sample(nerve, (len(nerve) + 1) // 2)), False)]
+
+
+@st.composite
+def cover_models(draw):
+    if draw(st.booleans()):
+        return load_bundled_model(draw(st.sampled_from(bundled_model_names())))
+    return random_cover_model(random.Random(draw(st.integers(0, 10 ** 6))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cover_models(), st.integers(0, 10 ** 6))
+def test_assembly_matches_face_sum_oracle(model, seed):
+    for spec, closed in every_spec(model, random.Random(seed)):
+        mats = [assemble_matrix(spec, n) for n in range(3)]
+        for n, mat in enumerate(mats):
+            assert mat.col_labels == spec.basis(n) == oracle_basis(spec, n)
+            assert mat.row_labels == spec.basis(n + 1) == oracle_basis(spec, n + 1)
+            assert list(mat.rows) == oracle_rows(spec, n), (spec.label, n)
+            assert list(mat.columns) == [{r: row[c] for r, row in enumerate(mat.rows) if c in row}
+                                         for c in range(len(mat.col_labels))]
+        if closed:
+            for n in range(2):
+                square = compose(mats[n + 1].rows, mats[n].rows)
+                assert all(not row for row in square), (spec.label, n)
+
+
+def compose(second, first):
+    out = []
+    for row in second:
+        acc = {}
+        for mid, a in row.items():
+            for col, b in first[mid].items():
+                acc[col] = acc.get(col, 0) + a * b
+        out.append({c: v for c, v in acc.items() if v})
+    return out
+
+
+def test_assembly_with_codes_past_int64():
+    # 600 points: level-6 tuples have codes up to 600^7 > 2^63, level 5 stays in int64
+    cover = (frozenset({0, 1}), frozenset({1, 2})) + tuple(frozenset({p}) for p in range(3, 600))
+    m = CoverModel(points=tuple(range(600)), cover=cover,
+                   cover_names=tuple(f"U{i}" for i in range(len(cover))))
+    local = LocalComplexSpec(m)
+    assert local.codes(6).dtype == object and local.codes(5).dtype == np.int64
+    mat = assemble_matrix(local, 5)
+    assert list(mat.rows) == oracle_rows(local, 5)
+    assert field_cohomology(local, Q, 5) == [598, 0, 0, 0, 0, 0]
+    total = TotalComplexSpec(m)
+    assert total.codes(5).dtype == object
+    assert list(assemble_matrix(total, 5).rows) == oracle_rows(total, 5)
+
+
+def test_assembly_raises_on_a_missing_face():
+    m = load_bundled_model("hexagon")
+
+    class Truncated(LocalComplexSpec):
+        def _build_basis(self, n):
+            labels, codes = super()._build_basis(n)
+            return (labels[1:], codes[1:]) if n == 0 else (labels, codes)
+
+    with pytest.raises(ModelError, match="missing from the degree-0 basis"):
+        assemble_matrix(Truncated(m), 0)
+
+
+def fresh(model):
+    return CoverModel(points=model.points, cover=model.cover, cover_names=model.cover_names,
+                      complex=model.complex)
+
+
+def test_total_basis_charged_before_enumeration(monkeypatch):
+    # degree 1 of the hexagon: three sets of 3 points (3^2 pairs each) and
+    # three one-point edges, 27 + 3 = 30 tuples
+    m = load_bundled_model("hexagon")
+    monkeypatch.setenv("LOCCO_BUDGET", "30")
+    assert len(TotalComplexSpec(fresh(m)).basis(1)) == 30
+    monkeypatch.setenv("LOCCO_BUDGET", "29")
+    monkeypatch.setattr(CoverModel, "intersection_power",
+                        lambda *args: pytest.fail("enumerated before the budget was charged"))
+    with pytest.raises(BudgetError, match=r"total-complex basis in degree 1 needs 30 raw"):
+        TotalComplexSpec(fresh(m)).basis(1)
+
+
+def test_augmented_row_bases_are_charged(monkeypatch):
+    # degree 1 at q = 1: pairs from each of the three 3-point sets, 27 tuples
+    m = load_bundled_model("hexagon")
+    monkeypatch.setenv("LOCCO_BUDGET", "27")
+    assert len(AugmentedRowSpec(fresh(m), 1).basis(1)) == 27
+    monkeypatch.setenv("LOCCO_BUDGET", "26")
+    monkeypatch.setattr(CoverModel, "intersection_power",
+                        lambda *args: pytest.fail("enumerated before the budget was charged"))
+    with pytest.raises(BudgetError, match=r"augmented-row basis in degree 1 needs 27 raw"):
+        AugmentedRowSpec(fresh(m), 1).basis(1)

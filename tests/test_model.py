@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from locco import (BudgetError, CoverModel, ModelError, arc,
@@ -9,6 +10,7 @@ from locco import (BudgetError, CoverModel, ModelError, arc,
                    model_from_json_dict, shrink_relation_check)
 from locco.cli import bundled_model_names, load_bundled_model
 from locco.compare import random_cover_model
+from locco.model import code_dtype, decode, delete_digit, encode, product_codes
 
 
 def brute_diagonal(model, n):
@@ -73,6 +75,47 @@ def test_budget_charges_cover_powers(monkeypatch):
     monkeypatch.setenv("LOCCO_BUDGET", "80")
     with pytest.raises(BudgetError, match=r"sum of \|U_i\|\^3 .* needs 81 raw"):
         fresh().diagonal_neighborhood(2)
+
+
+def by_hand(row, radix):
+    """The code of one digit tuple, in Python integers."""
+    return sum(d * radix ** (len(row) - 1 - j) for j, d in enumerate(row))
+
+
+@pytest.mark.parametrize("radix, arity", [(2 ** 20, 4), (2 ** 15, 4), (3, 5)])
+def test_code_helpers_do_not_wrap(radix, arity):
+    # 2^20 with arity 4 is 2^80, past int64: the codes become Python integers
+    dtype = code_dtype(radix ** arity)
+    assert (dtype is object) == (radix ** arity > 2 ** 63 - 1)
+    rng = random.Random(radix + arity)
+    rows = [[radix - 1] * arity, [0] * arity, [radix - 1] + [0] * (arity - 1)]
+    rows += [[rng.randrange(radix) for _ in range(arity)] for _ in range(40)]
+    digits = np.array(rows, dtype=np.int64)
+    codes = encode(digits, radix, dtype)
+    assert codes.tolist() == [by_hand(row, radix) for row in rows]
+    assert decode(codes, radix, arity).tolist() == rows
+    for j in range(arity):
+        faces = delete_digit(codes, radix, radix ** (arity - 1 - j))
+        assert faces.tolist() == [by_hand(row[:j] + row[j + 1:], radix) for row in rows]
+        # a place value per code, as the assembly kernel passes them
+        places = np.array([radix ** (arity - 1 - j)] * len(rows), dtype=dtype)
+        assert delete_digit(codes, radix, places).tolist() == faces.tolist()
+    positions = np.array(sorted({0, 1, radix - 1}), dtype=dtype)
+    power = product_codes(positions, arity, radix)
+    assert power.tolist() == sorted(by_hand(t, radix) for t in
+                                    itertools.product(positions.tolist(), repeat=arity))
+
+
+def test_tuple_sets_carry_ascending_codes():
+    m = load_bundled_model("z6_arcs")
+    for n in range(3):
+        ts = m.diagonal_neighborhood(n)
+        assert ts.codes.tolist() == [by_hand(m.point_key(t), len(m.points)) for t in ts.tuples]
+        assert list(ts.codes) == sorted(ts.codes)
+    power = m.intersection_power((0, 1), 2)
+    assert power.tuples == tuple(itertools.product(m.intersection((0, 1)), repeat=2))
+    assert power.codes.tolist() == [by_hand(m.point_key(t), len(m.points)) for t in power.tuples]
+    assert power.tuples[1] in power and power.index(power.tuples[1]) == 1
 
 
 def test_nerve_oracle_hexagon():
