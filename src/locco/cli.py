@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from importlib import resources
@@ -27,7 +28,8 @@ from .homology import (CechComplexSpec, LocalComplexSpec,
                        SimplicialComplexSpec, TotalComplexSpec,
                        cohomology_profile)
 from .model import CoverModel, load_model, model_from_json_dict
-from .loopfill import sigma_fill, linear_contraction, path_battery, vector_battery
+from .loopfill import (DEFAULT_PATH_SAMPLES, linear_contraction, path_battery,
+                       sigma_fill, vector_battery)
 from .pou import (arc_cover_family, ball_family, circle_domain, product_family,
                   refines_supports, rescue_partition)
 
@@ -183,18 +185,37 @@ def _cmd_verify_contraction(args) -> tuple:
     return doc, ok
 
 
+def _parse_carrier(text: str) -> tuple:
+    """``Rd:<dim>`` with dim >= 1, or ``path[:<samples>]`` with samples >= 2."""
+    kind, sep, size = text.partition(":")
+    if kind not in ("Rd", "path") or (kind == "Rd" and not sep):
+        raise ValueError(f"unknown carrier {text!r}; use Rd:<dim> or path[:<samples>]")
+    if kind == "path" and not sep:
+        return kind, DEFAULT_PATH_SAMPLES
+    least = 1 if kind == "Rd" else 2
+    try:
+        value = int(size)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise ValueError(f"carrier {text!r} needs an integer of at least {least} after the colon")
+    return kind, value
+
+
 def _cmd_sigma_check(args) -> tuple:
-    if args.carrier.startswith("Rd:"):
-        dim = int(args.carrier.split(":", 1)[1])
-        reports = vector_battery(dim, args.n, args.seed, trials=args.samples,
+    kind, size = _parse_carrier(args.carrier)
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
+    if kind == "Rd":
+        reports = vector_battery(size, args.n, args.seed, trials=args.samples,
                                  tol=args.tol)
-    elif args.carrier.startswith("path"):
-        _, _, rest = args.carrier.partition(":")
-        samples = int(rest) if rest else 257
-        reports = path_battery(args.n, args.seed, samples=samples,
-                               trials=max(1, args.samples // 10), tol=max(args.tol, 1e-9))
     else:
-        raise ValueError(f"unknown carrier {args.carrier!r}")
+        reports = path_battery(args.n, args.seed, samples=size,
+                               trials=max(1, args.samples // 10), tol=max(args.tol, 1e-9))
     worst = max(r.max_deviation for r in reports)
     ok = all(r.passed for r in reports)
     doc = {
@@ -213,9 +234,18 @@ def _cmd_sigma_eval(args) -> tuple:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             doc_in = json.load(fh)
-    n = int(doc_in["n"])
+    if not isinstance(doc_in, dict):
+        raise ValueError("the sigma-eval input must be a JSON object {n, vertices, weights}")
+    n = doc_in["n"]
     vertices = doc_in["vertices"]
     weights = doc_in["weights"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    if not isinstance(vertices, list) or not isinstance(weights, list):
+        raise ValueError("vertices and weights must be JSON lists")
+    if not all(isinstance(v, list) and all(isinstance(x, (int, float)) for x in v)
+               for v in vertices):
+        raise ValueError("each vertex must be a list of numbers")
     if len(vertices) != n + 1 or len(weights) != n + 1:
         raise ValueError(f"need {n + 1} vertices and weights for level {n}")
     value = sigma_fill(linear_contraction(), vertices, weights)

@@ -216,3 +216,39 @@ def test_help_exits_zero(capsys):
             run(argv)
         assert exc.value.code == 0
         assert "usage: locco" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--samples", "0"], "--samples"),
+    (["--samples", "-4"], "--samples"),
+    (["--n", "-1"], "--n"),
+    (["--n", "0"], "--n"),
+    (["--carrier", "path:1"], "path:1"),
+    (["--carrier", "Rd:0"], "Rd:0"),
+    (["--carrier", "Rd:x"], "Rd:x"),
+    (["--carrier", "pathways"], "pathways"),
+    (["--tol", "nan"], "--tol"),
+    (["--tol", "-0.001"], "--tol"),
+], ids=["samples-0", "samples-negative", "n-negative", "n-0", "path-1", "rd-0",
+        "rd-not-int", "bad-carrier", "tol-nan", "tol-negative"])
+def test_sigma_check_refuses_vacuous_arguments(tmp_path, argv, names):
+    code, doc, _ = run_to_file(tmp_path, ["sigma-check"] + argv)
+    assert code == 2
+    assert "result" not in doc
+    assert names in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("payload, kind", [
+    ({"n": 1, "vertices": [[0, 0], [1]], "weights": [0.5, 0.5]}, "DomainError"),
+    ([1], "ValueError"),
+    ({"n": [1], "vertices": [], "weights": []}, "ValueError"),
+    ({"n": 1, "vertices": [1, 2], "weights": [0.5, 0.5]}, "ValueError"),
+    ({"n": 1, "vertices": [[0], [1]], "weights": [float("nan"), 0.5]}, "DomainError"),
+], ids=["ragged", "not-an-object", "n-not-int", "scalar-vertices", "nan-weight"])
+def test_sigma_eval_typed_errors(tmp_path, payload, kind):
+    path = tmp_path / "fill.json"
+    path.write_text(json.dumps(payload))
+    code, doc, _ = run_to_file(tmp_path, ["sigma-eval", "--input", str(path)])
+    assert code == 2
+    assert doc["error"]["kind"] == kind
+    assert "result" not in doc
