@@ -202,14 +202,18 @@ def _parse_carrier(text: str) -> tuple:
     return kind, value
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tol must be finite and nonnegative, got {tol}")
+
+
 def _cmd_sigma_check(args) -> tuple:
     kind, size = _parse_carrier(args.carrier)
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
+    _check_tolerance(args.tol)
     if kind == "Rd":
         reports = vector_battery(size, args.n, args.seed, trials=args.samples,
                                  tol=args.tol)
@@ -258,6 +262,7 @@ def _cmd_sigma_eval(args) -> tuple:
 
 
 def _cmd_pou_check(args) -> tuple:
+    _check_tolerance(args.tol)
     kind, _, size = args.domain.partition(":")
     if kind != "circle":
         raise ValueError(f"unknown domain {args.domain!r}")

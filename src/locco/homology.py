@@ -6,12 +6,16 @@ eliminator, :class:`Echelon`, takes every field rank, kernel and quotient
 rank: it inserts rows one at a time into pivot rows keyed by leading column,
 fraction-free with gcd stripping over Q and with normalised pivots over
 GF(p).  A matrix with more rows than columns has its rank taken through its
-columns.  Every differential is assembled in index space by one kernel,
-:func:`assemble_matrix`: basis elements are integer codes, faces are found
-by deleting a digit or swapping a block and matched to their columns by
-binary search.  Over the integers a sparse Smith elimination gives free ranks and
-torsion; its certificate, every elementary operation it made, is checked by
-replaying them on a fresh copy of the matrix, with no determinant taken.
+columns.  A field profile leaves out of d_n's elimination every column at
+which a pivot row of d_{n-1}'s column elimination leads: once d_n d_{n-1} = 0
+is checked exactly over the integers by a sparse product, each such column
+is a combination of the columns after it.  Every differential is assembled
+in index space by one kernel, :func:`assemble_matrix`: basis elements are
+integer codes, faces are found by deleting a digit or swapping a block and
+matched to their columns by binary search.  Over the integers a sparse
+Smith elimination gives free ranks and torsion; its certificate, every
+elementary operation it made, is checked by replaying them on a fresh copy
+of the matrix, with no determinant taken.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -535,22 +539,45 @@ def _modulus(system: CoefficientSystem) -> int:
     raise CoefficientError(f"no exact elimination over {system.name}")
 
 
-def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem) -> int:
+def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
+                leads: Optional[set] = None) -> int:
     """Rank over a field; over the integers, the rank over Q.
 
-    A matrix with more rows than columns is eliminated through its
+    Columns listed in ``skip`` are left out; the caller vouches that each
+    is a combination of the columns after it, so the rank is the same.  A
+    matrix with more rows than columns kept is eliminated through those
     columns, which are fewer to insert and have the same rank.  They are
     popped last column first, so each is freed once inserted; on the
     differentials here that order also leaves sparser pivot rows than
-    column order does.
+    column order does.  Each pivot row is then a combination of columns,
+    and a set passed as ``leads`` receives the row index at which each
+    pivot row leads.  Otherwise the rows are inserted, without the skipped
+    columns, and ``leads`` stays as it was.
     """
     ech = Echelon(0 if isinstance(system, Integers) else _modulus(system))
-    if len(mat.row_labels) > len(mat.col_labels):
-        cols = mat.columns
+    r, c, v = mat.entries
+    nrows, ncols = mat.shape
+    kept = np.ones(ncols, dtype=bool)
+    kept[np.fromiter(skip, dtype=np.int64)] = False
+    nkept = int(kept.sum())
+    if nrows > nkept:
+        order = np.argsort(c, kind="stable")
+        if nkept < ncols:
+            order = order[kept[c][order]]
+        cols, keep = _split(c[order], r[order], v[order], ncols), kept.tolist()
+        del order   # freed before the elimination, where memory peaks
         while cols:
-            ech.insert(cols.pop())
+            col = cols.pop()
+            if keep[len(cols)]:
+                ech.insert(col)
+        if leads is not None:
+            leads.update(ech.pivots)
     else:
-        for row in mat.rows:
+        rows = mat.rows
+        if nkept < ncols:
+            live = kept[c]
+            rows = _split(r[live], c[live], v[live], nrows)
+        for row in rows:
             ech.insert(row)
     return ech.rank
 
@@ -768,12 +795,61 @@ def check_smith_certificate(matrix: Sequence[Sequence[int]], dec: SmithDecomposi
 # profiles
 
 
+_PRODUCT_CHUNK = 1 << 13   # cell products formed at once by composes_to_zero
+
+
+def composes_to_zero(upper: BoundaryMatrix, lower: BoundaryMatrix) -> bool:
+    """Whether ``upper · lower`` is the zero matrix, exactly over the integers.
+
+    Each entry (a, b, x) of ``upper`` meets the entries (b, c, y) of row b of
+    ``lower`` to give x·y at cell (a, c); the products are summed per cell
+    by sorting.  They are formed in chunks of whole rows of ``upper``, each
+    of about ``_PRODUCT_CHUNK`` products, so a cell is summed within one
+    chunk and memory stays small.
+    """
+    if upper.shape[1] != lower.shape[0]:
+        return False
+    ur, uc, uv = upper.entries
+    lr, lc, lv = lower.entries
+    starts = lr.searchsorted(np.arange(lower.shape[0] + 1))
+    width = (starts[1:] - starts[:-1])[uc]   # products per entry of upper
+    done = np.concatenate(([0], np.cumsum(width)))   # products before each entry
+    row_at = ur.searchsorted(np.arange(upper.shape[0] + 1))   # first entry of each row
+    before_row = done[row_at]
+    ncols = max(lower.shape[1], 1)
+    lo = 0
+    while lo < upper.shape[0]:
+        hi = max(int(before_row.searchsorted(before_row[lo] + _PRODUCT_CHUNK, "right")) - 1,
+                 lo + 1)
+        first, end = row_at[lo], row_at[hi]   # the entries of rows lo..hi-1
+        entry = np.repeat(np.arange(first, end), width[first:end])
+        position = starts[uc[entry]] + np.arange(len(entry)) - (done[entry] - done[first])
+        cell = (ur[entry] - lo) * ncols + lc[position]
+        if len(_summed(cell, uv[entry] * lv[position])[0]):
+            return False
+        lo = hi
+    return True
+
+
 def field_cohomology(spec: ComplexSpec, system: CoefficientSystem, max_degree: int) -> list:
-    """Dimensions of the cohomology of the described complex, degrees 0..max."""
+    """Dimensions of the cohomology of the described complex, degrees 0..max.
+
+    When d_{n-1} is eliminated through its columns, each pivot row v is in
+    the image of d_{n-1} and leads at some index j.  If d_n d_{n-1} = 0,
+    checked exactly by :func:`composes_to_zero`, then d_n v = 0 makes
+    column j of d_n a combination of the columns after it; by downward
+    induction on j the columns left keep the span, so d_n's rank is taken
+    without them.  Where the check fails every column is eliminated.
+    """
     if not system.is_field:
         raise CoefficientError(f"{system.name} is not a field; use the integer path")
     dims = [len(spec.basis(n)) for n in range(max_degree + 2)]
-    ranks = [matrix_rank(assemble_matrix(spec, n), system) for n in range(max_degree + 1)]
+    ranks, below, leads = [], None, set()
+    for n in range(max_degree + 1):
+        mat = assemble_matrix(spec, n)
+        skip = leads if leads and composes_to_zero(mat, below) else ()
+        below, leads = mat, set()   # the matrix below is let go before the rank
+        ranks.append(matrix_rank(mat, system, skip=skip, leads=leads))
     return profile_from_ranks(dims, ranks)
 
 

@@ -8,6 +8,7 @@ balls, and integer plateau families for shrunken cyclic covers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -371,8 +372,8 @@ def ball_family(domain: SampledDomain, eps: float,
     cozero sets match the balls; centers are strided to keep the family
     small on dense domains.
     """
-    if eps <= 0:
-        raise DomainError("ball radius must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError(f"ball radius must be positive and finite, got {eps}")
     centers = _strided(np.arange(domain.size), max_centers)
     rows = []
     sups = []

@@ -238,6 +238,21 @@ def test_sigma_check_refuses_vacuous_arguments(tmp_path, argv, names):
     assert names in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["--tol", "nan"], "--tol"),
+    (["--tol", "-0.5"], "--tol"),
+    (["--tol", "inf"], "--tol"),
+    (["--construction", "ball:eps=nan"], "radius"),
+    (["--construction", "ball:eps=inf"], "radius"),
+    (["--construction", "ball:eps=0"], "radius"),
+], ids=["tol-nan", "tol-negative", "tol-inf", "eps-nan", "eps-inf", "eps-0"])
+def test_pou_check_refuses_bad_tolerance_and_radius(tmp_path, argv, names):
+    code, doc, blob = run_to_file(tmp_path, ["pou-check", "--domain", "circle:500"] + argv)
+    assert code == 2
+    assert "result" not in doc and b"NaN" not in blob
+    assert names in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("payload, kind", [
     ({"n": 1, "vertices": [[0, 0], [1]], "weights": [0.5, 0.5]}, "DomainError"),
     ([1], "ValueError"),

@@ -18,7 +18,8 @@ from locco import (AugmentedColumnSpec, AugmentedRowSpec, BudgetError,
                    cohomology_profile, field_cohomology, integer_cohomology,
                    kernel_basis, left_invariant_cover, matrix_rank,
                    rank_in_quotient, smith_normal_form, verify_local_vs_cech)
-from locco.homology import BoundaryMatrix
+from locco import homology
+from locco.homology import BoundaryMatrix, Echelon, composes_to_zero, profile_from_ranks
 from locco.cli import bundled_model_names, load_bundled_model, run
 from locco.compare import random_cover_model
 
@@ -604,3 +605,90 @@ def test_augmented_row_bases_are_charged(monkeypatch):
                         lambda *args: pytest.fail("enumerated before the budget was charged"))
     with pytest.raises(BudgetError, match=r"augmented-row basis in degree 1 needs 27 raw"):
         AugmentedRowSpec(fresh(m), 1).basis(1)
+
+
+# ---------------------------------------------------------------------------
+# field profiles that skip the columns d∘d = 0 proves dependent
+
+
+def full_elimination_profile(spec, p, max_degree):
+    """Field profile with every row of every d_n inserted: no column skipped."""
+    dims = [len(spec.basis(n)) for n in range(max_degree + 2)]
+    ranks = []
+    for n in range(max_degree + 1):
+        ech = Echelon(p)
+        for row in assemble_matrix(spec, n).rows:
+            ech.insert(row)
+        ranks.append(ech.rank)
+    return profile_from_ranks(dims, ranks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cover_models(), st.integers(0, 10 ** 6))
+@example(load_bundled_model("projective_plane"), 0)
+def test_field_profiles_match_full_elimination(model, seed):
+    for spec, _ in every_spec(model, random.Random(seed)):
+        for system, p in FIELDS:
+            assert (field_cohomology(spec, system, 2)
+                    == full_elimination_profile(spec, p, 2)), (spec.label, system.name)
+
+
+def tampered(mat, k, value):
+    """``mat`` with entry k set to ``value``, dropped where ``value`` is 0."""
+    r, c, v = (x.copy() for x in mat.entries)
+    v[k] = value
+    live = v != 0
+    return BoundaryMatrix(mat.row_labels, mat.col_labels, (r[live], c[live], v[live]))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 15])
+def test_composition_check_rejects_tampering(monkeypatch, chunk):
+    monkeypatch.setattr(homology, "_PRODUCT_CHUNK", chunk)
+    spec = LocalComplexSpec(left_invariant_cover(9, 2))
+    lower, upper = assemble_matrix(spec, 1), assemble_matrix(spec, 2)
+    assert composes_to_zero(upper, lower)
+    # the last entry of upper whose column d_1 reaches: its row is the last chunk
+    reached = np.bincount(lower.entries[0], minlength=lower.shape[0]) > 0
+    k = int(reached[upper.entries[1]].nonzero()[0][-1])
+    assert not composes_to_zero(tampered(upper, k, -upper.entries[2][k]), lower)
+    assert not composes_to_zero(tampered(upper, k, 0), lower)
+    # an entry of lower in a row that upper reaches
+    k = int(np.isin(lower.entries[0], upper.entries[1]).nonzero()[0][-1])
+    assert not composes_to_zero(upper, tampered(lower, k, -lower.entries[2][k]))
+    assert not composes_to_zero(upper, tampered(lower, k, 0))
+    assert not composes_to_zero(lower, upper)   # shapes do not chain
+
+
+def test_face_incomplete_set_keeps_its_full_profile():
+    # (0, 1, 2) is missing its faces (0, 1) and (1, 2), so d_1 d_0 = -1: the
+    # pivot of d_0 leads at (0, 2), and skipping that column of d_1 would
+    # report H^1 = 1
+    spec = SimplicialComplexSpec([(2,), (0, 2), (2, 3), (0, 1, 2)])
+    assert not composes_to_zero(assemble_matrix(spec, 1), assemble_matrix(spec, 0))
+    leads = set()
+    matrix_rank(assemble_matrix(spec, 0), Q, leads=leads)
+    assert matrix_rank(assemble_matrix(spec, 1), Q, skip=leads) == 0
+    for system, p in FIELDS:
+        assert field_cohomology(spec, system, 1) == full_elimination_profile(spec, p, 1) == [0, 0]
+
+
+def test_profiles_skip_the_columns_the_degree_below_proves_dependent(monkeypatch):
+    # cyc(12,2) local: bases of 12, 108 and 732 tuples in degrees 0..2, with
+    # ranks 11 and 96 for d_0 and d_1, so d_1 and d_2 insert 108 - 11 and
+    # 732 - 96 columns
+    inserts = []
+    rank, insert = homology.matrix_rank, Echelon.insert
+
+    def counted_rank(*args, **kwargs):
+        inserts.append(0)
+        return rank(*args, **kwargs)
+
+    def counted_insert(self, row):
+        inserts[-1] += 1
+        return insert(self, row)
+
+    monkeypatch.setattr(homology, "matrix_rank", counted_rank)
+    monkeypatch.setattr(Echelon, "insert", counted_insert)
+    spec = LocalComplexSpec(left_invariant_cover(12, 2))
+    assert field_cohomology(spec, Q, 2) == [1, 1, 0]
+    assert inserts == [12, 108 - 11, 732 - 96]
