@@ -33,7 +33,7 @@ from .bicomplex import (PartitionFamily, TotalCochain, approximate_row_contracti
 from .homology import (AugmentedColumnSpec, AugmentedRowSpec, BoundaryMatrix,
                        CechComplexSpec, ComplexSpec, LocalComplexSpec,
                        SimplicialComplexSpec, SmithDecomposition,
-                       TotalComplexSpec, assemble_matrix,
+                       TotalComplexSpec, assemble_matrix, block_profiles,
                        check_smith_certificate, cohomology_profile,
                        field_cohomology, integer_cohomology, kernel_basis,
                        matrix_rank, rank_in_quotient, smith_normal_form)

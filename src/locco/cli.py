@@ -12,6 +12,7 @@ import json
 import math
 import random
 import sys
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -411,10 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`run`, built on first use and kept; parsing does
+    not change it, so one build serves every call in the process."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except _UsageError as exc:
         # usage text for people on stderr, the error document on stdout
         sys.stderr.write(exc.parser.format_usage())

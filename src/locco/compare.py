@@ -5,7 +5,9 @@ complexes, spot-checks the contraction identities that drive their
 comparison, gates on acyclic intersections before trusting the simplicial
 side, restricts local cochains to simplices and certifies bijectivity of
 the induced map by exact rank, and scans shrinking cyclic covers for a
-stabilized profile.
+stabilized profile.  The gate settles every intersection of a model in one
+batch, one block per distinct intersection of a single simplicial spec, and
+keeps the statuses on the model per coefficient system.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .coeff import CoefficientSystem, Integers, Rationals
 from .errors import AcyclicityError, CoefficientError, ModelError
 from .homology import (CechComplexSpec, LocalComplexSpec,
                        SimplicialComplexSpec, TotalComplexSpec,
-                       assemble_matrix, cohomology_profile, kernel_basis,
-                       matrix_rank, profile_from_ranks, rank_in_quotient)
+                       assemble_matrix, block_profiles, cohomology_profile,
+                       kernel_basis, matrix_rank, profile_from_ranks,
+                       rank_in_quotient)
 from .model import CoverModel, left_invariant_cover
 
 
@@ -205,28 +208,58 @@ class AcyclicityStatus:
 
 def is_acyclic(model: CoverModel, indices: Sequence[int],
                system: CoefficientSystem) -> AcyclicityStatus:
-    """Does the full subcomplex on an intersection look like a point?"""
+    """Does the full subcomplex on an intersection look like a point?
+
+    The first call on a model settles every nerve simplex at once
+    (:func:`_nerve_statuses`); later calls look the status up.  Every index
+    tuple with a nonempty intersection is a nerve simplex, so any other is
+    empty once :meth:`CoverModel.intersection` has checked it.
+    """
     if model.complex is None:
         raise ModelError("acyclicity needs a model with a complex")
     idx = tuple(indices)
-    pts = model.intersection(idx)
-    if not pts:
-        return AcyclicityStatus(indices=idx, empty=True, acyclic=True)
-    simps = list(model.full_subcomplex(pts))
-    have = {s[0] for s in simps if len(s) == 1}
-    for p in pts:
-        if p not in have:
-            simps.append((p,))
-    spec = SimplicialComplexSpec(simps, model.point_key)
-    top = max(len(s) for s in simps) - 1
-    profile = cohomology_profile(spec, system, top)
-    if system.is_field:
-        point = profile[0] == 1 and all(h == 0 for h in profile[1:])
-    else:
-        point = (profile[0] == (1, ()) and
-                 all(h == (0, ()) for h in profile[1:]))
-    return AcyclicityStatus(indices=idx, empty=False, acyclic=point,
-                            profile=tuple(profile))
+    status = _nerve_statuses(model, system).get(idx)
+    if status is not None:
+        return status
+    model.intersection(idx)
+    return AcyclicityStatus(indices=idx, empty=True, acyclic=True)
+
+
+def _nerve_statuses(model: CoverModel, system: CoefficientSystem) -> dict:
+    """The status of every nerve simplex, from one batch kept on the model.
+
+    Each distinct intersection is one block of a single
+    :class:`SimplicialComplexSpec`: its full subcomplex plus its points
+    that lie in no simplex, as isolated vertices.  :func:`block_profiles`
+    then takes every block's profile, up to the block's own top degree,
+    from one assembly per degree.
+    """
+    key = ("acyclic", system)
+    with model._lock:
+        cached = model._cache.get(key)
+    if cached is not None:
+        return cached
+    where = {simplex: model.intersection(simplex) for simplex in model.nerve().simplices}
+    block: dict = {}   # intersection -> block
+    for pts in where.values():
+        block.setdefault(pts, len(block))
+    complexes = []
+    for pts in block:
+        simps = list(model.full_subcomplex(pts))
+        have = {s[0] for s in simps if len(s) == 1}
+        complexes.append(simps + [(p,) for p in pts if p not in have])
+    spec = SimplicialComplexSpec(order_key=model.point_key, blocks=complexes)
+    profiles = block_profiles(spec, system, [max(map(len, simps)) - 1 for simps in complexes])
+    point, zero = (1, 0) if system.is_field else ((1, ()), (0, ()))
+    statuses = {}
+    for simplex, pts in where.items():
+        profile = tuple(profiles[block[pts]])
+        statuses[simplex] = AcyclicityStatus(
+            indices=simplex, empty=False, profile=profile,
+            acyclic=profile[0] == point and all(h == zero for h in profile[1:]))
+    with model._lock:
+        model._cache[key] = statuses
+    return statuses
 
 
 # ---------------------------------------------------------------------------

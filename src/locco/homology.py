@@ -15,7 +15,11 @@ integer codes, faces are found by deleting a digit or swapping a block and
 matched to their columns by binary search.  Over the integers a sparse
 Smith elimination gives free ranks and torsion; its certificate, every
 elementary operation it made, is checked by replaying them on a fresh copy
-of the matrix, with no determinant taken.
+of the matrix, with no determinant taken.  Many small simplicial complexes
+are computed together as the blocks of one :class:`SimplicialComplexSpec`:
+its differentials are block-diagonal, so one assembly and one elimination
+per degree give each block's rank (:func:`block_profiles`), while over the
+integers each block keeps a Smith form of its own.
 """
 
 from __future__ import annotations
@@ -64,9 +68,11 @@ class FaceRule:
 
 
 @lru_cache(maxsize=256)
-def _one_block_rule(radix: int, arity: int) -> FaceRule:
-    """Alternating deletion on one block of arity-tuples, shared by every spec."""
-    return FaceRule(radix, radix ** arity, radix ** (arity - 1), [arity], [1], [[]])
+def _alternating_rule(radix: int, arity: int, blocks: int = 1) -> FaceRule:
+    """Alternating deletion on arity-tuples in each of ``blocks`` blocks, with
+    no index faces; shared by every spec."""
+    return FaceRule(radix, radix ** arity, radix ** (arity - 1), [arity] * blocks,
+                    [1] * blocks, [[]] * blocks)
 
 
 def _block_faces(simplices: Sequence[tuple], offset: int = 0, empty: int = -1) -> list:
@@ -134,7 +140,7 @@ class ComplexSpec:
         raise NotImplementedError
 
     def face_rule(self, n: int) -> FaceRule:
-        return _one_block_rule(self.radix, n + 2)
+        return _alternating_rule(self.radix, n + 2)
 
 
 class LocalComplexSpec(ComplexSpec):
@@ -174,35 +180,57 @@ class CechComplexSpec(ComplexSpec):
 
 
 class SimplicialComplexSpec(ComplexSpec):
-    """Simplicial cochains of an ordered complex.
+    """Simplicial cochains of an ordered complex, or of a disjoint union of
+    complexes kept apart as blocks.
 
     Vertices are ranked by ``order_key((v,))`` and simplices ordered by
-    length, then lexicographically by vertex rank; a face that is not a
-    simplex is dropped from the differential.
+    length, then block, then lexicographically by vertex rank; a face that
+    is not a simplex is dropped from the differential.  ``blocks`` lists one
+    collection of simplices per block; without it ``simplices`` is block 0.
+    A degree-n simplex of block b is coded ``b * radix^(n+1)`` plus the code
+    of its vertex ranks, which every block shares, so each face stays in its
+    block, every differential is block-diagonal and each block's basis is a
+    contiguous run (:meth:`block_bounds`).  Labels are the simplices, which
+    may repeat across blocks.
     """
 
     label = "simplicial"
     drops_missing_faces = True
 
-    def __init__(self, simplices: Sequence[tuple], order_key=None):
+    def __init__(self, simplices: Sequence[tuple] = (), order_key=None,
+                 blocks: Optional[Sequence[Sequence[tuple]]] = None):
         super().__init__()
         key = order_key or (lambda s: s)
-        faces = {tuple(s) for s in simplices}
-        vertices = sorted({v for s in faces for v in s}, key=lambda v: key((v,)))
+        sets = [{tuple(s) for s in block} for block in ([simplices] if blocks is None else blocks)]
+        vertices = sorted({v for faces in sets for s in faces for v in s}, key=lambda v: key((v,)))
         rank = {v: k for k, v in enumerate(vertices)}
-        ranked = sorted((len(s), tuple(rank[v] for v in s), s) for s in faces)
-        self.simplices = tuple(s for _, _, s in ranked)
+        ranked = sorted((len(s), b, tuple(rank[v] for v in s), s)
+                        for b, faces in enumerate(sets) for s in faces)
+        self.simplices = tuple(s for _, _, _, s in ranked)
         self.radix = max(len(vertices), 1)
-        self._by_length: dict = {}   # length -> (simplices, vertex ranks)
-        for length, ranks, s in ranked:
-            group = self._by_length.setdefault(length, ([], []))
+        self.block_count = max(len(sets), 1)
+        self._by_length: dict = {}   # length -> (simplices, blocks, vertex ranks)
+        for length, b, ranks, s in ranked:
+            group = self._by_length.setdefault(length, ([], [], []))
             group[0].append(s)
-            group[1].append(ranks)
+            group[1].append(b)
+            group[2].append(ranks)
 
     def _build_basis(self, n: int) -> tuple:
-        simplices, ranks = self._by_length.get(n + 1, ((), ()))
+        simplices, blocks, ranks = self._by_length.get(n + 1, ((), (), ()))
+        size = self.radix ** (n + 1)
+        dtype = code_dtype(self.block_count * size)
         digits = np.array(ranks, dtype=np.int64).reshape(-1, n + 1)
-        return tuple(simplices), encode(digits, self.radix, code_dtype(self.radix ** (n + 1)))
+        offsets = np.array(blocks, dtype=np.int64).astype(dtype) * size
+        return tuple(simplices), encode(digits, self.radix, dtype) + offsets
+
+    def block_bounds(self, n: int) -> np.ndarray:
+        """Where each block's run starts in the degree-n basis, then its length."""
+        blocks = np.array(self._by_length.get(n + 1, ((), (), ()))[1], dtype=np.int64)
+        return np.concatenate(([0], np.cumsum(np.bincount(blocks, minlength=self.block_count))))
+
+    def face_rule(self, n: int) -> FaceRule:
+        return _alternating_rule(self.radix, n + 2, self.block_count)
 
 
 class TotalComplexSpec(ComplexSpec):
@@ -309,7 +337,7 @@ class AugmentedColumnSpec(ComplexSpec):
         return power.tuples, power.codes
 
     def face_rule(self, n: int) -> FaceRule:
-        return _one_block_rule(self.radix, n + 1)
+        return _alternating_rule(self.radix, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +568,7 @@ def _modulus(system: CoefficientSystem) -> int:
 
 
 def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
-                leads: Optional[set] = None) -> int:
+                leads: Optional[set] = None, blocks: Optional[tuple] = None):
     """Rank over a field; over the integers, the rank over Q.
 
     Columns listed in ``skip`` are left out; the caller vouches that each
@@ -553,6 +581,12 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
     and a set passed as ``leads`` receives the row index at which each
     pivot row leads.  Otherwise the rows are inserted, without the skipped
     columns, and ``leads`` stays as it was.
+
+    With ``blocks``, a pair of ascending bounds that cut the rows and the
+    columns of a block-diagonal matrix into the same blocks, the rank comes
+    back per block as an array.  Every pivot row then lies in one block, so
+    a block's rank is the number of pivots that lead inside it: at a row
+    index when the elimination went through columns, else at a column index.
     """
     ech = Echelon(0 if isinstance(system, Integers) else _modulus(system))
     r, c, v = mat.entries
@@ -560,7 +594,8 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
     kept = np.ones(ncols, dtype=bool)
     kept[np.fromiter(skip, dtype=np.int64)] = False
     nkept = int(kept.sum())
-    if nrows > nkept:
+    through_columns = nrows > nkept
+    if through_columns:
         order = np.argsort(c, kind="stable")
         if nkept < ncols:
             order = order[kept[c][order]]
@@ -579,7 +614,11 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
             rows = _split(r[live], c[live], v[live], nrows)
         for row in rows:
             ech.insert(row)
-    return ech.rank
+    if blocks is None:
+        return ech.rank
+    bounds = blocks[0] if through_columns else blocks[1]
+    keys = np.fromiter(ech.pivots, dtype=np.int64, count=ech.rank)
+    return np.bincount(bounds.searchsorted(keys, "right") - 1, minlength=len(bounds) - 1)
 
 
 def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem) -> list:
@@ -831,45 +870,63 @@ def composes_to_zero(upper: BoundaryMatrix, lower: BoundaryMatrix) -> bool:
     return True
 
 
-def field_cohomology(spec: ComplexSpec, system: CoefficientSystem, max_degree: int) -> list:
-    """Dimensions of the cohomology of the described complex, degrees 0..max.
+def _field_ranks(spec: ComplexSpec, system: CoefficientSystem, max_degree: int,
+                 split: bool = False) -> list:
+    """Ranks of d_0, ..., d_max over a field; with ``split``, one array of
+    ranks per degree, by block of a block-coded :class:`SimplicialComplexSpec`.
 
     When d_{n-1} is eliminated through its columns, each pivot row v is in
     the image of d_{n-1} and leads at some index j.  If d_n d_{n-1} = 0,
     checked exactly by :func:`composes_to_zero`, then d_n v = 0 makes
     column j of d_n a combination of the columns after it; by downward
     induction on j the columns left keep the span, so d_n's rank is taken
-    without them.  Where the check fails every column is eliminated.
+    without them.  Where the check fails every column is eliminated.  On a
+    block-diagonal d_n, v and the columns it combines lie in one block, so
+    each block keeps its rank too.
     """
     if not system.is_field:
         raise CoefficientError(f"{system.name} is not a field; use the integer path")
-    dims = [len(spec.basis(n)) for n in range(max_degree + 2)]
     ranks, below, leads = [], None, set()
     for n in range(max_degree + 1):
         mat = assemble_matrix(spec, n)
         skip = leads if leads and composes_to_zero(mat, below) else ()
         below, leads = mat, set()   # the matrix below is let go before the rank
-        ranks.append(matrix_rank(mat, system, skip=skip, leads=leads))
-    return profile_from_ranks(dims, ranks)
+        blocks = (spec.block_bounds(n + 1), spec.block_bounds(n)) if split else None
+        ranks.append(matrix_rank(mat, system, skip=skip, leads=leads, blocks=blocks))
+    return ranks
+
+
+def field_cohomology(spec: ComplexSpec, system: CoefficientSystem, max_degree: int) -> list:
+    """Dimensions of the cohomology of the described complex, degrees 0..max,
+    from the ranks of :func:`_field_ranks`."""
+    ranks = _field_ranks(spec, system, max_degree)
+    return profile_from_ranks([len(spec.basis(n)) for n in range(max_degree + 2)], ranks)
+
+
+def _certified_smith(mat: BoundaryMatrix, n: int) -> SmithDecomposition:
+    """Smith normal form of d_n, its certificate replayed before it is used."""
+    dense = mat.dense()
+    dec = smith_normal_form(dense)
+    if not check_smith_certificate(dense, dec):
+        raise ModelError(f"Smith certificate failed in degree {n}")
+    return dec
+
+
+def _integer_profile(dims: Sequence[int], decs: Sequence[SmithDecomposition]) -> list:
+    """(free rank, torsion) per degree from the Smith forms of d_0, d_1, ..."""
+    out = []
+    for n, dec in enumerate(decs):
+        below = decs[n - 1] if n else None
+        out.append((dims[n] - dec.rank - (below.rank if below else 0),
+                    below.torsion() if below else ()))
+    return out
 
 
 def integer_cohomology(spec: ComplexSpec, max_degree: int) -> list:
     """Free rank and torsion factors per degree, from Smith normal forms."""
     dims = [len(spec.basis(n)) for n in range(max_degree + 2)]
-    decs = []
-    for n in range(max_degree + 1):
-        dense = assemble_matrix(spec, n).dense()
-        dec = smith_normal_form(dense)
-        if not check_smith_certificate(dense, dec):
-            raise ModelError(f"Smith certificate failed in degree {n}")
-        decs.append(dec)
-    out = []
-    for n in range(max_degree + 1):
-        rank_here = decs[n].rank
-        rank_below = decs[n - 1].rank if n >= 1 else 0
-        torsion = decs[n - 1].torsion() if n >= 1 else ()
-        out.append((dims[n] - rank_here - rank_below, tuple(torsion)))
-    return out
+    return _integer_profile(dims, [_certified_smith(assemble_matrix(spec, n), n)
+                                   for n in range(max_degree + 1)])
 
 
 def cohomology_profile(spec: ComplexSpec, system: CoefficientSystem, max_degree: int):
@@ -879,3 +936,37 @@ def cohomology_profile(spec: ComplexSpec, system: CoefficientSystem, max_degree:
     if isinstance(system, Integers):
         return integer_cohomology(spec, max_degree)
     raise CoefficientError(f"no cohomology profile over {system.name}")
+
+
+def block_profiles(spec: SimplicialComplexSpec, system: CoefficientSystem,
+                   tops: Sequence[int]) -> list:
+    """The profile of each block of ``spec``, block b in degrees 0..tops[b].
+
+    Each degree is assembled once for all blocks.  Over a field one
+    elimination per degree gives every block's rank (:func:`_field_ranks`).
+    Over the integers each block gets its own certified Smith form, on its
+    slice of the assembled matrix: a divisibility repair may fold a row of
+    one block into another, so one Smith form of the whole matrix would not
+    tell each block's torsion.
+    """
+    top = max(tops)
+    bounds = [spec.block_bounds(n) for n in range(top + 2)]
+    dims = np.diff(bounds, axis=1).T.tolist()   # per block, per degree
+    if system.is_field:
+        ranks = np.array(_field_ranks(spec, system, top, split=True)).T.tolist()
+        return [profile_from_ranks(dims[b][:t + 2], ranks[b][:t + 1]) for b, t in enumerate(tops)]
+    if not isinstance(system, Integers):
+        raise CoefficientError(f"no cohomology profile over {system.name}")
+    decs: list = [[] for _ in tops]
+    for n in range(top + 1):
+        mat = assemble_matrix(spec, n)
+        r, c, v = mat.entries
+        rows, cols = bounds[n + 1], bounds[n]
+        at = r.searchsorted(rows)   # each block's first entry
+        for b in (b for b, t in enumerate(tops) if n <= t):
+            part = slice(at[b], at[b + 1])
+            block = BoundaryMatrix(mat.row_labels[rows[b]:rows[b + 1]],
+                                   mat.col_labels[cols[b]:cols[b + 1]],
+                                   (r[part] - rows[b], c[part] - cols[b], v[part]))
+            decs[b].append(_certified_smith(block, n))
+    return [_integer_profile(dims[b], decs[b]) for b in range(len(tops))]

@@ -289,19 +289,30 @@ class CoverModel:
         return ts
 
     def nerve(self, max_dim: Optional[int] = None) -> Nerve:
-        """All strictly increasing index tuples with nonempty intersection."""
+        """All strictly increasing index tuples with nonempty intersection.
+
+        The budget is charged one unit per simplex kept.  The charge is
+        checked after each dimension, so enumeration stops within one
+        dimension of passing the limit.
+        """
         key = ("nerve", max_dim)
         with self._lock:
             cached = self._cache.get(key)
         if cached is not None:
             return cached
+        limit = enumeration_budget()
         top = len(self.cover) if max_dim is None else min(max_dim + 1, len(self.cover))
         simplices = []
         # a subset meets only if all its 2-subsets meet; grow dimensionwise
-        previous = [(i,) for i in range(len(self.cover)) if self.cover[i]]
-        simplices.extend(previous)
-        for size in range(2, top + 1):
-            current = []
+        current = [(i,) for i in range(len(self.cover)) if self.cover[i]]
+        while current:
+            simplices.extend(current)
+            if len(simplices) > limit:
+                raise BudgetError(len(simplices), limit,
+                                  f"the nerve of {len(self.cover)} cover sets")
+            if len(current[0]) >= top:
+                break
+            previous, current = current, []
             for base in previous:
                 common = set(self.cover[base[0]])
                 for i in base[1:]:
@@ -309,10 +320,6 @@ class CoverModel:
                 for j in range(base[-1] + 1, len(self.cover)):
                     if common & self.cover[j]:
                         current.append(base + (j,))
-            if not current:
-                break
-            simplices.extend(current)
-            previous = current
         nerve = Nerve(simplices=tuple(sorted(simplices, key=lambda s: (len(s), s))))
         with self._lock:
             self._cache[key] = nerve

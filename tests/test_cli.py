@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import locco
+from locco import cli
 from locco.cli import (bundled_model_names, build_parser, load_bundled_model,
                        run)
 
@@ -128,6 +129,16 @@ def test_budget_exit_code(tmp_path, monkeypatch):
     assert doc["error"]["kind"] == "budget"
 
 
+def test_nerve_budget_exit_code(tmp_path, monkeypatch):
+    # z6_arcs has 6 + 12 nerve simplices through dimension 1
+    monkeypatch.setenv("LOCCO_BUDGET", "17")
+    code, doc, _ = run_to_file(
+        tmp_path, ["cohomology", model_path("z6_arcs"), "--complex", "cech"])
+    assert code == 3
+    assert doc["error"]["kind"] == "budget"
+    assert "the nerve of 6 cover sets needs 18" in doc["error"]["message"]
+
+
 def test_failing_check_exit_code(tmp_path):
     # a family that is not a partition of unity breaks the homotopy identity
     fam = {"level": 0, "unity": False,
@@ -216,6 +227,37 @@ def test_help_exits_zero(capsys):
             run(argv)
         assert exc.value.code == 0
         assert "usage: locco" in capsys.readouterr().out
+
+
+def outcome(argv, capsys):
+    """Exit code (or SystemExit code) and the bytes written by one run."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    valid = ["cohomology", model_path("interval"), "--max-degree", "1"]
+    calls = [valid, ["cohomology", model_path("interval"), "--max-degree", "abc"],
+             ["--help"], ["compare", "--help"], valid]
+    builds = []
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._shared_parser.cache_clear()
+    shared = [outcome(argv, capsys) for argv in calls]
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "_shared_parser", build_parser)
+    fresh = [outcome(argv, capsys) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, ("SystemExit", 0), ("SystemExit", 0), 0]
+    assert shared[0] == shared[-1]
 
 
 @pytest.mark.parametrize("argv, names", [

@@ -1,11 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from locco import (AcyclicityError, CoverModel, Integers, PrimeField,
-                   Rationals, colimit_scan, is_acyclic, model_hash,
-                   random_cover_model, verify_lambda_iso, verify_local_vs_cech)
-from locco.cli import load_bundled_model
+from locco import (AcyclicityError, AcyclicityStatus, CoverModel, Integers,
+                   ModelError, PrimeField, Rationals, SimplicialComplexSpec,
+                   cohomology_profile, colimit_scan, is_acyclic,
+                   left_invariant_cover, model_hash, random_cover_model,
+                   verify_lambda_iso, verify_local_vs_cech)
+from locco import compare
+from locco.cli import bundled_model_names, load_bundled_model
 
 Q = Rationals()
 
@@ -55,6 +61,122 @@ def test_is_acyclic_statuses():
                        complex=m.complex, name="whole-cycle")
     status = is_acyclic(whole, (0,), Q)
     assert not status and status.profile == (1, 1)
+
+
+def oracle_is_acyclic(model, indices, system):
+    """The gate one intersection at a time: a fresh spec and profile each."""
+    if model.complex is None:
+        raise ModelError("acyclicity needs a model with a complex")
+    idx = tuple(indices)
+    pts = model.intersection(idx)
+    if not pts:
+        return AcyclicityStatus(indices=idx, empty=True, acyclic=True)
+    simps = list(model.full_subcomplex(pts))
+    have = {s[0] for s in simps if len(s) == 1}
+    for p in pts:
+        if p not in have:
+            simps.append((p,))
+    spec = SimplicialComplexSpec(simps, model.point_key)
+    top = max(len(s) for s in simps) - 1
+    profile = cohomology_profile(spec, system, top)
+    if system.is_field:
+        point = profile[0] == 1 and all(h == 0 for h in profile[1:])
+    else:
+        point = (profile[0] == (1, ()) and
+                 all(h == (0, ()) for h in profile[1:]))
+    return AcyclicityStatus(indices=idx, empty=False, acyclic=point,
+                            profile=tuple(profile))
+
+
+GATE_SYSTEMS = (Q, PrimeField(2), PrimeField(5), Integers())
+
+
+def gate_statuses(model, gate):
+    """Statuses of the nerve simplices in nerve order, then of the index
+    pairs with an empty intersection."""
+    nerve = model.nerve().simplices
+    empty = [idx for idx in combinations(range(len(model.cover)), 2) if idx not in nerve]
+    return {system.name: [gate(model, idx, system) for idx in nerve + tuple(empty)]
+            for system in GATE_SYSTEMS}
+
+
+def random_complex_model(seed):
+    """A random cover model with a random face-closed complex on its points,
+    which may leave some points out of every simplex."""
+    rng = random.Random(seed)
+    base = random_cover_model(rng, max_points=7, max_sets=4, max_set_size=5)
+    faces = set()
+    for _ in range(rng.randrange(0, 9)):
+        top = tuple(sorted(rng.sample(base.points, rng.randrange(1, min(4, len(base.points)) + 1))))
+        faces.update(sub for size in range(1, len(top) + 1) for sub in combinations(top, size))
+    return CoverModel(points=base.points, cover=base.cover, cover_names=base.cover_names,
+                      complex=tuple(sorted(faces, key=lambda s: (len(s), s))) or None,
+                      name=f"random-complex-{seed}")
+
+
+@st.composite
+def complex_models(draw):
+    kind = draw(st.sampled_from(("bundled", "cyclic", "random")))
+    if kind == "bundled":
+        return load_bundled_model(draw(st.sampled_from(bundled_model_names())))
+    if kind == "cyclic":
+        m = draw(st.integers(7, 13))
+        return left_invariant_cover(m, draw(st.integers(1, 2)))
+    return random_complex_model(draw(st.integers(0, 10 ** 6)))
+
+
+def shared_batch_model():
+    """An acyclic arc, the circle-shaped whole hexagon and two disconnected
+    intersections share one batch.  Point 6 lies in no simplex, so the
+    intersection {0, 6} is acyclic only if the vertex fill is dropped."""
+    hexagon = load_bundled_model("hexagon")
+    cover = (frozenset(range(6)), frozenset({0, 1, 2}), frozenset({3, 5}), frozenset({0, 6}))
+    return CoverModel(points=tuple(range(7)), cover=cover,
+                      cover_names=("whole", "arc", "gap", "stray"),
+                      complex=hexagon.complex, name="shared-batch")
+
+
+def test_shared_batch_keeps_each_intersection_apart():
+    model = shared_batch_model()
+    expected = {(0,): (False, (1, 1)), (1,): (True, (1, 0)), (2,): (False, (2,)),
+                (3,): (False, (2,)), (0, 1): (True, (1, 0)), (0, 2): (False, (2,)),
+                (0, 3): (True, (1,)), (1, 3): (True, (1,)), (0, 1, 3): (True, (1,))}
+    for system in GATE_SYSTEMS:
+        statuses = [is_acyclic(model, s, system) for s in model.nerve().simplices]
+        assert statuses == [oracle_is_acyclic(model, s, system) for s in model.nerve().simplices]
+        if system.is_field:
+            assert {s.indices: (bool(s), s.profile) for s in statuses} == expected
+    assert is_acyclic(model, (1, 2), Q).empty
+
+
+@settings(max_examples=40, deadline=None)
+@given(complex_models())
+@example(shared_batch_model())
+@example(load_bundled_model("projective_plane"))
+def test_batched_gate_matches_the_per_intersection_oracle(model):
+    if model.complex is None:
+        with pytest.raises(ModelError):
+            is_acyclic(model, (0,), Q)
+        return
+    assert gate_statuses(model, is_acyclic) == gate_statuses(model, oracle_is_acyclic)
+
+
+def test_gate_is_one_batch_per_model_and_system(monkeypatch):
+    batches = []
+    profiles = compare.block_profiles
+
+    def counted(spec, system, tops):
+        batches.append((system.name, len(tops)))
+        return profiles(spec, system, tops)
+
+    monkeypatch.setattr(compare, "block_profiles", counted)
+    model = left_invariant_cover(12, 2)
+    for system in (Q, PrimeField(5), Q):
+        for simplex in model.nerve().simplices:
+            is_acyclic(model, simplex, system)
+    # 192 nerve simplices, but only 60 distinct intersections
+    assert len(model.nerve()) == 192
+    assert batches == [("Q", 60), ("Zp:5", 60)]
 
 
 def test_lambda_iso_on_good_covers():

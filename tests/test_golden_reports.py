@@ -21,7 +21,7 @@ from locco.cli import bundled_model_names, run
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 COMPLEXES = ("local", "cech", "total", "nerve", "simplicial")
 # (--coeff, --max-degree); --lambda needs field coefficients
-SETTINGS = (("Q", 2), ("Zp:5", 2), ("Z", 1))
+SETTINGS = (("Q", 2), ("Zp:5", 2), ("Z", 1), ("Zp:2", 1))
 
 
 def command_lines(model: str) -> list:

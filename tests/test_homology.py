@@ -19,7 +19,8 @@ from locco import (AugmentedColumnSpec, AugmentedRowSpec, BudgetError,
                    kernel_basis, left_invariant_cover, matrix_rank,
                    rank_in_quotient, smith_normal_form, verify_local_vs_cech)
 from locco import homology
-from locco.homology import BoundaryMatrix, Echelon, composes_to_zero, profile_from_ranks
+from locco.homology import (BoundaryMatrix, Echelon, block_profiles, composes_to_zero,
+                            profile_from_ranks)
 from locco.cli import bundled_model_names, load_bundled_model, run
 from locco.compare import random_cover_model
 
@@ -692,3 +693,42 @@ def test_profiles_skip_the_columns_the_degree_below_proves_dependent(monkeypatch
     spec = LocalComplexSpec(left_invariant_cover(12, 2))
     assert field_cohomology(spec, Q, 2) == [1, 1, 0]
     assert inserts == [12, 108 - 11, 732 - 96]
+
+
+# ---------------------------------------------------------------------------
+# many simplicial complexes as the blocks of one spec
+
+
+@st.composite
+def simplex_blocks(draw):
+    """1-6 blocks of simplices on the vertices 0..5, closed under faces or
+    not; blocks may repeat simplices and whole complexes."""
+    simplex = st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True).map(
+        lambda vs: tuple(sorted(vs)))
+    return draw(st.lists(st.lists(simplex, min_size=1, max_size=8), min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplex_blocks(), st.booleans())
+@example([[(0,), (1,), (0, 1)], [(0, 1, 2)], [(0,), (1,), (0, 1)]], True)
+def test_block_profiles_match_one_spec_per_block(blocks, closed):
+    if closed:
+        blocks = [sorted({face for s in block for k in range(1, len(s) + 1)
+                          for face in combinations(s, k)}) for block in blocks]
+    tops = [max(map(len, block)) - 1 for block in blocks]
+    spec = SimplicialComplexSpec(blocks=blocks)
+    for system in [system for system, _ in FIELDS] + [Integers()]:
+        assert block_profiles(spec, system, tops) == [
+            cohomology_profile(SimplicialComplexSpec(block), system, top)
+            for block, top in zip(blocks, tops)], system.name
+
+
+def test_one_block_spec_is_the_plain_spec():
+    m = load_bundled_model("projective_plane")
+    plain = SimplicialComplexSpec(m.complex, m.point_key)
+    blocked = SimplicialComplexSpec(order_key=m.point_key, blocks=[m.complex])
+    for n in range(4):
+        assert blocked.basis(n) == plain.basis(n)
+        assert blocked.codes(n).tolist() == plain.codes(n).tolist()
+        assert blocked.block_bounds(n).tolist() == [0, len(plain.basis(n))]
+    assert block_profiles(blocked, Integers(), [2]) == [integer_cohomology(plain, 2)]

@@ -135,6 +135,28 @@ def test_nerve_oracle_z6():
     assert [len(nerve.of_dimension(d)) for d in range(4)] == [6, 12, 6, 0]
 
 
+def test_nerve_is_charged_per_simplex_after_each_dimension(monkeypatch):
+    # z6_arcs: 6 vertices, 12 edges and 6 triangles
+    m = load_bundled_model("z6_arcs")
+
+    def fresh():
+        return CoverModel(points=m.points, cover=m.cover, cover_names=m.cover_names,
+                          complex=m.complex)
+
+    monkeypatch.setenv("LOCCO_BUDGET", "24")
+    assert fresh().nerve() == m.nerve()
+    monkeypatch.setenv("LOCCO_BUDGET", "18")
+    assert len(fresh().nerve(max_dim=1)) == 18
+    with pytest.raises(BudgetError, match="the nerve of 6 cover sets needs 24 raw"):
+        fresh().nerve()
+    monkeypatch.setenv("LOCCO_BUDGET", "17")
+    with pytest.raises(BudgetError, match="the nerve of 6 cover sets needs 18 raw"):
+        fresh().nerve()
+    monkeypatch.setenv("LOCCO_BUDGET", "5")
+    with pytest.raises(BudgetError, match="needs 6 raw"):
+        fresh().nerve(max_dim=0)
+
+
 def test_intersection_requires_increasing_indices():
     m = load_bundled_model("hexagon")
     with pytest.raises(ModelError):
