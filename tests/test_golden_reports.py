@@ -1,4 +1,5 @@
-"""Report bytes of ``cohomology`` and ``compare`` on the bundled models.
+"""Report bytes of ``cohomology``, ``compare`` and ``verify-contraction`` on
+the bundled models.
 
 ``tests/data/golden_reports.json`` pins, for each command line below, the
 exit code and the exact report text, so a change to the library that moves
@@ -22,6 +23,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 COMPLEXES = ("local", "cech", "total", "nerve", "simplicial")
 # (--coeff, --max-degree); --lambda needs field coefficients
 SETTINGS = (("Q", 2), ("Zp:5", 2), ("Z", 1), ("Zp:2", 1))
+# the bidegrees (p, q) whose homotopy identity the gate_mix workload checks
+BIDEGREES = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1))
 
 
 def command_lines(model: str) -> list:
@@ -31,6 +34,9 @@ def command_lines(model: str) -> list:
         tail = ["--coeff", coeff, "--max-degree", str(degree)]
         lines += [["cohomology", model, "--complex", c] + tail for c in COMPLEXES]
         lines.append(["compare", model] + tail + (["--lambda"] if coeff != "Z" else []))
+    for p, q in BIDEGREES:
+        for family in ("first-hit", f"random:{10 * p + q}"):
+            lines.append(["verify-contraction", model, "--family", family, "--pq", f"{p},{q}"])
     return lines
 
 
