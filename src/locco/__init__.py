@@ -24,12 +24,12 @@ from .cochains import (CechPage, LocalCochain, SimplicialCochain,
                        smallest_point, standard_column_contraction,
                        standard_differential, vertex_pullback)
 from .bicomplex import (PartitionFamily, TotalCochain, approximate_row_contraction,
-                        augment_cech, augment_local, family_from_json,
-                        first_hit_family, random_page, random_unity_family,
-                        row_contraction, row_contraction_to_local,
-                        scale_page_by_weight_sum, sigma_row_contraction,
-                        total_differential, total_from_page,
-                        uniform_unity_family)
+                        augment_cech, augment_local, contraction_defect,
+                        family_from_json, first_hit_family, random_page,
+                        random_unity_family, row_contraction,
+                        row_contraction_to_local, scale_page_by_weight_sum,
+                        sigma_row_contraction, total_differential,
+                        total_from_page, uniform_unity_family)
 from .homology import (AugmentedColumnSpec, AugmentedRowSpec, BoundaryMatrix,
                        CechComplexSpec, ComplexSpec, LocalComplexSpec,
                        SimplicialComplexSpec, SmithDecomposition,

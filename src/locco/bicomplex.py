@@ -10,6 +10,7 @@ contractible carrier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -108,23 +109,38 @@ class PartitionFamily:
         return {"level": self.q, "unity": self.unity, "weights": entries}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _weight_from_json(raw):
+    """An int, a finite float or an ``"a/b"`` string; anything else is refused."""
+    if isinstance(raw, str):
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"weight {raw!r} is not a fraction a/b") from None
+    if _is_int(raw) or (isinstance(raw, float) and math.isfinite(raw)):
+        return raw
+    raise DomainError(f"weight {raw!r} is not an int, a finite float or an a/b string")
+
+
 def family_from_json(model: CoverModel, doc: dict) -> PartitionFamily:
-    if "level" not in doc or "weights" not in doc:
+    if not isinstance(doc, dict) or "level" not in doc or "weights" not in doc:
         raise DomainError("family document needs level and weights")
+    if not _is_int(doc["level"]) or not isinstance(doc["weights"], list):
+        raise DomainError("family level must be an int and weights a list")
     weights: dict = {}
     for entry in doc["weights"]:
-        i = int(entry["index"])
-        t = tuple(entry["tuple"])
-        raw = entry["weight"]
-        if isinstance(raw, str):
-            w = Fraction(raw)
-        elif isinstance(raw, bool):
-            raise DomainError("weights cannot be booleans")
-        else:
-            w = raw
-        weights.setdefault(i, {})[t] = w
-    return PartitionFamily(model, int(doc["level"]), weights,
-                           unity=bool(doc.get("unity", False)))
+        if not (isinstance(entry, dict) and {"index", "tuple", "weight"} <= entry.keys()):
+            raise DomainError(f"weight entry {entry!r} needs index, tuple and weight")
+        i, t = entry["index"], entry["tuple"]
+        if not _is_int(i):
+            raise DomainError(f"weight index {i!r} is not an int")
+        if not isinstance(t, list) or any(isinstance(c, (list, dict)) for c in t):
+            raise DomainError(f"weight tuple {t!r} is not a list of point ids")
+        weights.setdefault(i, {})[tuple(t)] = _weight_from_json(entry["weight"])
+    return PartitionFamily(model, doc["level"], weights, unity=bool(doc.get("unity", False)))
 
 
 def first_hit_family(model: CoverModel, q: int) -> PartitionFamily:
@@ -200,29 +216,45 @@ def _signed_value(page: CechPage, prefix: int, ivec: tuple, t: tuple):
     return val if sign > 0 else page.system.neg(val)
 
 
-def row_contraction(page: CechPage, family: PartitionFamily) -> CechPage:
-    """Weighted first-index sum, one Cech degree down (p >= 1)."""
-    _require_page(page, 1)
-    _check_family(page, family)
+def _contract(page: CechPage, family: PartitionFamily, combine: Callable) -> dict:
+    """Entries {index tuple: {t: value}} of a row contraction, one Cech degree down.
+
+    At each candidate (ivec, t), ``combine(terms)`` folds the triples
+    (i, weight, alternating page value at (i, *ivec) or None) of every index
+    i weighted at t, in family order; a None or zero result is dropped.
+    """
     system = page.system
     out = {}
     for ivec, xs in _contraction_candidates(page).items():
         entry = {}
         for t in xs:
-            acc = system.zero()
-            for i, wmap in family.weights.items():
-                w = wmap.get(t)
-                if not w:
-                    continue
-                val = _signed_value(page, i, ivec, t)
-                if val is None:
-                    continue
-                acc = system.add(acc, system.scale(w, val))
-            if not system.is_zero(acc):
-                entry[t] = acc
+            terms = [(i, wmap[t], _signed_value(page, i, ivec, t))
+                     for i, wmap in family.weights.items() if wmap.get(t)]
+            value = combine(terms)
+            if value is not None and not system.is_zero(value):
+                entry[t] = value
         if entry:
             out[ivec] = entry
-    return CechPage(page.model, system, page.p - 1, page.q, out)
+    return out
+
+
+def _weighted_sum(system: CoefficientSystem) -> Callable:
+    """The combine step of the linear contraction: sum of weight times value."""
+    def combine(terms):
+        acc = system.zero()
+        for _, w, val in terms:
+            if val is not None:
+                acc = system.add(acc, system.scale(w, val))
+        return acc
+    return combine
+
+
+def row_contraction(page: CechPage, family: PartitionFamily) -> CechPage:
+    """Weighted first-index sum, one Cech degree down (p >= 1)."""
+    _require_page(page, 1)
+    _check_family(page, family)
+    out = _contract(page, family, _weighted_sum(page.system))
+    return CechPage(page.model, page.system, page.p - 1, page.q, out)
 
 
 def row_contraction_to_local(page: CechPage, family: PartitionFamily) -> LocalCochain:
@@ -230,24 +262,21 @@ def row_contraction_to_local(page: CechPage, family: PartitionFamily) -> LocalCo
     if page.p != 0:
         raise DomainError(f"companion entry point needs p = 0, got p = {page.p}")
     _check_family(page, family)
-    system = page.system
-    values = {}
-    candidates = set()
-    for func in page.components.values():
-        candidates.update(func.keys())
-    for t in candidates:
-        acc = system.zero()
-        for i, wmap in family.weights.items():
-            w = wmap.get(t)
-            if not w:
-                continue
-            val = page.components.get((i,), {}).get(t)
-            if val is None:
-                continue
-            acc = system.add(acc, system.scale(w, val))
-        if not system.is_zero(acc):
-            values[t] = acc
-    return LocalCochain(page.model, system, page.q, values)
+    values = _contract(page, family, _weighted_sum(page.system)).get((), {})
+    return LocalCochain(page.model, page.system, page.q, values)
+
+
+def contraction_defect(page: CechPage, family: PartitionFamily) -> CechPage:
+    """h∘δ + δ∘h − id on a page, for the row contraction h by ``family``.
+
+    At p = 0, δ∘h is the augmentation of the local contraction.  The page is
+    zero exactly when the homotopy identity holds on ``page``.
+    """
+    if page.p >= 1:
+        left = cech_coboundary(row_contraction(page, family))
+    else:
+        left = augment_local(row_contraction_to_local(page, family))
+    return left.add(row_contraction(cech_coboundary(page), family)).sub(page)
 
 
 def approximate_row_contraction(page: CechPage, family: PartitionFamily):
@@ -298,26 +327,17 @@ def sigma_row_contraction(page: CechPage, family: PartitionFamily,
         raise SupportError("filler weights must be nonnegative barycentric coordinates")
     if not family.unity:
         raise SupportError("filler weights must sum to one")
-    system = page.system
-    zero = system.zero()
-    out = {}
-    for ivec, xs in _contraction_candidates(page).items():
-        entry = {}
-        for t in xs:
-            active = family.active_indices(t)
-            if not active:
-                continue
-            vertices = []
-            for i in active:
-                val = _signed_value(page, i, ivec, t)
-                vertices.append(zero if val is None else val)
-            weights = [float(family.weight(i, t)) for i in active]
-            value = tuple(fill(vertices, weights))
-            if not system.is_zero(value):
-                entry[t] = value
-        if entry:
-            out[ivec] = entry
-    return CechPage(page.model, system, page.p - 1, page.q, out)
+    zero = page.system.zero()
+
+    def combine(terms):
+        if not terms:
+            return None
+        terms.sort(key=lambda term: term[0])   # the filler takes the smallest index first
+        return tuple(fill([zero if val is None else val for _, _, val in terms],
+                          [float(w) for _, w, _ in terms]))
+
+    out = _contract(page, family, combine)
+    return CechPage(page.model, page.system, page.p - 1, page.q, out)
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +374,18 @@ class TotalCochain:
     def is_zero(self) -> bool:
         return not self.pages
 
-    def add(self, other: "TotalCochain") -> "TotalCochain":
-        self._check(other)
-        out = {}
-        for p in set(self.pages) | set(other.pages):
-            out[p] = self.page(p).add(other.page(p))
-        return TotalCochain(self.model, self.system, self.degree, out)
-
-    def sub(self, other: "TotalCochain") -> "TotalCochain":
-        self._check(other)
-        out = {}
-        for p in set(self.pages) | set(other.pages):
-            out[p] = self.page(p).sub(other.page(p))
-        return TotalCochain(self.model, self.system, self.degree, out)
-
-    def _check(self, other: "TotalCochain") -> None:
+    def _combine(self, other: "TotalCochain", op) -> "TotalCochain":
         if (self.model is not other.model or self.degree != other.degree
                 or self.system != other.system):
             raise DomainError("total cochains live in different degrees")
+        out = {p: op(self.page(p), other.page(p)) for p in set(self.pages) | set(other.pages)}
+        return TotalCochain(self.model, self.system, self.degree, out)
+
+    def add(self, other: "TotalCochain") -> "TotalCochain":
+        return self._combine(other, CechPage.add)
+
+    def sub(self, other: "TotalCochain") -> "TotalCochain":
+        return self._combine(other, CechPage.sub)
 
 
 def total_from_page(page: CechPage) -> TotalCochain:

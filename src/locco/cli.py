@@ -17,10 +17,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .bicomplex import (PartitionFamily, augment_local, family_from_json,
-                        first_hit_family, random_page, random_unity_family,
-                        row_contraction, row_contraction_to_local)
-from .cochains import cech_coboundary
+from .bicomplex import (PartitionFamily, contraction_defect, family_from_json,
+                        first_hit_family, random_page, random_unity_family)
 from .coeff import parse_system
 from .compare import (colimit_scan, model_hash, verify_lambda_iso,
                       verify_local_vs_cech)
@@ -164,14 +162,7 @@ def _cmd_verify_contraction(args) -> tuple:
     p, q = (int(x) for x in args.pq.split(","))
     family = _contraction_family(model, q, args.family)
     page = random_page(model, system, p, q, random.Random(args.seed))
-    if p >= 1:
-        combined = cech_coboundary(row_contraction(page, family)).add(
-            row_contraction(cech_coboundary(page), family))
-    else:
-        f = row_contraction_to_local(page, family)
-        combined = augment_local(f).add(
-            row_contraction(cech_coboundary(page), family))
-    diff = combined.sub(page)
+    diff = contraction_defect(page, family)
     ok = diff.is_zero()
     doc = {
         "model": {"name": model.name, "hash": model_hash(model)},

@@ -8,14 +8,18 @@ Three kinds of cochains appear:
   tuples, each entry a function on a power of the matching intersection;
 * simplicial cochains on an ordered complex.
 
-All carriers are sparse maps; an absent key means the value is zero.
+All carriers are sparse maps; an absent key means the value is zero.  Every
+differential here is one face-sum kernel on those maps: :func:`_cofaces`
+lists the tuples one letter longer than a key, and :func:`_face_sum` takes
+the alternating sum over position deletions at each of them.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .coeff import CoefficientSystem, PrimeField
 from .errors import DomainError, ModelError
@@ -36,16 +40,63 @@ def permutation_sign(seq: Sequence[int]) -> int:
 
 
 def _warn_two_torsion(system: CoefficientSystem) -> None:
+    """Warn that a page over GF(2) drops repeated-index entries by convention.
+
+    The warning names the first frame outside this package, the code that
+    asked for the page: pages are built in many places inside the package,
+    and the dataclass ``__init__`` that calls here runs in its globals too.
+    """
     if isinstance(system, PrimeField) and system.p == 2:
+        level, frame, inside = 2, sys._getframe(1), __package__ + "."
+        while frame is not None and frame.f_globals.get("__name__", "").startswith(inside):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             "alternating storage treats repeated-index entries as zero; over a "
             "two-torsion system this is a convention, not a consequence",
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
-def _prune(system: CoefficientSystem, values: Mapping) -> dict:
-    return {k: v for k, v in values.items() if not system.is_zero(v)}
+# ---------------------------------------------------------------------------
+# the alternating face-sum kernel
+
+
+def _cofaces(keys: Iterable[tuple], letters: Sequence, allowed: Optional[Callable] = None) -> set:
+    """Every tuple made by inserting one letter at one position of one key,
+    kept when ``allowed`` (if given) accepts it."""
+    out = set()
+    for key in keys:
+        for pos in range(len(key) + 1):
+            head, tail = key[:pos], key[pos:]
+            for u in letters:
+                cand = head + (u,) + tail
+                if allowed is None or allowed(cand):
+                    out.add(cand)
+    return out
+
+
+def _face_sum(values: Mapping, candidates: Iterable[tuple], system: CoefficientSystem,
+              negate: bool = False) -> dict:
+    """At each candidate, the alternating sum of ``values`` over its position
+    deletions (negated when asked), zeros dropped."""
+    out = {}
+    for cand in candidates:
+        acc = system.zero()
+        sign = 1
+        for i in range(len(cand)):
+            v = values.get(cand[:i] + cand[i + 1:])
+            if v is not None:
+                acc = system.add(acc, v) if sign > 0 else system.sub(acc, v)
+            sign = -sign
+        if negate:
+            acc = system.neg(acc)
+        if not system.is_zero(acc):
+            out[cand] = acc
+    return out
+
+
+def _increasing(t: tuple) -> bool:
+    return all(a < b for a, b in zip(t, t[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -76,23 +127,19 @@ class LocalCochain:
     def __call__(self, t: Sequence):
         return self.values.get(tuple(t), self.system.zero())
 
-    def add(self, other: "LocalCochain") -> "LocalCochain":
-        self._check_compatible(other)
-        out = dict(self.values)
-        for k, v in other.values.items():
-            out[k] = self.system.add(out.get(k, self.system.zero()), v)
-        return LocalCochain(self.model, self.system, self.degree, _prune(self.system, out))
-
-    def sub(self, other: "LocalCochain") -> "LocalCochain":
-        self._check_compatible(other)
-        out = dict(self.values)
-        for k, v in other.values.items():
-            out[k] = self.system.sub(out.get(k, self.system.zero()), v)
-        return LocalCochain(self.model, self.system, self.degree, _prune(self.system, out))
-
-    def _check_compatible(self, other: "LocalCochain") -> None:
+    def _combine(self, other: "LocalCochain", op) -> "LocalCochain":
         if self.model is not other.model or self.degree != other.degree or self.system != other.system:
             raise DomainError("cochains live on different complexes")
+        out = dict(self.values)
+        for k, v in other.values.items():
+            out[k] = op(out.get(k, self.system.zero()), v)
+        return LocalCochain(self.model, self.system, self.degree, out)
+
+    def add(self, other: "LocalCochain") -> "LocalCochain":
+        return self._combine(other, self.system.add)
+
+    def sub(self, other: "LocalCochain") -> "LocalCochain":
+        return self._combine(other, self.system.sub)
 
     def is_zero(self) -> bool:
         return not self.values
@@ -119,29 +166,9 @@ def local_cochain_from_json(model: CoverModel, system: CoefficientSystem, doc: d
 
 def local_differential(f: LocalCochain) -> LocalCochain:
     """Alternating sum over coordinate deletions, landing one level up."""
-    n = f.degree
-    target = f.model.diagonal_neighborhood(n + 1)
-    candidates = set()
-    for key in f.values:
-        for pos in range(n + 2):
-            for p in f.model.points:
-                cand = key[:pos] + (p,) + key[pos:]
-                if cand in target:
-                    candidates.add(cand)
-    out = {}
-    zero = f.system.zero()
-    for cand in candidates:
-        acc = zero
-        sign = 1
-        for i in range(len(cand)):
-            face = cand[:i] + cand[i + 1:]
-            v = f.values.get(face)
-            if v is not None:
-                acc = f.system.add(acc, v) if sign > 0 else f.system.sub(acc, v)
-            sign = -sign
-        if not f.system.is_zero(acc):
-            out[cand] = acc
-    return LocalCochain(f.model, f.system, n + 1, out)
+    target = f.model.diagonal_neighborhood(f.degree + 1)
+    candidates = _cofaces(f.values, f.model.points, target.__contains__)
+    return LocalCochain(f.model, f.system, f.degree + 1, _face_sum(f.values, candidates, f.system))
 
 
 def random_local_cochain(model: CoverModel, system: CoefficientSystem, degree: int,
@@ -204,28 +231,22 @@ class CechPage:
     def is_zero(self) -> bool:
         return not self.components
 
-    def add(self, other: "CechPage") -> "CechPage":
-        self._check_compatible(other)
-        out = {idx: dict(func) for idx, func in self.components.items()}
-        for idx, func in other.components.items():
-            tgt = out.setdefault(idx, {})
-            for t, v in func.items():
-                tgt[t] = self.system.add(tgt.get(t, self.system.zero()), v)
-        return CechPage(self.model, self.system, self.p, self.q, out)
-
-    def sub(self, other: "CechPage") -> "CechPage":
-        self._check_compatible(other)
-        out = {idx: dict(func) for idx, func in self.components.items()}
-        for idx, func in other.components.items():
-            tgt = out.setdefault(idx, {})
-            for t, v in func.items():
-                tgt[t] = self.system.sub(tgt.get(t, self.system.zero()), v)
-        return CechPage(self.model, self.system, self.p, self.q, out)
-
-    def _check_compatible(self, other: "CechPage") -> None:
+    def _combine(self, other: "CechPage", op) -> "CechPage":
         if (self.model is not other.model or self.p != other.p
                 or self.q != other.q or self.system != other.system):
             raise DomainError("pages live at different bidegrees")
+        out = {idx: dict(func) for idx, func in self.components.items()}
+        for idx, func in other.components.items():
+            tgt = out.setdefault(idx, {})
+            for t, v in func.items():
+                tgt[t] = op(tgt.get(t, self.system.zero()), v)
+        return CechPage(self.model, self.system, self.p, self.q, out)
+
+    def add(self, other: "CechPage") -> "CechPage":
+        return self._combine(other, self.system.add)
+
+    def sub(self, other: "CechPage") -> "CechPage":
+        return self._combine(other, self.system.sub)
 
     def max_deviation(self, other: "CechPage") -> float:
         """Largest componentwise absolute difference; real-vector pages only."""
@@ -258,75 +279,34 @@ def evaluate_alternating(page: CechPage, indices: Sequence[int], t: Sequence):
 
 
 def cech_coboundary(page: CechPage) -> CechPage:
-    """Alternating sum over index deletions, one Cech degree up."""
+    """Alternating sum over index deletions, one Cech degree up.
+
+    The page is regrouped by point tuple t; each index tuple holding t gains
+    one cover index j with t inside U_j, at its increasing position.
+    """
     model = page.model
-    n_sets = len(model.cover)
-    candidates = set()
-    for idx in page.components:
-        for j in range(n_sets):
-            if j in idx:
-                continue
-            pos = sum(1 for i in idx if i < j)
-            candidates.add(idx[:pos] + (j,) + idx[pos:])
-    out = {}
-    for cand in candidates:
-        members = set(model.intersection(cand))
-        if not members:
-            continue
-        entry = {}
-        point_candidates = set()
-        faces = []
-        for k in range(len(cand)):
-            face = cand[:k] + cand[k + 1:]
-            func = page.components.get(face, {})
-            faces.append(func)
-            point_candidates.update(func.keys())
-        for t in point_candidates:
-            if any(c not in members for c in t):
-                continue
-            acc = page.system.zero()
-            sign = 1
-            for func in faces:
-                v = func.get(t)
-                if v is not None:
-                    acc = page.system.add(acc, v) if sign > 0 else page.system.sub(acc, v)
-                sign = -sign
-            if not page.system.is_zero(acc):
-                entry[t] = acc
-        if entry:
-            out[cand] = entry
+    by_point: dict = {}
+    for idx, func in page.components.items():
+        for t, v in func.items():
+            by_point.setdefault(t, {})[idx] = v
+    out: dict = {}
+    for t, values in by_point.items():
+        letters = [j for j, members in enumerate(model.cover) if all(c in members for c in t)]
+        candidates = _cofaces(values, letters, _increasing)
+        for idx, v in _face_sum(values, candidates, page.system).items():
+            out.setdefault(idx, {})[t] = v
     return CechPage(model, page.system, page.p + 1, page.q, out)
 
 
 def page_vertical_differential(page: CechPage) -> CechPage:
     """Componentwise alternating-sum differential times (-1)^p, one q up."""
-    model = page.model
     out = {}
-    flip = page.p % 2 == 1
     for idx, func in page.components.items():
-        members = model.sort_points(model.intersection(idx))
-        candidates = set()
-        for key in func:
-            for pos in range(page.q + 2):
-                for u in members:
-                    candidates.add(key[:pos] + (u,) + key[pos:])
-        entry = {}
-        for cand in candidates:
-            acc = page.system.zero()
-            sign = 1
-            for i in range(len(cand)):
-                face = cand[:i] + cand[i + 1:]
-                v = func.get(face)
-                if v is not None:
-                    acc = page.system.add(acc, v) if sign > 0 else page.system.sub(acc, v)
-                sign = -sign
-            if flip:
-                acc = page.system.neg(acc)
-            if not page.system.is_zero(acc):
-                entry[cand] = acc
+        candidates = _cofaces(func, page.model.intersection(idx))
+        entry = _face_sum(func, candidates, page.system, negate=page.p % 2 == 1)
         if entry:
             out[idx] = entry
-    return CechPage(model, page.system, page.p, page.q + 1, out)
+    return CechPage(page.model, page.system, page.p, page.q + 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +318,7 @@ def standard_differential(g: Mapping, members: Sequence, system: CoefficientSyst
     Keys of length 0 (the coefficient copy) are handled by the same formula;
     their image is the constant function.
     """
-    candidates = set()
-    for key in g:
-        for pos in range(len(key) + 1):
-            for u in members:
-                candidates.add(key[:pos] + (u,) + key[pos:])
-    out = {}
-    for cand in candidates:
-        acc = system.zero()
-        sign = 1
-        for i in range(len(cand)):
-            face = cand[:i] + cand[i + 1:]
-            v = g.get(face)
-            if v is not None:
-                acc = system.add(acc, v) if sign > 0 else system.sub(acc, v)
-            sign = -sign
-        if not system.is_zero(acc):
-            out[cand] = acc
-    return out
+    return _face_sum(g, _cofaces(g, members), system)
 
 
 def standard_column_contraction(g: Mapping, basepoint, system: CoefficientSystem) -> dict:
@@ -412,7 +375,7 @@ class SimplicialCochain:
     def is_zero(self) -> bool:
         return not self.values
 
-    def _merge(self, other: "SimplicialCochain", op) -> "SimplicialCochain":
+    def _combine(self, other: "SimplicialCochain", op) -> "SimplicialCochain":
         if (self.complex, self.system, self.degree) != \
                 (other.complex, other.system, other.degree):
             raise DomainError("simplicial cochains live on different complexes")
@@ -421,28 +384,17 @@ class SimplicialCochain:
         return SimplicialCochain(self.complex, self.system, self.degree, vals)
 
     def add(self, other: "SimplicialCochain") -> "SimplicialCochain":
-        return self._merge(other, self.system.add)
+        return self._combine(other, self.system.add)
 
     def sub(self, other: "SimplicialCochain") -> "SimplicialCochain":
-        return self._merge(other, self.system.sub)
+        return self._combine(other, self.system.sub)
 
 
 def simplicial_coboundary(c: SimplicialCochain) -> SimplicialCochain:
-    out = {}
-    for simplex in c.complex:
-        if len(simplex) != c.degree + 2:
-            continue
-        acc = c.system.zero()
-        sign = 1
-        for k in range(len(simplex)):
-            face = simplex[:k] + simplex[k + 1:]
-            v = c.values.get(face)
-            if v is not None:
-                acc = c.system.add(acc, v) if sign > 0 else c.system.sub(acc, v)
-            sign = -sign
-        if not c.system.is_zero(acc):
-            out[simplex] = acc
-    return SimplicialCochain(c.complex, c.system, c.degree + 1, out)
+    """Alternating sum over vertex deletions at each (n+1)-simplex of the complex."""
+    candidates = [s for s in c.complex if len(s) == c.degree + 2]
+    return SimplicialCochain(c.complex, c.system, c.degree + 1,
+                             _face_sum(c.values, candidates, c.system))
 
 
 def vertex_pullback(f: LocalCochain, subcomplex: Optional[tuple] = None) -> SimplicialCochain:

@@ -309,3 +309,35 @@ def test_sigma_eval_typed_errors(tmp_path, payload, kind):
     assert code == 2
     assert doc["error"]["kind"] == kind
     assert "result" not in doc
+
+
+GOOD_WEIGHT = {"index": 0, "tuple": [0], "weight": 1}
+
+
+@pytest.mark.parametrize("doc", [
+    [GOOD_WEIGHT],
+    {"level": None, "weights": [GOOD_WEIGHT]},
+    {"level": 0, "weights": 5},
+    {"level": 0, "weights": [[0]]},
+    {"level": 0, "weights": [{"index": 0, "tuple": [0]}]},
+    {"level": 0, "weights": [{"index": "0", "tuple": [0], "weight": 1}]},
+    {"level": 0, "weights": [{"index": 0, "tuple": 5, "weight": 1}]},
+    {"level": 0, "weights": [{"index": 0, "tuple": [[0]], "weight": 1}]},
+    {"level": 0, "weights": [{"index": 0, "tuple": [0], "weight": None}]},
+    {"level": 0, "weights": [{"index": 0, "tuple": [0], "weight": [1]}]},
+    {"level": 0, "weights": [{"index": 0, "tuple": [0], "weight": True}]},
+    {"level": 0, "weights": [{"index": 0, "tuple": [0], "weight": float("nan")}]},
+    {"level": 0, "weights": [{"index": 0, "tuple": [0], "weight": "one"}]},
+    {"level": 0, "weights": [{"index": 0, "tuple": [0], "weight": "1/0"}]},
+], ids=["not-an-object", "level-null", "weights-int", "entry-list", "weight-missing",
+        "index-str", "tuple-int", "tuple-of-lists", "weight-null", "weight-list",
+        "weight-bool", "weight-nan", "weight-word", "weight-zero-denominator"])
+def test_malformed_family_file_is_a_domain_error(tmp_path, doc):
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(doc))
+    code, out, _ = run_to_file(
+        tmp_path, ["verify-contraction", model_path("interval"),
+                   "--family", f"file:{fam_path}", "--pq", "1,0"])
+    assert code == 2
+    assert out["error"]["kind"] == "DomainError"
+    assert "result" not in out

@@ -101,7 +101,10 @@ def test_two_torsion_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         CechPage(m, PrimeField(2), 1, 0, {(0, 1): {(2,): 1}})
-    assert caught
+        page = CechPage(m, PrimeField(2), 0, 0, {(0,): {(0,): 1}})
+        cech_coboundary(page)   # built inside the package, named here all the same
+    assert len(caught) == 3
+    assert all(w.filename == __file__ for w in caught)
 
 
 def test_page_differentials_square_and_anticommute():
