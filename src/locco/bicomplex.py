@@ -126,10 +126,14 @@ def _weight_from_json(raw):
 
 
 def family_from_json(model: CoverModel, doc: dict) -> PartitionFamily:
+    """The family of a ``{"level", "unity", "weights"}`` document, the form
+    :meth:`PartitionFamily.to_json_dict` writes; a malformed one is a
+    :class:`DomainError`."""
     if not isinstance(doc, dict) or "level" not in doc or "weights" not in doc:
         raise DomainError("family document needs level and weights")
-    if not _is_int(doc["level"]) or not isinstance(doc["weights"], list):
-        raise DomainError("family level must be an int and weights a list")
+    unity = doc.get("unity", False)
+    if not (_is_int(doc["level"]) and isinstance(doc["weights"], list) and isinstance(unity, bool)):
+        raise DomainError("family level must be an int, weights a list and unity a boolean")
     weights: dict = {}
     for entry in doc["weights"]:
         if not (isinstance(entry, dict) and {"index", "tuple", "weight"} <= entry.keys()):
@@ -140,7 +144,7 @@ def family_from_json(model: CoverModel, doc: dict) -> PartitionFamily:
         if not isinstance(t, list) or any(isinstance(c, (list, dict)) for c in t):
             raise DomainError(f"weight tuple {t!r} is not a list of point ids")
         weights.setdefault(i, {})[tuple(t)] = _weight_from_json(entry["weight"])
-    return PartitionFamily(model, doc["level"], weights, unity=bool(doc.get("unity", False)))
+    return PartitionFamily(model, doc["level"], weights, unity=unity)
 
 
 def first_hit_family(model: CoverModel, q: int) -> PartitionFamily:

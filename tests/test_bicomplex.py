@@ -6,12 +6,11 @@ import pytest
 from locco import (DomainError, PartitionFamily, Rationals, RealVectors,
                    SupportError, TotalCochain, approximate_row_contraction,
                    augment_cech, augment_local, cech_coboundary,
-                   first_hit_family, local_differential,
+                   contraction_defect, first_hit_family, local_differential,
                    page_vertical_differential, random_local_cochain,
                    random_page, random_unity_family, row_contraction,
-                   row_contraction_to_local, scale_page_by_weight_sum,
-                   sigma_row_contraction, total_differential, total_from_page,
-                   uniform_unity_family)
+                   scale_page_by_weight_sum, sigma_row_contraction,
+                   total_differential, total_from_page, uniform_unity_family)
 from locco.loopfill import linear_contraction, sigma_fill
 from locco.cli import load_bundled_model
 
@@ -19,15 +18,7 @@ Q = Rationals()
 
 
 def homotopy_identity_holds(model, family, p, rng):
-    page = random_page(model, Q, p, family.q, rng)
-    if p >= 1:
-        back = cech_coboundary(row_contraction(page, family)).add(
-            row_contraction(cech_coboundary(page), family))
-    else:
-        f = row_contraction_to_local(page, family)
-        back = augment_local(f).add(
-            row_contraction(cech_coboundary(page), family))
-    return back.sub(page).is_zero()
+    return contraction_defect(random_page(model, Q, p, family.q, rng), family).is_zero()
 
 
 def test_first_hit_family_is_exact_unity():
@@ -108,6 +99,24 @@ def test_sigma_row_contraction_matches_linear():
         page = random_page(m, R2, 1, q, rng)
         assert row_contraction(page, fam).max_deviation(
             sigma_row_contraction(page, fam, fill)) < 1e-9
+
+
+def test_sigma_row_contraction_hands_the_filler_the_smallest_index_first():
+    m = load_bundled_model("hexagon")
+    weights = {i: {} for i in reversed(range(len(m.cover)))}   # family order: largest first
+    for t in m.diagonal_neighborhood(0).tuples:
+        active = [i for i, mem in enumerate(m.cover) if t[0] in mem]
+        for k, i in enumerate(active):
+            weights[i][t] = (k + 1) / (len(active) * (len(active) + 1) / 2)
+    fam = PartitionFamily(m, 0, weights, unity=True, label="graded")
+    fill = lambda vs, ws: (ws[0], ws[-1])
+    page = random_page(m, RealVectors(2), 1, 0, random.Random(29), entries=12)
+    out = sigma_row_contraction(page, fam, fill)
+    assert any(len(fam.active_indices(t)) > 1 for func in out.components.values() for t in func)
+    for func in out.components.values():
+        for t, value in func.items():
+            active = fam.active_indices(t)
+            assert value == (fam.weight(active[0], t), fam.weight(active[-1], t))
 
 
 def test_sigma_row_contraction_requires_vectors_and_nonneg():

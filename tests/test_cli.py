@@ -317,6 +317,7 @@ GOOD_WEIGHT = {"index": 0, "tuple": [0], "weight": 1}
 @pytest.mark.parametrize("doc", [
     [GOOD_WEIGHT],
     {"level": None, "weights": [GOOD_WEIGHT]},
+    {"level": 0, "unity": "false", "weights": [GOOD_WEIGHT]},
     {"level": 0, "weights": 5},
     {"level": 0, "weights": [[0]]},
     {"level": 0, "weights": [{"index": 0, "tuple": [0]}]},
@@ -329,7 +330,7 @@ GOOD_WEIGHT = {"index": 0, "tuple": [0], "weight": 1}
     {"level": 0, "weights": [{"index": 0, "tuple": [0], "weight": float("nan")}]},
     {"level": 0, "weights": [{"index": 0, "tuple": [0], "weight": "one"}]},
     {"level": 0, "weights": [{"index": 0, "tuple": [0], "weight": "1/0"}]},
-], ids=["not-an-object", "level-null", "weights-int", "entry-list", "weight-missing",
+], ids=["not-an-object", "level-null", "unity-str", "weights-int", "entry-list", "weight-missing",
         "index-str", "tuple-int", "tuple-of-lists", "weight-null", "weight-list",
         "weight-bool", "weight-nan", "weight-word", "weight-zero-denominator"])
 def test_malformed_family_file_is_a_domain_error(tmp_path, doc):
