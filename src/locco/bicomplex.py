@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .coeff import CoefficientSystem, RealVectors
-from .cochains import (CechPage, LocalCochain, cech_coboundary,
+from .cochains import (CechPage, LocalCochain, _is_int, cech_coboundary,
                        page_vertical_differential, permutation_sign)
 from .errors import DomainError, SupportError
 from .model import CoverModel
@@ -69,9 +69,6 @@ class PartitionFamily:
             if (exact and dev != 0) or (not exact and dev > self.tol):
                 raise SupportError(f"family is not a partition of unity (deviation {dev})")
 
-    def weight(self, i: int, t: tuple):
-        return self.weights.get(i, {}).get(tuple(t), 0)
-
     def weight_sum(self, t: tuple):
         total = 0
         for wmap in self.weights.values():
@@ -79,10 +76,6 @@ class PartitionFamily:
             if w:
                 total = total + w
         return total
-
-    def active_indices(self, t: tuple) -> tuple:
-        tt = tuple(t)
-        return tuple(sorted(i for i, wmap in self.weights.items() if wmap.get(tt)))
 
     def max_unity_deviation(self) -> float:
         domain = self.model.diagonal_neighborhood(self.q)
@@ -107,10 +100,6 @@ class PartitionFamily:
                     w = int(w)
                 entries.append({"index": i, "tuple": list(t), "weight": w})
         return {"level": self.q, "unity": self.unity, "weights": entries}
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _weight_from_json(raw):

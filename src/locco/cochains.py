@@ -154,14 +154,26 @@ class LocalCochain:
         }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def local_cochain_from_json(model: CoverModel, system: CoefficientSystem, doc: dict) -> LocalCochain:
-    if "degree" not in doc or "values" not in doc:
+    """The cochain of a ``{"degree", "values"}`` document, the form
+    :meth:`LocalCochain.to_json_dict` writes; a malformed one is a
+    :class:`DomainError`."""
+    if not isinstance(doc, dict) or "degree" not in doc or "values" not in doc:
         raise DomainError("cochain document needs degree and values")
+    degree = doc["degree"]
+    if not (_is_int(degree) and isinstance(doc["values"], list)):
+        raise DomainError("cochain degree must be an int and values a list")
     vals = {}
     for entry in doc["values"]:
-        t = tuple(entry["tuple"])
-        vals[t] = system.value_from_json(entry["value"])
-    return LocalCochain(model, system, int(doc["degree"]), vals)
+        if not (isinstance(entry, dict) and "value" in entry
+                and isinstance(entry.get("tuple"), list)):
+            raise DomainError(f"cochain entry {entry!r} needs a tuple list and a value")
+        vals[tuple(entry["tuple"])] = system.value_from_json(entry["value"])
+    return LocalCochain(model, system, degree, vals)
 
 
 def local_differential(f: LocalCochain) -> LocalCochain:

@@ -94,7 +94,7 @@ def _degreewise_match(profiles: Sequence, max_degree: int) -> tuple:
 def _check_column_contraction(model: CoverModel, system: CoefficientSystem,
                               rng) -> bool:
     """Cone identity on a standard complex over one intersection."""
-    nerve = model.nerve(max_dim=1)
+    nerve = model.nerve()
     indices = (nerve.of_dimension(1) or nerve.of_dimension(0))[0]
     members = model.intersection(indices)
     base = smallest_point(model, members)
@@ -204,14 +204,15 @@ def is_acyclic(model: CoverModel, indices: Sequence[int],
     """Does the full subcomplex on an intersection look like a point?
 
     The first call on a model settles every nerve simplex at once
-    (:func:`_nerve_statuses`); later calls look the status up.  Every index
-    tuple with a nonempty intersection is a nerve simplex, so any other is
-    empty once :meth:`CoverModel.intersection` has checked it.
+    (:func:`_nerve_statuses`) and keeps the statuses on the model; later
+    calls look the status up.  Every index tuple with a nonempty
+    intersection is a nerve simplex, so any other is empty once
+    :meth:`CoverModel.intersection` has checked it.
     """
     if model.complex is None:
         raise ModelError("acyclicity needs a model with a complex")
     idx = tuple(indices)
-    status = _nerve_statuses(model, system).get(idx)
+    status = model.cached(("acyclic", system), _nerve_statuses, model, system).get(idx)
     if status is not None:
         return status
     model.intersection(idx)
@@ -219,7 +220,7 @@ def is_acyclic(model: CoverModel, indices: Sequence[int],
 
 
 def _nerve_statuses(model: CoverModel, system: CoefficientSystem) -> dict:
-    """The status of every nerve simplex, from one batch kept on the model.
+    """The status of every nerve simplex, from one batch.
 
     Each distinct intersection is one block of a single
     :class:`SimplicialComplexSpec`: its full subcomplex plus its points
@@ -227,11 +228,6 @@ def _nerve_statuses(model: CoverModel, system: CoefficientSystem) -> dict:
     then takes every block's profile, up to the block's own top degree,
     from one assembly per degree.
     """
-    key = ("acyclic", system)
-    with model._lock:
-        cached = model._cache.get(key)
-    if cached is not None:
-        return cached
     where = {simplex: model.intersection(simplex) for simplex in model.nerve().simplices}
     block: dict = {}   # intersection -> block
     for pts in where.values():
@@ -250,8 +246,6 @@ def _nerve_statuses(model: CoverModel, system: CoefficientSystem) -> dict:
         statuses[simplex] = AcyclicityStatus(
             indices=simplex, empty=False, profile=profile,
             acyclic=profile[0] == point and all(h == zero for h in profile[1:]))
-    with model._lock:
-        model._cache[key] = statuses
     return statuses
 
 
@@ -259,37 +253,26 @@ def _nerve_statuses(model: CoverModel, system: CoefficientSystem) -> dict:
 # the restriction map to simplicial cochains
 
 
-def _restriction_matrix(model: CoverModel, simp_basis: tuple,
-                        local_basis: tuple) -> list:
-    """Rows select, per simplex, the coordinate of its vertex tuple."""
-    pos = {t: c for c, t in enumerate(local_basis)}
-    rows = []
-    for s in simp_basis:
-        if s not in pos:
-            raise ModelError(f"simplex {s} has no tuple in the local basis")
-        rows.append({pos[s]: 1})
-    return rows
-
-
-def _compose(second: Sequence[dict], first: Sequence[dict]) -> list:
-    out = []
-    for row in second:
-        acc: dict = {}
-        for mid, a in row.items():
-            for col, b in first[mid].items():
-                acc[col] = acc.get(col, 0) + a * b
-        out.append({c: v for c, v in acc.items() if v})
-    return out
+def _local_positions(model: CoverModel, n: int, simplices: tuple) -> list:
+    """Where each degree-n simplex's vertex tuple sits in the local basis:
+    restriction to simplices reads exactly these coordinates."""
+    domain = model.diagonal_neighborhood(n)
+    try:
+        return [domain.index(s) for s in simplices]
+    except KeyError as exc:
+        raise ModelError(f"simplex {exc.args[0]} has no tuple in the local basis") from None
 
 
 def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
                       max_degree: int) -> ComparisonReport:
     """Restriction to simplices induces a bijection on cohomology.
 
-    Gated on every nonempty intersection having an acyclic full subcomplex;
-    the chain-map property is checked exactly on integer matrices before
-    any rank is taken, and bijectivity is certified by the rank of the
-    harvested cocycle images in the target quotient.
+    Gated on every nonempty intersection having an acyclic full subcomplex.
+    The restriction λ selects one local coordinate per simplex, so the
+    chain-map property is checked exactly on the integer matrices, row by
+    row: row λ(s) of d_local is row s of d_simp with its columns read
+    through λ.  Bijectivity is certified by the rank of the harvested
+    cocycle images in the target quotient.
     """
     if not system.is_field:
         raise CoefficientError("induced-map ranks need field coefficients")
@@ -312,21 +295,21 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
     local_ranks, simp_ranks, induced = [], [], []
     chain_map_ok = True
     d_simp_below = None
+    lam = _local_positions(model, 0, simp_spec.basis(0))
     for n in range(max_degree + 1):
         d_local = assemble_matrix(local_spec, n)
         d_simp = assemble_matrix(simp_spec, n)
         kernel = kernel_basis(d_local, system)
         local_ranks.append(len(d_local.col_labels) - len(kernel))
         simp_ranks.append(matrix_rank(d_simp, system))
-        lam_n = _restriction_matrix(model, d_simp.col_labels, d_local.col_labels)
-        lam_next = _restriction_matrix(model, d_simp.row_labels, d_local.row_labels)
-        if _compose(d_simp.rows, lam_n) != _compose(lam_next, d_local.rows):
-            chain_map_ok = False
-        images = [{s: vec[c] for s, row in enumerate(lam_n) for c in row if c in vec}
-                  for vec in kernel]
+        lam_next = _local_positions(model, n + 1, d_simp.row_labels)
+        chain_map_ok = chain_map_ok and all(
+            d_local.rows[lam_next[s]] == {lam[c]: v for c, v in row.items()}
+            for s, row in enumerate(d_simp.rows))
+        images = [{s: vec[c] for s, c in enumerate(lam) if c in vec} for vec in kernel]
         boundaries = [] if d_simp_below is None else d_simp_below.columns
         induced.append(rank_in_quotient(images, boundaries, system))
-        d_simp_below = d_simp
+        d_simp_below, lam = d_simp, lam_next
     local_profile = profile_from_ranks(
         [len(local_spec.basis(n)) for n in range(max_degree + 2)], local_ranks)
     simp_profile = profile_from_ranks(
@@ -361,7 +344,6 @@ def colimit_scan(m: int, radii: Sequence[int], system: CoefficientSystem,
     the simplicial profile of the underlying cycle.
     """
     reports = []
-    profiles = []
     for k in radii:
         model = left_invariant_cover(m, k)
         total = cohomology_profile(TotalComplexSpec(model), system, max_degree)
@@ -369,24 +351,17 @@ def colimit_scan(m: int, radii: Sequence[int], system: CoefficientSystem,
             SimplicialComplexSpec(model.complex, model.point_key),
             system, max_degree)
         matches = _degreewise_match([total, simp], max_degree)
-        profiles.append(tuple(total))
         reports.append(ComparisonReport(
             kind="colimit-scan", model_name=model.name,
             model_hash=model_hash(model), coefficients=system.name,
             max_degree=max_degree, profiles={"total": total, "simplicial": simp},
             matches=matches, isomorphic=all(matches),
             extras={"radius": int(k)}))
-    stabilized = len(set(profiles)) <= 1
-    out = []
+    # the verdict needs every profile; the reports are not handed out yet
+    stabilized = len({tuple(rep.profiles["total"]) for rep in reports}) <= 1
     for rep in reports:
-        extras = dict(rep.extras)
-        extras["stabilized"] = stabilized
-        out.append(ComparisonReport(
-            kind=rep.kind, model_name=rep.model_name, model_hash=rep.model_hash,
-            coefficients=rep.coefficients, max_degree=rep.max_degree,
-            profiles=rep.profiles, matches=rep.matches,
-            isomorphic=rep.isomorphic, extras=extras))
-    return out
+        rep.extras["stabilized"] = stabilized
+    return reports
 
 
 # ---------------------------------------------------------------------------

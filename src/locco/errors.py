@@ -18,7 +18,7 @@ class BudgetError(LoccoError):
         self.what = what
         super().__init__(
             f"enumeration of {what} needs {size} raw tuples "
-            f"but the budget is {budget}; raise LOCCO_BUDGET or pass a larger budget"
+            f"but the budget is {budget}; raise LOCCO_BUDGET"
         )
 
 

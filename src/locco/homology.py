@@ -90,15 +90,14 @@ def _block_faces(simplices: Sequence[tuple], offset: int = 0, empty: int = -1) -
     return table
 
 
-def _power_blocks(model: CoverModel, blocks: list, size: int, budget: Optional[int],
-                  what: str) -> tuple:
+def _power_blocks(model: CoverModel, blocks: list, size: int, what: str) -> tuple:
     """Tuples from intersections, in (block id, index tuple, arity) blocks.
 
     The budget is charged |U_indices|^arity per block before any block is
     enumerated.  Returns the blocks' :class:`TupleSet`s and their codes,
     ``block id * size + tuple code``, in block order.
     """
-    limit = enumeration_budget(budget)
+    limit = enumeration_budget()
     charge = sum(len(model.intersection(idx)) ** arity for _, idx, arity in blocks)
     if charge > limit:
         raise BudgetError(charge, limit, what)
@@ -148,14 +147,13 @@ class LocalComplexSpec(ComplexSpec):
 
     label = "local"
 
-    def __init__(self, model: CoverModel, budget: Optional[int] = None):
+    def __init__(self, model: CoverModel):
         super().__init__()
         self.model = model
-        self.budget = budget
         self.radix = len(model.points)
 
     def _build_basis(self, n: int) -> tuple:
-        domain = self.model.diagonal_neighborhood(n, budget=self.budget)
+        domain = self.model.diagonal_neighborhood(n)
         return domain.tuples, domain.codes
 
 
@@ -246,18 +244,17 @@ class TotalComplexSpec(ComplexSpec):
 
     label = "total"
 
-    def __init__(self, model: CoverModel, budget: Optional[int] = None):
+    def __init__(self, model: CoverModel):
         super().__init__()
         self.model = model
         self.nerve = model.nerve()
-        self.budget = budget
         self.radix = len(model.points)
         self._faces = _block_faces(self.nerve.simplices)
 
     def _build_basis(self, n: int) -> tuple:
         blocks = [(b, idx, n + 2 - len(idx)) for b, idx in enumerate(self.nerve.simplices)
                   if len(idx) <= n + 1]
-        powers, codes = _power_blocks(self.model, blocks, self.radix ** (n + 1), self.budget,
+        powers, codes = _power_blocks(self.model, blocks, self.radix ** (n + 1),
                                       f"total-complex basis in degree {n}")
         labels = tuple((len(idx) - 1, idx, t)
                        for (_, idx, _), power in zip(blocks, powers) for t in power.tuples)
@@ -283,22 +280,21 @@ class AugmentedRowSpec(ComplexSpec):
 
     label = "augmented-row"
 
-    def __init__(self, model: CoverModel, q: int, budget: Optional[int] = None):
+    def __init__(self, model: CoverModel, q: int):
         super().__init__()
         self.model = model
         self.q = q
         self.nerve = model.nerve()
-        self.budget = budget
         self.radix = len(model.points)
         self._faces = _block_faces(self.nerve.simplices, offset=1, empty=0)
 
     def _build_basis(self, n: int) -> tuple:
         if n == 0:
-            domain = self.model.diagonal_neighborhood(self.q, budget=self.budget)
+            domain = self.model.diagonal_neighborhood(self.q)
             return domain.tuples, domain.codes
         blocks = [(b, idx, self.q + 1) for b, idx in enumerate(self.nerve.simplices, 1)
                   if len(idx) == n]
-        powers, codes = _power_blocks(self.model, blocks, self.radix ** (self.q + 1), self.budget,
+        powers, codes = _power_blocks(self.model, blocks, self.radix ** (self.q + 1),
                                       f"augmented-row basis in degree {n}")
         labels = tuple((idx, t) for (_, idx, _), power in zip(blocks, powers) for t in power.tuples)
         return labels, codes

@@ -43,23 +43,20 @@ _CHUNK_CELLS = 1 << 18
 class LoopContraction:
     """Additive family of self-maps with identity at 0 and zero map at 1.
 
-    ``reversed`` adapts carriers whose native sliding runs the other way
-    (zero map at 0); the evaluation flips the time argument.  A scalar time
-    reaches ``apply`` as a float; times for a batch, one per row of ``v``,
-    reach it shaped ``(rows, 1, ..., 1)`` so they broadcast over the carrier.
+    A scalar time reaches ``apply`` as a float; times for a batch, one per
+    row of ``v``, reach it shaped ``(rows, 1, ..., 1)`` so they broadcast
+    over the carrier.
     """
 
     name: str
     apply: Callable
-    reversed: bool = False
 
     def __call__(self, v, t):
         v = np.asarray(v, dtype=float)
         t = np.asarray(t, dtype=float)
-        s = 1.0 - t if self.reversed else t
-        if s.ndim == 0:
-            return self.apply(v, float(s))
-        return self.apply(v, s.reshape(s.shape + (1,) * (v.ndim - s.ndim)))
+        if t.ndim == 0:
+            return self.apply(v, float(t))
+        return self.apply(v, t.reshape(t.shape + (1,) * (v.ndim - t.ndim)))
 
 
 def linear_contraction() -> LoopContraction:
@@ -401,11 +398,6 @@ class SampledPath:
         """Linear interpolation between samples."""
         t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
         return _interp_rows(t[None], self.grid(), self.values[None])[0]
-
-    def add(self, other: "SampledPath") -> "SampledPath":
-        if self.values.shape != other.values.shape:
-            raise DomainError("paths have different sample shapes")
-        return SampledPath(self.values + other.values)
 
 
 def path_from_function(func: Callable, samples: int = DEFAULT_PATH_SAMPLES) -> SampledPath:

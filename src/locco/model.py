@@ -27,10 +27,8 @@ DEFAULT_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "LOCCO_BUDGET"
 
 
-def enumeration_budget(override: Optional[int] = None) -> int:
-    """Effective tuple budget: explicit override, else env var, else default."""
-    if override is not None:
-        return int(override)
+def enumeration_budget() -> int:
+    """Effective tuple budget: the env var, else the default."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
@@ -212,19 +210,33 @@ class CoverModel:
 
     # -- cover combinatorics --------------------------------------------------
 
-    def diagonal_neighborhood(self, n: int, budget: Optional[int] = None) -> TupleSet:
+    def cached(self, key, build, *args):
+        """The value kept under ``key``, made by ``build(*args)`` on first use.
+
+        The build runs outside the lock, so it may itself read the cache; if
+        two threads race, the value stored first is the one kept.
+        """
+        with self._lock:
+            value = self._cache.get(key)
+        if value is None:
+            value = build(*args)
+            with self._lock:
+                value = self._cache.setdefault(key, value)
+        return value
+
+    def diagonal_neighborhood(self, n: int) -> TupleSet:
         """All (n+1)-tuples lying in some cover set's (n+1)-st power.
 
         The budget is charged for the tuples the loop visits, the sum of
-        |U_i|^(n+1) over the cover sets, before any is enumerated.
+        |U_i|^(n+1) over the cover sets, before any is enumerated.  A level
+        already enumerated is not charged again.
         """
+        return self.cached(("diag", n), self._diagonal_neighborhood, n)
+
+    def _diagonal_neighborhood(self, n: int) -> TupleSet:
         if n < 0:
             raise ModelError(f"level must be nonnegative, got {n}")
-        with self._lock:
-            cached = self._cache.get(("diag", n))
-        if cached is not None:
-            return cached
-        limit = enumeration_budget(budget)
+        limit = enumeration_budget()
         size = sum(len(members) ** (n + 1) for members in self.cover)
         if size > limit:
             raise BudgetError(size, limit,
@@ -237,10 +249,7 @@ class CoverModel:
         # would fault in about 0.8 MB more of numpy at first use
         codes.sort(kind="stable")
         codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-        ts = self._tuple_set(codes, n + 1, f"diag[{n}]")
-        with self._lock:
-            self._cache[("diag", n)] = ts
-        return ts
+        return self._tuple_set(codes, n + 1, f"diag[{n}]")
 
     def _positions(self, pts: Iterable, dtype) -> np.ndarray:
         """Ascending point positions of ``pts``, as digits of the given dtype."""
@@ -254,10 +263,9 @@ class CoverModel:
     def intersection(self, indices: Sequence[int]) -> tuple:
         """Common points of the named cover sets, in point order."""
         idx = tuple(indices)
-        with self._lock:
-            cached = self._cache.get(("inter", idx))
-        if cached is not None:
-            return cached
+        return self.cached(("inter", idx), self._intersection, idx)
+
+    def _intersection(self, idx: tuple) -> tuple:
         if len(idx) == 0:
             raise ModelError("need at least one cover index")
         if any(a >= b for a, b in zip(idx, idx[1:])):
@@ -268,40 +276,29 @@ class CoverModel:
         common = set(self.cover[idx[0]])
         for i in idx[1:]:
             common &= self.cover[i]
-        out = self.sort_points(common)
-        with self._lock:
-            self._cache[("inter", idx)] = out
-        return out
+        return self.sort_points(common)
 
     def intersection_power(self, indices: Sequence[int], arity: int) -> TupleSet:
         """All arity-tuples drawn from the intersection of the named sets."""
-        key = ("ipow", tuple(indices), arity)
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        radix = len(self.points)
-        positions = self._positions(self.intersection(indices), code_dtype(radix ** arity))
-        ts = self._tuple_set(product_codes(positions, arity, radix), arity,
-                             f"U{tuple(indices)}^{arity}")
-        with self._lock:
-            self._cache[key] = ts
-        return ts
+        idx = tuple(indices)
+        return self.cached(("ipow", idx, arity), self._intersection_power, idx, arity)
 
-    def nerve(self, max_dim: Optional[int] = None) -> Nerve:
+    def _intersection_power(self, idx: tuple, arity: int) -> TupleSet:
+        radix = len(self.points)
+        positions = self._positions(self.intersection(idx), code_dtype(radix ** arity))
+        return self._tuple_set(product_codes(positions, arity, radix), arity, f"U{idx}^{arity}")
+
+    def nerve(self) -> Nerve:
         """All strictly increasing index tuples with nonempty intersection.
 
         The budget is charged one unit per simplex kept.  The charge is
         checked after each dimension, so enumeration stops within one
         dimension of passing the limit.
         """
-        key = ("nerve", max_dim)
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        return self.cached(("nerve",), self._nerve)
+
+    def _nerve(self) -> Nerve:
         limit = enumeration_budget()
-        top = len(self.cover) if max_dim is None else min(max_dim + 1, len(self.cover))
         simplices = []
         # a subset meets only if all its 2-subsets meet; grow dimensionwise
         current = [(i,) for i in range(len(self.cover)) if self.cover[i]]
@@ -310,8 +307,6 @@ class CoverModel:
             if len(simplices) > limit:
                 raise BudgetError(len(simplices), limit,
                                   f"the nerve of {len(self.cover)} cover sets")
-            if len(current[0]) >= top:
-                break
             previous, current = current, []
             for base in previous:
                 common = set(self.cover[base[0]])
@@ -320,10 +315,7 @@ class CoverModel:
                 for j in range(base[-1] + 1, len(self.cover)):
                     if common & self.cover[j]:
                         current.append(base + (j,))
-        nerve = Nerve(simplices=tuple(sorted(simplices, key=lambda s: (len(s), s))))
-        with self._lock:
-            self._cache[key] = nerve
-        return nerve
+        return Nerve(simplices=tuple(sorted(simplices, key=lambda s: (len(s), s))))
 
     def u_small_subcomplex(self) -> tuple:
         """Simplices of the model complex whose vertex set sits in one cover set."""

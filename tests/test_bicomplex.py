@@ -112,11 +112,15 @@ def test_sigma_row_contraction_hands_the_filler_the_smallest_index_first():
     fill = lambda vs, ws: (ws[0], ws[-1])
     page = random_page(m, RealVectors(2), 1, 0, random.Random(29), entries=12)
     out = sigma_row_contraction(page, fam, fill)
-    assert any(len(fam.active_indices(t)) > 1 for func in out.components.values() for t in func)
+
+    def active(t):
+        return sorted(i for i, wmap in fam.weights.items() if wmap.get(t))
+
+    assert any(len(active(t)) > 1 for func in out.components.values() for t in func)
     for func in out.components.values():
         for t, value in func.items():
-            active = fam.active_indices(t)
-            assert value == (fam.weight(active[0], t), fam.weight(active[-1], t))
+            first, last = active(t)[0], active(t)[-1]
+            assert value == (fam.weights[first][t], fam.weights[last][t])
 
 
 def test_sigma_row_contraction_requires_vectors_and_nonneg():

@@ -153,6 +153,31 @@ def test_failing_check_exit_code(tmp_path):
     assert "counterexample" in doc["result"]
 
 
+def test_verify_contraction_tolerates_real_rounding(tmp_path):
+    # random integer weights leave a residue of about 2e-16 over R^2
+    code, doc, _ = run_to_file(
+        tmp_path, ["verify-contraction", model_path("hexagon"), "--family", "random:0",
+                   "--pq", "0,0", "--coeff", "Rd:2"])
+    assert code == 0
+    assert doc["passed"] is True
+
+
+def test_verify_contraction_real_defect_still_fails(tmp_path):
+    # first-hit weights doubled sum to 2, so the identity fails by a whole page
+    fam = locco.first_hit_family(load_bundled_model("hexagon"), 0).to_json_dict()
+    fam["unity"] = False
+    for entry in fam["weights"]:
+        entry["weight"] *= 2
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(fam))
+    code, doc, _ = run_to_file(
+        tmp_path, ["verify-contraction", model_path("hexagon"), "--family", f"file:{fam_path}",
+                   "--pq", "0,0", "--coeff", "Rd:2"])
+    assert code == 1
+    assert doc["passed"] is False
+    assert doc["result"]["counterexample"]
+
+
 def test_report_determinism(tmp_path):
     argv = ["compare", model_path("hexagon"), "--coeff", "Q",
             "--max-degree", "1", "--lambda"]

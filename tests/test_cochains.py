@@ -78,6 +78,18 @@ def test_local_cochain_validation_and_json():
     assert back.sub(f).is_zero()
 
 
+@pytest.mark.parametrize("doc", [
+    5,
+    {"degree": 0, "values": 5},
+    {"degree": 0, "values": [[0]]},
+    {"degree": None, "values": []},
+    {"degree": True, "values": []},
+], ids=["not-an-object", "values-int", "entry-list", "degree-null", "degree-bool"])
+def test_malformed_cochain_document_is_a_domain_error(doc):
+    with pytest.raises(DomainError):
+        local_cochain_from_json(load_bundled_model("interval"), Q, doc)
+
+
 def test_page_validation():
     m = load_bundled_model("hexagon")
     with pytest.raises(DomainError):

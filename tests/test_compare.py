@@ -11,6 +11,9 @@ from locco import (AcyclicityError, AcyclicityStatus, CoverModel, Integers,
                    left_invariant_cover, model_hash, random_cover_model,
                    verify_lambda_iso, verify_local_vs_cech)
 from locco import compare
+from locco import model as model_module
+from locco.homology import BoundaryMatrix
+from locco.model import Nerve
 from locco.cli import bundled_model_names, load_bundled_model
 
 Q = Rationals()
@@ -188,6 +191,40 @@ def test_lambda_iso_on_good_covers():
     interval = load_bundled_model("interval")
     rep0 = verify_lambda_iso(interval, Q, 1)
     assert rep0.isomorphic and rep0.induced_ranks == (1, 0)
+
+
+def test_lambda_iso_detects_a_broken_chain_map(monkeypatch):
+    # one sign flipped in the simplicial coboundary into degree 1 (the
+    # hexagon has no triangles, so it is the only nonzero one) breaks
+    # d_simp λ = λ d_local
+    assemble = compare.assemble_matrix
+
+    def tampered(spec, n):
+        mat = assemble(spec, n)
+        if isinstance(spec, SimplicialComplexSpec) and n == 0:
+            r, c, v = mat.entries
+            v = v.copy()
+            v[0] = -v[0]
+            mat = BoundaryMatrix(mat.row_labels, mat.col_labels, (r, c, v))
+        return mat
+
+    monkeypatch.setattr(compare, "assemble_matrix", tampered)
+    rep = verify_lambda_iso(load_bundled_model("hexagon"), Q, 1)
+    assert rep.extras["chain_map_exact"] is False
+    assert rep.isomorphic is False
+
+
+def test_local_vs_cech_builds_one_nerve(monkeypatch):
+    built = []
+
+    class CountedNerve(Nerve):
+        def __init__(self, simplices):
+            built.append(len(simplices))
+            super().__init__(simplices)
+
+    monkeypatch.setattr(model_module, "Nerve", CountedNerve)
+    verify_local_vs_cech(load_bundled_model("hexagon"), Q, 1)
+    assert len(built) == 1
 
 
 def test_lambda_iso_gate_raises_on_bad_cover():

@@ -195,16 +195,6 @@ def test_vector_battery_passes():
         assert max(r.max_deviation for r in reports) < 1e-12
 
 
-def test_reversed_contraction_flag():
-    backwards = LoopContraction(name="linear-backwards",
-                                apply=lambda v, t: t * v, reversed=True)
-    v = np.array([1.0, -2.0])
-    assert np.allclose(backwards(v, 0.0), v)
-    assert np.allclose(backwards(v, 1.0), 0.0)
-    got = sigma_fill(backwards, [(1, 0), (0, 1)], [0.25, 0.75])
-    assert np.allclose(got, (0.25, 0.75))
-
-
 def test_sampled_path_validation():
     with pytest.raises(DomainError):
         SampledPath(np.array([1.0, 0.0]))
@@ -268,8 +258,8 @@ def _weight_row(rng, k, kind):
 
 CONTRACTIONS = {
     "linear": (linear_contraction(), ((), (1,), (3,), (2, 2))),
-    "reversed": (LoopContraction("linear-backwards", lambda v, t: t * v, reversed=True),
-                 ((), (2,), (2, 3))),
+    "user": (LoopContraction("quadratic", lambda v, t: (1.0 - t) ** 2 * v),
+             ((), (2,), (2, 3))),
     "path": (path_loop_contraction(17), ((17,), (17, 2))),
 }
 
@@ -317,12 +307,12 @@ def test_chunked_checks_give_the_same_reports(monkeypatch, cells):
 
 
 def test_user_contraction_runs_on_a_batch():
-    backwards = LoopContraction("linear-backwards", lambda v, t: t * v, reversed=True)
+    quadratic = LoopContraction("quadratic", lambda v, t: (1.0 - t) ** 2 * v)
     vs = np.arange(12.0).reshape(4, 3)
     ts = np.array([0.0, 0.25, 0.5, 1.0])
-    got = backwards(vs, ts)
+    got = quadratic(vs, ts)
     for row in range(4):
-        assert _bits(got[row]) == _bits(backwards(vs[row], float(ts[row])))
+        assert _bits(got[row]) == _bits(quadratic(vs[row], float(ts[row])))
 
 
 def test_path_helpers_match_np_interp():

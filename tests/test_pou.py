@@ -202,7 +202,7 @@ def test_plateau_partition_matches_family():
     fam = plateau_family(12, 3, 1, 1)
     for col, t in enumerate(fam.domain.points):
         for g in range(12):
-            assert (part.weight(g, t) != 0) == (fam.values[g, col] != 0.0)
+            assert (part.weights.get(g, {}).get(t, 0) != 0) == (fam.values[g, col] != 0.0)
     with pytest.raises(DomainError):
         plateau_partition(left_invariant_cover(12, 2), 3, 1, 1)
 
