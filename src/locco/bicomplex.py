@@ -455,6 +455,6 @@ def random_page(model: CoverModel, system: CoefficientSystem, p: int, q: int,
         power = model.intersection_power(idx, q + 1)
         if len(power) == 0:
             continue
-        t = power.tuples[rng.randrange(len(power))]
+        t = power.at(rng.randrange(len(power)))
         components.setdefault(idx, {})[t] = system.random_value(rng)
     return CechPage(model, system, p, q, components)

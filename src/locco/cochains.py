@@ -188,7 +188,7 @@ def random_local_cochain(model: CoverModel, system: CoefficientSystem, degree: i
     domain = model.diagonal_neighborhood(degree)
     vals = {}
     for _ in range(min(entries, len(domain))):
-        t = domain.tuples[rng.randrange(len(domain))]
+        t = domain.at(rng.randrange(len(domain)))
         vals[t] = system.random_value(rng)
     return LocalCochain(model, system, degree, vals)
 

@@ -18,6 +18,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .bicomplex import (PartitionFamily, contraction_defect, first_hit_family,
                         random_page)
 from .cochains import (smallest_point, standard_column_contraction,
@@ -29,7 +31,7 @@ from .homology import (CechComplexSpec, LocalComplexSpec,
                        assemble_matrix, block_profiles, cohomology_profile,
                        kernel_basis, matrix_rank, profile_from_ranks,
                        rank_in_quotient)
-from .model import CoverModel, left_invariant_cover
+from .model import CoverModel, encode, left_invariant_cover
 
 
 def model_hash(model: CoverModel) -> str:
@@ -256,11 +258,15 @@ def _nerve_statuses(model: CoverModel, system: CoefficientSystem) -> dict:
 def _local_positions(model: CoverModel, n: int, simplices: tuple) -> list:
     """Where each degree-n simplex's vertex tuple sits in the local basis:
     restriction to simplices reads exactly these coordinates."""
-    domain = model.diagonal_neighborhood(n)
-    try:
-        return [domain.index(s) for s in simplices]
-    except KeyError as exc:
-        raise ModelError(f"simplex {exc.args[0]} has no tuple in the local basis") from None
+    codes = model.diagonal_neighborhood(n).codes
+    digits = np.array([model.point_key(s) for s in simplices], dtype=np.int64).reshape(-1, n + 1)
+    wanted = encode(digits, len(model.points), codes.dtype)
+    at = codes.searchsorted(wanted)
+    found = np.concatenate((codes, [-1]))[at] == wanted   # codes are never negative
+    if not found.all():
+        missing = simplices[int(np.argmin(found))]
+        raise ModelError(f"simplex {missing} has no tuple in the local basis")
+    return at.tolist()
 
 
 def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
@@ -300,7 +306,7 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
         d_local = assemble_matrix(local_spec, n)
         d_simp = assemble_matrix(simp_spec, n)
         kernel = kernel_basis(d_local, system)
-        local_ranks.append(len(d_local.col_labels) - len(kernel))
+        local_ranks.append(d_local.shape[1] - len(kernel))
         simp_ranks.append(matrix_rank(d_simp, system))
         lam_next = _local_positions(model, n + 1, d_simp.row_labels)
         chain_map_ok = chain_map_ok and all(
@@ -311,9 +317,9 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
         induced.append(rank_in_quotient(images, boundaries, system))
         d_simp_below, lam = d_simp, lam_next
     local_profile = profile_from_ranks(
-        [len(local_spec.basis(n)) for n in range(max_degree + 2)], local_ranks)
+        [local_spec.size(n) for n in range(max_degree + 2)], local_ranks)
     simp_profile = profile_from_ranks(
-        [len(simp_spec.basis(n)) for n in range(max_degree + 2)], simp_ranks)
+        [simp_spec.size(n) for n in range(max_degree + 2)], simp_ranks)
 
     matches = tuple(local_profile[n] == simp_profile[n] and induced[n] == local_profile[n]
                     for n in range(max_degree + 1))

@@ -1,25 +1,31 @@
 """Exact cohomology: basis enumeration, integer matrices, ranks and torsion.
 
 Differentials of all complexes used here have integer entries, so dimension
-profiles over a field reduce to exact ranks of integer matrices.  One sparse
-eliminator, :class:`Echelon`, takes every field rank, kernel and quotient
-rank: it inserts rows one at a time into pivot rows keyed by leading column,
+profiles over a field reduce to exact ranks of integer matrices.  A basis is
+its ascending integer codes: sizes, matrices and ranks read only those, and
+labels are decoded from them when a caller first asks for them
+(:meth:`ComplexSpec.basis`).  The tuples of a nerve-blocked basis are
+enumerated for all blocks of one arity at once.  One sparse eliminator,
+:class:`Echelon`, takes every field rank, kernel and quotient rank: it
+inserts rows one at a time into pivot rows keyed by leading column,
 fraction-free with gcd stripping over Q and with normalised pivots over
-GF(p).  A matrix with more rows than columns has its rank taken through its
-columns.  A field profile leaves out of d_n's elimination every column at
-which a pivot row of d_{n-1}'s column elimination leads: once d_n d_{n-1} = 0
-is checked exactly over the integers by a sparse product, each such column
-is a combination of the columns after it.  Every differential is assembled
-in index space by one kernel, :func:`assemble_matrix`: basis elements are
-integer codes, faces are found by deleting a digit or swapping a block and
-matched to their columns by binary search.  Over the integers a sparse
-Smith elimination gives free ranks and torsion; its certificate, every
-elementary operation it made, is checked by replaying them on a fresh copy
-of the matrix, with no determinant taken.  Many small simplicial complexes
-are computed together as the blocks of one :class:`SimplicialComplexSpec`:
-its differentials are block-diagonal, so one assembly and one elimination
-per degree give each block's rank (:func:`block_profiles`), while over the
-integers each block keeps a Smith form of its own.
+GF(p); each row is built once, reduced mod p beforehand, and taken over by
+the eliminator without a copy.  A matrix with more rows than columns has its
+rank taken through its columns.  A field profile leaves out of d_n's
+elimination every column at which a pivot row of d_{n-1}'s column
+elimination leads: once d_n d_{n-1} = 0 is checked exactly over the integers
+by a sparse product, each such column is a combination of the columns after
+it.  Every differential is assembled in index space by one kernel,
+:func:`assemble_matrix`: basis elements are integer codes, faces are found
+by deleting a digit or swapping a block and matched to their columns by
+binary search.  Over the integers a sparse Smith elimination gives free
+ranks and torsion; its certificate, every elementary operation it made, is
+checked by replaying them on a fresh copy of the matrix, with no determinant
+taken.  Many small simplicial complexes are computed together as the blocks
+of one :class:`SimplicialComplexSpec`: its differentials are block-diagonal,
+so one assembly and one elimination per degree give each block's rank
+(:func:`block_profiles`), while over the integers each block keeps a Smith
+form of its own.
 """
 
 from __future__ import annotations
@@ -90,29 +96,64 @@ def _block_faces(simplices: Sequence[tuple], offset: int = 0, empty: int = -1) -
     return table
 
 
-def _power_blocks(model: CoverModel, blocks: list, size: int, what: str) -> tuple:
-    """Tuples from intersections, in (block id, index tuple, arity) blocks.
+def _power_blocks(model: CoverModel, blocks: list, size: int, what: str) -> np.ndarray:
+    """Codes of the tuples from intersections, in (block id, index tuple,
+    arity) blocks with ascending ids: ``block id * size + tuple code``.
 
     The budget is charged |U_indices|^arity per block before any block is
-    enumerated.  Returns the blocks' :class:`TupleSet`s and their codes,
-    ``block id * size + tuple code``, in block order.
+    enumerated.  Each run of blocks of one arity is enumerated at once: the
+    j-th tuple of a block is j written in base |U| with the first digit
+    most significant, each digit naming a point of U in point order, so the
+    codes ascend within each block as across blocks.
     """
     limit = enumeration_budget()
-    charge = sum(len(model.intersection(idx)) ** arity for _, idx, arity in blocks)
+    members = [model.intersection(idx) for _, idx, _ in blocks]
+    charge = sum(len(pts) ** arity for pts, (_, _, arity) in zip(members, blocks))
     if charge > limit:
         raise BudgetError(charge, limit, what)
     dtype = code_dtype(max((b + 1) * size for b, _, _ in blocks) if blocks else 1)
-    powers = [model.intersection_power(idx, arity) for _, idx, arity in blocks]
-    codes = [b * size + power.codes.astype(dtype) for (b, _, _), power in zip(blocks, powers)]
-    return powers, np.concatenate([np.zeros(0, dtype=dtype)] + codes)
+    ids = np.array([b for b, _, _ in blocks], dtype=np.int64)
+    arity = np.array([a for _, _, a in blocks], dtype=np.int64)
+    count = np.array([len(pts) for pts in members], dtype=np.int64)   # |U| per block
+    positions = np.array([model.point_index[x] for pts in members for x in pts], dtype=np.int64)
+    first = np.cumsum(count) - count   # where each block's points start in ``positions``
+    starts = np.flatnonzero(np.diff(arity, prepend=0)).tolist()   # arities are positive
+    codes = [np.zeros(0, dtype=dtype)]
+    for lo, hi in zip(starts, starts[1:] + [len(blocks)]):
+        k = int(arity[lo])
+        sizes = count[lo:hi] ** k
+        block = np.repeat(np.arange(lo, hi), sizes)
+        j = np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        radix_u, start = count[block], first[block]
+        t = np.zeros(len(block), dtype=dtype)
+        for place in range(k - 1, -1, -1):
+            digit = j // radix_u ** place % radix_u
+            t = t * len(model.points) + positions[start + digit].astype(dtype)
+        codes.append(ids[block].astype(dtype) * size + t)
+    return np.concatenate(codes)
+
+
+def _block_tuples(model: CoverModel, codes: np.ndarray, size: int, arity: np.ndarray) -> list:
+    """(block id, point tuple) of each code ``block id * size + tuple code``,
+    the tuple of ``arity[block id]`` points; arities are constant along runs."""
+    block = (codes // size).astype(np.int64)
+    lengths = arity[block]
+    starts = np.flatnonzero(np.diff(lengths, prepend=0)).tolist()   # arities are positive
+    tuples = []
+    for lo, hi in zip(starts, starts[1:] + [len(codes)]):
+        tuples.extend(model.tuples_of(codes[lo:hi] % size, int(lengths[lo])))
+    return list(zip(block.tolist(), tuples))
 
 
 class ComplexSpec:
     """A cochain complex presented by ordered bases, their ascending integer
     codes and a :class:`FaceRule` per differential.
 
-    The default rule has one block of (n + 1)-tuples in degree n, digits in
-    base ``radix``, and the alternating point-deletion differential.
+    The codes are the basis: sizes, matrices and ranks read only them.  The
+    labels (point tuples, index tuples, triples) are decoded from the codes
+    when :meth:`basis` is first called for a degree.  The default rule has
+    one block of (n + 1)-tuples in degree n, digits in base ``radix``, and
+    the alternating point-deletion differential.
     """
 
     label = ""
@@ -120,22 +161,33 @@ class ComplexSpec:
     drops_missing_faces = False
 
     def __init__(self):
+        self._codes: dict = {}
         self._bases: dict = {}
 
+    def codes(self, n: int) -> np.ndarray:
+        """Ascending integer codes of the degree-n basis, built once per degree."""
+        built = self._codes.get(n)
+        if built is None:
+            built = self._codes[n] = self._build_basis(n)
+        return built
+
+    def size(self, n: int) -> int:
+        """Dimension of the degree-n cochains."""
+        return len(self.codes(n))
+
     def basis(self, n: int) -> tuple:
-        """Ordered degree-n basis, built once per degree and then reused."""
+        """Labels of the degree-n basis in code order, decoded once."""
         built = self._bases.get(n)
         if built is None:
-            built = self._bases[n] = self._build_basis(n)
-        return built[0]
+            built = self._bases[n] = tuple(self._labels(n))
+        return built
 
-    def codes(self, n: int) -> np.ndarray:
-        """Ascending integer codes of the degree-n basis, in basis order."""
-        self.basis(n)
-        return self._bases[n][1]
+    def _build_basis(self, n: int) -> np.ndarray:
+        """Ascending codes of degree n."""
+        raise NotImplementedError
 
-    def _build_basis(self, n: int) -> tuple:
-        """(labels, codes) of degree n."""
+    def _labels(self, n: int) -> Sequence:
+        """Labels of ``codes(n)``, in order."""
         raise NotImplementedError
 
     def face_rule(self, n: int) -> FaceRule:
@@ -152,9 +204,11 @@ class LocalComplexSpec(ComplexSpec):
         self.model = model
         self.radix = len(model.points)
 
-    def _build_basis(self, n: int) -> tuple:
-        domain = self.model.diagonal_neighborhood(n)
-        return domain.tuples, domain.codes
+    def _build_basis(self, n: int) -> np.ndarray:
+        return self.model.diagonal_neighborhood(n).codes
+
+    def _labels(self, n: int) -> Sequence:
+        return self.model.tuples_of(self.codes(n), n + 1)
 
 
 class CechComplexSpec(ComplexSpec):
@@ -168,9 +222,11 @@ class CechComplexSpec(ComplexSpec):
         self.nerve = model.nerve()
         self._faces = _block_faces(self.nerve.simplices)
 
-    def _build_basis(self, n: int) -> tuple:
-        simplices = self.nerve.simplices
-        return self.nerve.of_dimension(n), np.flatnonzero([len(s) == n + 1 for s in simplices])
+    def _build_basis(self, n: int) -> np.ndarray:
+        return np.flatnonzero([len(s) == n + 1 for s in self.nerve.simplices])
+
+    def _labels(self, n: int) -> Sequence:
+        return self.nerve.of_dimension(n)
 
     def face_rule(self, n: int) -> FaceRule:
         blocks = len(self._faces)
@@ -214,13 +270,16 @@ class SimplicialComplexSpec(ComplexSpec):
             group[1].append(b)
             group[2].append(ranks)
 
-    def _build_basis(self, n: int) -> tuple:
-        simplices, blocks, ranks = self._by_length.get(n + 1, ((), (), ()))
+    def _build_basis(self, n: int) -> np.ndarray:
+        _, blocks, ranks = self._by_length.get(n + 1, ((), (), ()))
         size = self.radix ** (n + 1)
         dtype = code_dtype(self.block_count * size)
         digits = np.array(ranks, dtype=np.int64).reshape(-1, n + 1)
         offsets = np.array(blocks, dtype=np.int64).astype(dtype) * size
-        return tuple(simplices), encode(digits, self.radix, dtype) + offsets
+        return encode(digits, self.radix, dtype) + offsets
+
+    def _labels(self, n: int) -> Sequence:
+        return self._by_length.get(n + 1, ((),))[0]
 
     def block_bounds(self, n: int) -> np.ndarray:
         """Where each block's run starts in the degree-n basis, then its length."""
@@ -251,14 +310,17 @@ class TotalComplexSpec(ComplexSpec):
         self.radix = len(model.points)
         self._faces = _block_faces(self.nerve.simplices)
 
-    def _build_basis(self, n: int) -> tuple:
+    def _build_basis(self, n: int) -> np.ndarray:
         blocks = [(b, idx, n + 2 - len(idx)) for b, idx in enumerate(self.nerve.simplices)
                   if len(idx) <= n + 1]
-        powers, codes = _power_blocks(self.model, blocks, self.radix ** (n + 1),
-                                      f"total-complex basis in degree {n}")
-        labels = tuple((len(idx) - 1, idx, t)
-                       for (_, idx, _), power in zip(blocks, powers) for t in power.tuples)
-        return labels, codes
+        return _power_blocks(self.model, blocks, self.radix ** (n + 1),
+                             f"total-complex basis in degree {n}")
+
+    def _labels(self, n: int) -> Sequence:
+        simplices = self.nerve.simplices
+        arity = np.array([n + 2 - len(idx) for idx in simplices], dtype=np.int64)
+        return [(len(simplices[b]) - 1, simplices[b], t) for b, t in
+                _block_tuples(self.model, self.codes(n), self.radix ** (n + 1), arity)]
 
     def face_rule(self, n: int) -> FaceRule:
         # a block of dimension p holds (n + 2 - p)-tuples in degree n + 1
@@ -288,16 +350,21 @@ class AugmentedRowSpec(ComplexSpec):
         self.radix = len(model.points)
         self._faces = _block_faces(self.nerve.simplices, offset=1, empty=0)
 
-    def _build_basis(self, n: int) -> tuple:
+    def _build_basis(self, n: int) -> np.ndarray:
         if n == 0:
-            domain = self.model.diagonal_neighborhood(self.q)
-            return domain.tuples, domain.codes
+            return self.model.diagonal_neighborhood(self.q).codes
         blocks = [(b, idx, self.q + 1) for b, idx in enumerate(self.nerve.simplices, 1)
                   if len(idx) == n]
-        powers, codes = _power_blocks(self.model, blocks, self.radix ** (self.q + 1),
-                                      f"augmented-row basis in degree {n}")
-        labels = tuple((idx, t) for (_, idx, _), power in zip(blocks, powers) for t in power.tuples)
-        return labels, codes
+        return _power_blocks(self.model, blocks, self.radix ** (self.q + 1),
+                             f"augmented-row basis in degree {n}")
+
+    def _labels(self, n: int) -> Sequence:
+        if n == 0:
+            return self.model.tuples_of(self.codes(0), self.q + 1)
+        simplices = self.nerve.simplices
+        arity = np.full(len(simplices) + 1, self.q + 1, dtype=np.int64)
+        return [(simplices[b - 1], t) for b, t in
+                _block_tuples(self.model, self.codes(n), self.radix ** (self.q + 1), arity)]
 
     def face_rule(self, n: int) -> FaceRule:
         blocks = len(self._faces)
@@ -326,11 +393,13 @@ class AugmentedColumnSpec(ComplexSpec):
             raise ModelError(f"intersection of {self.indices} is empty")
         self.radix = len(model.points)
 
-    def _build_basis(self, n: int) -> tuple:
+    def _build_basis(self, n: int) -> np.ndarray:
         if n == 0:
-            return (self.indices,), np.zeros(1, dtype=np.int64)
-        power = self.model.intersection_power(self.indices, n)
-        return power.tuples, power.codes
+            return np.zeros(1, dtype=np.int64)
+        return self.model.intersection_power(self.indices, n).codes
+
+    def _labels(self, n: int) -> Sequence:
+        return (self.indices,) if n == 0 else self.model.tuples_of(self.codes(n), n)
 
     def face_rule(self, n: int) -> FaceRule:
         return _alternating_rule(self.radix, n + 1)
@@ -342,47 +411,73 @@ class AugmentedColumnSpec(ComplexSpec):
 
 @dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """Sparse integer matrix of a differential, with frozen basis labels.
+    """Sparse integer matrix of a differential.
 
-    ``entries`` holds int64 arrays (row, column, value), one per nonzero
-    cell, sorted by row and then column.  ``rows`` are built from it on
-    first use and kept; ``columns`` are built afresh on each use, so that a
-    caller may free each column once it is done with it.
+    ``shape`` is (rows, columns), and ``entries`` holds int64 arrays (row,
+    column, value), one per nonzero cell, sorted by row and then column.
+    ``rows`` are built from the entries on first use and kept; ``columns``
+    are built afresh on each use.  A matrix of d_n assembled from ``spec``
+    reads its labels from it when they are first asked for: the degree-(n+1)
+    basis for rows, the degree-n basis for columns.  Without a spec the
+    labels are the positions.
     """
 
-    row_labels: tuple
-    col_labels: tuple
+    shape: tuple
     entries: tuple
+    spec: Optional[ComplexSpec] = None
+    degree: int = 0
 
     @property
-    def shape(self) -> tuple:
-        return (len(self.row_labels), len(self.col_labels))
+    def row_labels(self) -> tuple:
+        return self._labels(self.degree + 1, self.shape[0])
+
+    @property
+    def col_labels(self) -> tuple:
+        return self._labels(self.degree, self.shape[1])
+
+    def _labels(self, n: int, count: int) -> tuple:
+        return tuple(range(count)) if self.spec is None else self.spec.basis(n)
 
     @cached_property
     def rows(self) -> tuple:
         """Dicts column index -> integer, one per row."""
         r, c, v = self.entries
-        return tuple(_split(r, c, v, len(self.row_labels)))
+        return tuple(_split(r, c, v, self.shape[0]))
 
     @property
     def columns(self) -> list:
         """Dicts row index -> integer, one per column."""
         r, c, v = self.entries
         order = np.argsort(c, kind="stable")
-        return _split(c[order], r[order], v[order], len(self.col_labels))
+        return list(_split(c[order], r[order], v[order], self.shape[1]))
 
     def dense(self) -> list:
-        out = [[0] * len(self.col_labels) for _ in self.row_labels]
+        out = [[0] * self.shape[1] for _ in range(self.shape[0])]
         for r, c, v in zip(*(x.tolist() for x in self.entries)):
             out[r][c] = v
         return out
 
 
-def _split(major: np.ndarray, minor: np.ndarray, values: np.ndarray, count: int) -> list:
-    """``count`` dicts minor -> value, one per major index; ``major`` ascends."""
+def _split(major: np.ndarray, minor: np.ndarray, values: np.ndarray, count: int,
+           which: Optional[Iterable[int]] = None):
+    """Dicts minor -> value, one per major index in ``which`` (by default
+    0..count-1), in that order, each made when it is read; ``major`` ascends."""
     bounds = major.searchsorted(np.arange(count + 1)).tolist()
     minor, values = minor.tolist(), values.tolist()
-    return [dict(zip(minor[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
+    for k in range(count) if which is None else which:
+        a, b = bounds[k], bounds[k + 1]
+        yield dict(zip(minor[a:b], values[a:b]))
+
+
+def _reduced(entries: tuple, p: int) -> tuple:
+    """COO ``entries`` with values reduced mod p and zeros dropped; as they
+    are for p = 0."""
+    r, c, v = entries
+    if not p:
+        return r, c, v
+    v = v % p
+    live = v != 0
+    return r[live], c[live], v[live]
 
 
 def _faces(rule: FaceRule, rows: np.ndarray) -> tuple:
@@ -418,7 +513,6 @@ def assemble_matrix(spec: ComplexSpec, n: int) -> BoundaryMatrix:
     matched to its column by binary search in the ascending column codes.
     Repeated cells are summed and zeros dropped.
     """
-    col_labels, row_labels = spec.basis(n), spec.basis(n + 1)
     cols, rows = spec.codes(n), spec.codes(n + 1)
     if cols.dtype != rows.dtype:   # one degree outgrew int64
         cols, rows = cols.astype(object), rows.astype(object)
@@ -428,13 +522,13 @@ def assemble_matrix(spec: ComplexSpec, n: int) -> BoundaryMatrix:
     del face   # not needed for the sort below, where memory peaks
     if not found.all():
         if not spec.drops_missing_faces:
-            missing = row_labels[r[~found][0]]
+            missing = spec.basis(n + 1)[r[~found][0]]
             raise ModelError(f"a face of {missing!r} is missing from the degree-{n} basis")
         r, c, sign = r[found], c[found], sign[found]
     ncols = max(len(cols), 1)
     cell, value = _summed(r * ncols + c, sign)
     entries = (cell // ncols, cell % ncols, value)
-    return BoundaryMatrix(row_labels, col_labels, entries)
+    return BoundaryMatrix((len(rows), len(cols)), entries, spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +544,8 @@ class Echelon:
     fraction-free over the integers and gives ranks over Q: a pivot row is
     primitive with a positive lead, a lead of 1 is subtracted without
     rescaling, and any other lead cross-multiplies by gcd-reduced factors,
-    after which the row's content is divided out.  With a prime ``p`` rows
-    are reduced mod p and pivot rows are scaled to lead 1.
+    after which the row's content is divided out.  With a prime ``p`` the
+    entries of a row lie in 1..p-1 and pivot rows are scaled to lead 1.
     """
 
     def __init__(self, p: int = 0):
@@ -462,10 +556,13 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, row) -> bool:
-        """Reduce a copy of ``row`` by the pivots; keep it if it is independent."""
-        p = self.p
-        row = {c: v % p for c, v in row.items() if v % p} if p else dict(row)
+    def insert(self, row: dict) -> bool:
+        """Reduce ``row`` by the pivots; keep it if it is independent.
+
+        The row is taken over, not copied, and may be changed or kept as a
+        pivot row.  Over GF(p) its entries must already be reduced mod p,
+        with no zeros.
+        """
         pivots = self.pivots
         while row:
             c = min(row)
@@ -571,12 +668,14 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
     is a combination of the columns after it, so the rank is the same.  A
     matrix with more rows than columns kept is eliminated through those
     columns, which are fewer to insert and have the same rank.  They are
-    popped last column first, so each is freed once inserted; on the
-    differentials here that order also leaves sparser pivot rows than
-    column order does.  Each pivot row is then a combination of columns,
-    and a set passed as ``leads`` receives the row index at which each
-    pivot row leads.  Otherwise the rows are inserted, without the skipped
-    columns, and ``leads`` stays as it was.
+    inserted last column first, each built as a dict only when its turn
+    comes and handed over without a copy; on the differentials here that
+    order also leaves sparser pivot rows than column order does.  Each
+    pivot row is then a combination of columns, and a set passed as
+    ``leads`` receives the row index at which each pivot row leads.
+    Otherwise the rows are inserted, without the skipped columns, and
+    ``leads`` stays as it was.  Over GF(p) the entries are reduced mod p
+    before any dict is built.
 
     With ``blocks``, a pair of ascending bounds that cut the rows and the
     columns of a block-diagonal matrix into the same blocks, the rank comes
@@ -585,30 +684,25 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
     index when the elimination went through columns, else at a column index.
     """
     ech = Echelon(0 if isinstance(system, Integers) else _modulus(system))
-    r, c, v = mat.entries
+    r, c, v = _reduced(mat.entries, ech.p)
     nrows, ncols = mat.shape
     kept = np.ones(ncols, dtype=bool)
     kept[np.fromiter(skip, dtype=np.int64)] = False
     nkept = int(kept.sum())
+    if nkept < ncols:
+        live = kept[c]
+        r, c, v = r[live], c[live], v[live]
     through_columns = nrows > nkept
     if through_columns:
         order = np.argsort(c, kind="stable")
-        if nkept < ncols:
-            order = order[kept[c][order]]
-        cols, keep = _split(c[order], r[order], v[order], ncols), kept.tolist()
-        del order   # freed before the elimination, where memory peaks
-        while cols:
-            col = cols.pop()
-            if keep[len(cols)]:
-                ech.insert(col)
+        columns = _split(c[order], r[order], v[order], ncols, reversed(kept.nonzero()[0].tolist()))
+        del order, r, c, v   # freed before the elimination, where memory peaks
+        for col in columns:
+            ech.insert(col)
         if leads is not None:
             leads.update(ech.pivots)
     else:
-        rows = mat.rows
-        if nkept < ncols:
-            live = kept[c]
-            rows = _split(r[live], c[live], v[live], nrows)
-        for row in rows:
+        for row in _split(r, c, v, nrows):
             ech.insert(row)
     if blocks is None:
         return ech.rank
@@ -620,17 +714,19 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
 def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem) -> list:
     """Sparse basis (dicts column -> value) of the nullspace over a field."""
     ech = Echelon(_modulus(system))
-    for row in mat.rows:
+    for row in _split(*_reduced(mat.entries, ech.p), mat.shape[0]):
         ech.insert(row)
-    return ech.kernel(len(mat.col_labels))
+    return ech.kernel(mat.shape[1])
 
 
-def _integral(vec) -> dict:
-    """A vector (dict or sequence) of rationals as an integer row of the same span."""
+def _integral(vec, p: int) -> dict:
+    """A vector (dict or sequence) of rationals as a fresh integer row of the
+    same span, reduced mod p unless p is 0."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     row = {c: v for c, v in items if v}
     scale = lcm(*(v.denominator for v in row.values()))
-    return {c: int(v * scale) for c, v in row.items()}
+    row = {c: int(v * scale) for c, v in row.items()}
+    return {c: v % p for c, v in row.items() if v % p} if p else row
 
 
 def rank_in_quotient(vectors: list, subspace: list, system: CoefficientSystem) -> int:
@@ -642,8 +738,8 @@ def rank_in_quotient(vectors: list, subspace: list, system: CoefficientSystem) -
     """
     ech = Echelon(_modulus(system))
     for vec in subspace:
-        ech.insert(_integral(vec))
-    return sum(ech.insert(_integral(vec)) for vec in vectors)
+        ech.insert(_integral(vec, ech.p))
+    return sum(ech.insert(_integral(vec, ech.p)) for vec in vectors)
 
 
 def profile_from_ranks(dims: Sequence[int], ranks: Sequence[int]) -> list:
@@ -896,7 +992,7 @@ def field_cohomology(spec: ComplexSpec, system: CoefficientSystem, max_degree: i
     """Dimensions of the cohomology of the described complex, degrees 0..max,
     from the ranks of :func:`_field_ranks`."""
     ranks = _field_ranks(spec, system, max_degree)
-    return profile_from_ranks([len(spec.basis(n)) for n in range(max_degree + 2)], ranks)
+    return profile_from_ranks([spec.size(n) for n in range(max_degree + 2)], ranks)
 
 
 def _certified_smith(mat: BoundaryMatrix, n: int) -> SmithDecomposition:
@@ -920,7 +1016,7 @@ def _integer_profile(dims: Sequence[int], decs: Sequence[SmithDecomposition]) ->
 
 def integer_cohomology(spec: ComplexSpec, max_degree: int) -> list:
     """Free rank and torsion factors per degree, from Smith normal forms."""
-    dims = [len(spec.basis(n)) for n in range(max_degree + 2)]
+    dims = [spec.size(n) for n in range(max_degree + 2)]
     return _integer_profile(dims, [_certified_smith(assemble_matrix(spec, n), n)
                                    for n in range(max_degree + 1)])
 
@@ -961,8 +1057,7 @@ def block_profiles(spec: SimplicialComplexSpec, system: CoefficientSystem,
         at = r.searchsorted(rows)   # each block's first entry
         for b in (b for b, t in enumerate(tops) if n <= t):
             part = slice(at[b], at[b + 1])
-            block = BoundaryMatrix(mat.row_labels[rows[b]:rows[b + 1]],
-                                   mat.col_labels[cols[b]:cols[b + 1]],
+            block = BoundaryMatrix((int(rows[b + 1] - rows[b]), int(cols[b + 1] - cols[b])),
                                    (r[part] - rows[b], c[part] - cols[b], v[part]))
             decs[b].append(_certified_smith(block, n))
     return [_integer_profile(dims[b], decs[b]) for b in range(len(tops))]

@@ -5,7 +5,9 @@ tuple enumerations are ordered lexicographically by the position of each
 point in the model's point list, so every downstream basis is reproducible.
 A tuple is also coded as one integer, its point positions read as digits in
 base |X| with the first most significant, so ascending codes are exactly that
-order; bases are built as sorted code arrays and decoded to tuples once.
+order.  Bases are built as sorted code arrays, and the codes are the basis:
+the point tuples are decoded only when a caller reads them, the whole set at
+most once, or one tuple at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -27,15 +30,29 @@ DEFAULT_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "LOCCO_BUDGET"
 
 
+_BUDGET_DIGITS = 4300   # the longest decimal string int() converts by default
+
+
 def enumeration_budget() -> int:
-    """Effective tuple budget: the env var, else the default."""
+    """Effective tuple budget: the env var, else the default.
+
+    The value is a nonnegative integer, written plainly or in exponent
+    form (``2e7``, ``2.5e3``) and read exactly; anything else is a
+    :class:`ModelError`.
+    """
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ModelError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
+        value = Decimal(raw)
+    except InvalidOperation:
+        value = None
+    if (value is None or not value.is_finite() or value != value.to_integral_value()
+            or value.adjusted() >= _BUDGET_DIGITS):
+        raise ModelError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
+    if value < 0:
+        raise ModelError(f"{BUDGET_ENV_VAR} must be nonnegative, got {raw!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +88,11 @@ def decode(codes: np.ndarray, radix: int, arity: int) -> np.ndarray:
     return digits
 
 
+def decode_tuples(names: np.ndarray, codes: np.ndarray, arity: int) -> tuple:
+    """The point tuples of ``codes``, digits in base ``len(names)`` naming points."""
+    return tuple(map(tuple, names[decode(codes, len(names), arity)].tolist()))
+
+
 def delete_digit(codes: np.ndarray, radix: int, weight) -> np.ndarray:
     """Codes with the digit of place value ``weight`` (a power of the radix,
     one per code or shared) removed: ``(c // (weight * radix)) * weight + c % weight``."""
@@ -85,14 +107,26 @@ def product_codes(positions: np.ndarray, arity: int, radix: int) -> np.ndarray:
     return codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TupleSet:
-    """A finite set of point tuples of fixed length with a frozen basis order."""
+    """A finite set of point tuples of fixed length with a frozen basis order.
+
+    The set is its ascending ``codes``; ``names`` holds the point id at each
+    position, so the code digits name the points.  ``tuples`` and the index
+    behind ``in`` and :meth:`index` are decoded on first use, and :meth:`at`
+    decodes a single tuple.  Two sets are equal when their arity, label,
+    points and codes are.
+    """
 
     arity: int                      # tuple length, n + 1 for level n
-    tuples: tuple                   # tuples sorted by point order
+    codes: np.ndarray = field(repr=False)   # ascending, so tuples in point order
+    names: np.ndarray = field(repr=False)   # point id by position, the digit radix
     label: str = ""
-    codes: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def tuples(self) -> tuple:
+        """The tuples of the codes, in order, decoded once."""
+        return decode_tuples(self.names, self.codes, self.arity)
 
     @cached_property
     def _index(self) -> dict:
@@ -103,7 +137,26 @@ class TupleSet:
         return self.arity - 1
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self.codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TupleSet):
+            return NotImplemented
+        return (self.arity == other.arity and self.label == other.label
+                and np.array_equal(self.names, other.names)
+                and np.array_equal(self.codes, other.codes))
+
+    def __hash__(self) -> int:
+        return hash((self.arity, self.label, len(self.codes)))
+
+    def at(self, k: int) -> tuple:
+        """The k-th tuple, decoded on its own by integer arithmetic, which
+        for one code is several times faster than :func:`decode`."""
+        code, radix, points = int(self.codes[k]), len(self.names), []
+        for _ in range(self.arity):
+            code, digit = divmod(code, radix)
+            points.append(self.names[digit])
+        return tuple(reversed(points))
 
     def __contains__(self, item) -> bool:
         return item in self._index
@@ -249,16 +302,15 @@ class CoverModel:
         # would fault in about 0.8 MB more of numpy at first use
         codes.sort(kind="stable")
         codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-        return self._tuple_set(codes, n + 1, f"diag[{n}]")
+        return TupleSet(n + 1, codes, self._names, f"diag[{n}]")
 
     def _positions(self, pts: Iterable, dtype) -> np.ndarray:
         """Ascending point positions of ``pts``, as digits of the given dtype."""
         return np.array(sorted(self.point_index[p] for p in pts), dtype=dtype)
 
-    def _tuple_set(self, codes: np.ndarray, arity: int, label: str) -> TupleSet:
-        """The tuples of ``codes``, decoded once, with the codes kept alongside."""
-        tuples = tuple(map(tuple, self._names[decode(codes, len(self.points), arity)].tolist()))
-        return TupleSet(arity=arity, tuples=tuples, label=label, codes=codes)
+    def tuples_of(self, codes: np.ndarray, arity: int) -> tuple:
+        """The point tuples of arity-tuple ``codes``, decoded now."""
+        return decode_tuples(self._names, codes, arity)
 
     def intersection(self, indices: Sequence[int]) -> tuple:
         """Common points of the named cover sets, in point order."""
@@ -286,7 +338,8 @@ class CoverModel:
     def _intersection_power(self, idx: tuple, arity: int) -> TupleSet:
         radix = len(self.points)
         positions = self._positions(self.intersection(idx), code_dtype(radix ** arity))
-        return self._tuple_set(product_codes(positions, arity, radix), arity, f"U{idx}^{arity}")
+        codes = product_codes(positions, arity, radix)
+        return TupleSet(arity, codes, self._names, f"U{idx}^{arity}")
 
     def nerve(self) -> Nerve:
         """All strictly increasing index tuples with nonempty intersection.

@@ -139,6 +139,33 @@ def test_nerve_budget_exit_code(tmp_path, monkeypatch):
     assert "the nerve of 6 cover sets needs 18" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("raw,budget,exit_code", [
+    ("2e7", 20_000_000, 0), ("2.43e2", 243, 0), (" 1E3 ", 1000, 0), ("243.0", 243, 0),
+    ("2.42e2", 242, 3)])
+def test_budget_accepts_integers_in_exponent_form(tmp_path, monkeypatch, raw, budget, exit_code):
+    # the hexagon's local degree-3 basis is charged 3 * 3^4 = 243 tuples
+    monkeypatch.setenv("LOCCO_BUDGET", raw)
+    assert locco.enumeration_budget() == budget
+    code, doc, _ = run_to_file(
+        tmp_path, ["cohomology", model_path("hexagon"), "--max-degree", "2"])
+    assert code == exit_code
+    if exit_code:
+        assert doc["error"]["kind"] == "budget" and "needs 243" in doc["error"]["message"]
+    else:
+        assert doc["result"]["profile"]["1"]["rank"] == 1
+
+
+@pytest.mark.parametrize("raw", ["-5", "-2e7", "2.5", "1e-3", "nan", "inf", "-inf", "",
+                                 "ten", "1e5000"])
+def test_bad_budget_is_a_usage_error(tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("LOCCO_BUDGET", raw)
+    code, doc, _ = run_to_file(
+        tmp_path, ["cohomology", model_path("hexagon"), "--max-degree", "2"])
+    assert code == 2
+    assert doc["error"]["kind"] == "ModelError"
+    assert "LOCCO_BUDGET" in doc["error"]["message"]
+
+
 def test_failing_check_exit_code(tmp_path):
     # a family that is not a partition of unity breaks the homotopy identity
     fam = {"level": 0, "unity": False,

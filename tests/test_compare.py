@@ -1,6 +1,9 @@
 import random
+import re
+from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,6 @@ from locco import (AcyclicityError, AcyclicityStatus, CoverModel, Integers,
                    verify_lambda_iso, verify_local_vs_cech)
 from locco import compare
 from locco import model as model_module
-from locco.homology import BoundaryMatrix
 from locco.model import Nerve
 from locco.cli import bundled_model_names, load_bundled_model
 
@@ -205,7 +207,7 @@ def test_lambda_iso_detects_a_broken_chain_map(monkeypatch):
             r, c, v = mat.entries
             v = v.copy()
             v[0] = -v[0]
-            mat = BoundaryMatrix(mat.row_labels, mat.col_labels, (r, c, v))
+            mat = replace(mat, entries=(r, c, v))
         return mat
 
     monkeypatch.setattr(compare, "assemble_matrix", tampered)
@@ -283,3 +285,30 @@ def test_report_json_shape():
     assert doc["kind"] == "local-vs-cech"
     assert doc["isomorphic"] is True
     assert set(doc["profiles"]) == {"local", "cech", "total", "simplicial"}
+
+
+def test_local_positions_match_the_tuple_index():
+    for name in bundled_model_names():
+        model = load_bundled_model(name)
+        if model.complex is None:
+            continue
+        for n in range(3):
+            simplices = tuple(s for s in model.u_small_subcomplex() if len(s) == n + 1)
+            domain = model.diagonal_neighborhood(n)
+            assert (compare._local_positions(model, n, simplices)
+                    == [domain.index(s) for s in simplices]), (name, n)
+
+
+@pytest.mark.parametrize("n,dtype", [(5, np.int64), (6, object)])
+def test_local_positions_refuse_a_simplex_outside_the_local_basis(n, dtype):
+    # 600 points: level-6 tuples have codes up to 600^7 > 2^63, level 5 stays in int64
+    cover = (frozenset({0, 1}), frozenset({1, 2})) + tuple(frozenset({p}) for p in range(3, 600))
+    m = CoverModel(points=tuple(range(600)), cover=cover,
+                   cover_names=tuple(f"U{i}" for i in range(len(cover))))
+    domain = m.diagonal_neighborhood(n)
+    assert domain.codes.dtype == dtype
+    inside = ((0,) * n + (1,), (599,) * (n + 1))
+    assert compare._local_positions(m, n, inside) == [domain.index(s) for s in inside]
+    for outside in ((0,) * n + (2,), (599,) * n + (598,)):
+        with pytest.raises(ModelError, match=f"simplex {re.escape(str(outside))} has no tuple"):
+            compare._local_positions(m, n, inside + (outside,))

@@ -5,11 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from locco import (BudgetError, CoverModel, ModelError, arc,
+from locco import (BudgetError, CoverModel, ModelError, TupleSet, arc,
                    enumeration_budget, left_invariant_cover, load_model,
                    model_from_json_dict, shrink_relation_check)
 from locco.cli import bundled_model_names, load_bundled_model
 from locco.compare import random_cover_model
+from locco import model as model_module
 from locco.model import code_dtype, decode, delete_digit, encode, product_codes
 
 
@@ -116,6 +117,45 @@ def test_tuple_sets_carry_ascending_codes():
     assert power.tuples == tuple(itertools.product(m.intersection((0, 1)), repeat=2))
     assert power.codes.tolist() == [by_hand(m.point_key(t), len(m.points)) for t in power.tuples]
     assert power.tuples[1] in power and power.index(power.tuples[1]) == 1
+
+
+def test_tuple_sets_decode_only_what_is_read(monkeypatch):
+    decoded = []
+    real = model_module.decode
+    monkeypatch.setattr(model_module, "decode",
+                        lambda codes, *args: decoded.append(len(codes)) or real(codes, *args))
+    m = load_bundled_model("z6_arcs")
+    ts = m.diagonal_neighborhood(2)
+    assert len(ts) == len(ts.codes) == len(brute_diagonal(m, 2)) and decoded == []
+    assert ts.at(5) == sorted(brute_diagonal(m, 2), key=m.point_key)[5]
+    assert decoded == []
+    assert list(ts.tuples) == sorted(brute_diagonal(m, 2), key=m.point_key)
+    assert [ts.at(k) for k in range(len(ts))] == list(ts.tuples) and ts.at(-1) == ts.tuples[-1]
+    assert len(ts) == len(ts.tuples)
+    with pytest.raises(IndexError):
+        ts.at(len(ts))
+    # 600 points: level-6 codes pass 2^63 and are Python ints
+    cover = (frozenset({0, 1}),) + tuple(frozenset({p}) for p in range(2, 600))
+    wide = CoverModel(points=tuple(range(600)), cover=cover,
+                      cover_names=tuple(f"U{i}" for i in range(len(cover))))
+    wide = wide.diagonal_neighborhood(6)
+    assert wide.codes.dtype == object
+    assert [wide.at(k) for k in (0, 1, 127, -1)] == [wide.tuples[k] for k in (0, 1, 127, -1)]
+
+
+def test_tuple_sets_compare_by_codes():
+    m = load_bundled_model("z6_arcs")
+    ts = m.diagonal_neighborhood(1)
+    twin = load_bundled_model("z6_arcs").diagonal_neighborhood(1)
+    assert ts == twin and hash(ts) == hash(twin) and ts.tuples == twin.tuples
+    assert ts == TupleSet(ts.arity, ts.codes.astype(object), ts.names, ts.label)
+    # equal arity and label, different codes: unequal, as the tuples are
+    fewer = TupleSet(ts.arity, ts.codes[1:], ts.names, ts.label)
+    assert fewer != ts and fewer.tuples != ts.tuples
+    shifted = TupleSet(ts.arity, ts.codes + 1, ts.names, ts.label)
+    assert len(shifted) == len(ts) and shifted != ts and shifted.tuples != ts.tuples
+    assert ts != m.diagonal_neighborhood(2)
+    assert ts != TupleSet(ts.arity, ts.codes, ts.names, "other")
 
 
 def test_nerve_oracle_hexagon():
