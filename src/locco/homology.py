@@ -133,18 +133,6 @@ def _power_blocks(model: CoverModel, blocks: list, size: int, what: str) -> np.n
     return np.concatenate(codes)
 
 
-def _block_tuples(model: CoverModel, codes: np.ndarray, size: int, arity: np.ndarray) -> list:
-    """(block id, point tuple) of each code ``block id * size + tuple code``,
-    the tuple of ``arity[block id]`` points; arities are constant along runs."""
-    block = (codes // size).astype(np.int64)
-    lengths = arity[block]
-    starts = np.flatnonzero(np.diff(lengths, prepend=0)).tolist()   # arities are positive
-    tuples = []
-    for lo, hi in zip(starts, starts[1:] + [len(codes)]):
-        tuples.extend(model.tuples_of(codes[lo:hi] % size, int(lengths[lo])))
-    return list(zip(block.tolist(), tuples))
-
-
 class ComplexSpec:
     """A cochain complex presented by ordered bases, their ascending integer
     codes and a :class:`FaceRule` per differential.
@@ -179,6 +167,7 @@ class ComplexSpec:
         """Labels of the degree-n basis in code order, decoded once."""
         built = self._bases.get(n)
         if built is None:
+            self.codes(n)   # the labels name the codes: build, and charge for, them first
             built = self._bases[n] = tuple(self._labels(n))
         return built
 
@@ -310,17 +299,17 @@ class TotalComplexSpec(ComplexSpec):
         self.radix = len(model.points)
         self._faces = _block_faces(self.nerve.simplices)
 
+    def _blocks(self, n: int) -> list:
+        return [(b, idx, n + 2 - len(idx)) for b, idx in enumerate(self.nerve.simplices)
+                if len(idx) <= n + 1]
+
     def _build_basis(self, n: int) -> np.ndarray:
-        blocks = [(b, idx, n + 2 - len(idx)) for b, idx in enumerate(self.nerve.simplices)
-                  if len(idx) <= n + 1]
-        return _power_blocks(self.model, blocks, self.radix ** (n + 1),
+        return _power_blocks(self.model, self._blocks(n), self.radix ** (n + 1),
                              f"total-complex basis in degree {n}")
 
     def _labels(self, n: int) -> Sequence:
-        simplices = self.nerve.simplices
-        arity = np.array([n + 2 - len(idx) for idx in simplices], dtype=np.int64)
-        return [(len(simplices[b]) - 1, simplices[b], t) for b, t in
-                _block_tuples(self.model, self.codes(n), self.radix ** (n + 1), arity)]
+        return [(len(idx) - 1, idx, t) for _, idx, k in self._blocks(n)
+                for t in self.model.intersection_power(idx, k).tuples]
 
     def face_rule(self, n: int) -> FaceRule:
         # a block of dimension p holds (n + 2 - p)-tuples in degree n + 1
@@ -350,21 +339,21 @@ class AugmentedRowSpec(ComplexSpec):
         self.radix = len(model.points)
         self._faces = _block_faces(self.nerve.simplices, offset=1, empty=0)
 
+    def _blocks(self, n: int) -> list:
+        return [(b, idx, self.q + 1) for b, idx in enumerate(self.nerve.simplices, 1)
+                if len(idx) == n]
+
     def _build_basis(self, n: int) -> np.ndarray:
         if n == 0:
             return self.model.diagonal_neighborhood(self.q).codes
-        blocks = [(b, idx, self.q + 1) for b, idx in enumerate(self.nerve.simplices, 1)
-                  if len(idx) == n]
-        return _power_blocks(self.model, blocks, self.radix ** (self.q + 1),
+        return _power_blocks(self.model, self._blocks(n), self.radix ** (self.q + 1),
                              f"augmented-row basis in degree {n}")
 
     def _labels(self, n: int) -> Sequence:
         if n == 0:
             return self.model.tuples_of(self.codes(0), self.q + 1)
-        simplices = self.nerve.simplices
-        arity = np.full(len(simplices) + 1, self.q + 1, dtype=np.int64)
-        return [(simplices[b - 1], t) for b, t in
-                _block_tuples(self.model, self.codes(n), self.radix ** (self.q + 1), arity)]
+        return [(idx, t) for _, idx, k in self._blocks(n)
+                for t in self.model.intersection_power(idx, k).tuples]
 
     def face_rule(self, n: int) -> FaceRule:
         blocks = len(self._faces)

@@ -150,13 +150,9 @@ class TupleSet:
         return hash((self.arity, self.label, len(self.codes)))
 
     def at(self, k: int) -> tuple:
-        """The k-th tuple, decoded on its own by integer arithmetic, which
-        for one code is several times faster than :func:`decode`."""
-        code, radix, points = int(self.codes[k]), len(self.names), []
-        for _ in range(self.arity):
-            code, digit = divmod(code, radix)
-            points.append(self.names[digit])
-        return tuple(reversed(points))
+        """The k-th tuple, decoded on its own."""
+        k = range(len(self.codes))[k]   # IndexError out of range; counts from the end if negative
+        return decode_tuples(self.names, self.codes[k:k + 1], self.arity)[0]
 
     def __contains__(self, item) -> bool:
         return item in self._index

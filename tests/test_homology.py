@@ -608,6 +608,15 @@ def fresh(model):
                       complex=model.complex)
 
 
+def forbid_enumeration(monkeypatch):
+    """Fail on the first step that enumerates a nerve block: the code dtype
+    of the batched blocks, or a per-block power for the labels."""
+    def fail(*args):
+        pytest.fail("enumerated before the budget was charged")
+    monkeypatch.setattr(homology, "code_dtype", fail)
+    monkeypatch.setattr(CoverModel, "intersection_power", fail)
+
+
 def test_total_basis_charged_before_enumeration(monkeypatch):
     # degree 1 of the hexagon: three sets of 3 points (3^2 pairs each) and
     # three one-point edges, 27 + 3 = 30 tuples
@@ -615,8 +624,7 @@ def test_total_basis_charged_before_enumeration(monkeypatch):
     monkeypatch.setenv("LOCCO_BUDGET", "30")
     assert len(TotalComplexSpec(fresh(m)).basis(1)) == 30
     monkeypatch.setenv("LOCCO_BUDGET", "29")
-    monkeypatch.setattr(CoverModel, "intersection_power",
-                        lambda *args: pytest.fail("enumerated before the budget was charged"))
+    forbid_enumeration(monkeypatch)
     with pytest.raises(BudgetError, match=r"total-complex basis in degree 1 needs 30 raw"):
         TotalComplexSpec(fresh(m)).basis(1)
 
@@ -627,8 +635,7 @@ def test_augmented_row_bases_are_charged(monkeypatch):
     monkeypatch.setenv("LOCCO_BUDGET", "27")
     assert len(AugmentedRowSpec(fresh(m), 1).basis(1)) == 27
     monkeypatch.setenv("LOCCO_BUDGET", "26")
-    monkeypatch.setattr(CoverModel, "intersection_power",
-                        lambda *args: pytest.fail("enumerated before the budget was charged"))
+    forbid_enumeration(monkeypatch)
     with pytest.raises(BudgetError, match=r"augmented-row basis in degree 1 needs 27 raw"):
         AugmentedRowSpec(fresh(m), 1).basis(1)
 
