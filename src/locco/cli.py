@@ -303,29 +303,24 @@ def _cmd_pou_check(args) -> tuple:
     return doc, ok
 
 
+def _catalog_entry(name: str, source: str, model: CoverModel) -> dict:
+    return {
+        "name": name,
+        "source": source,
+        "points": len(model.points),
+        "cover_sets": len(model.cover),
+        "simplices": len(model.complex) if model.complex else 0,
+        "hash": model_hash(model),
+    }
+
+
 def _cmd_examples(args) -> tuple:
-    catalog = []
-    for name in bundled_model_names():
-        model = load_bundled_model(name)
-        catalog.append({
-            "name": name,
-            "source": "bundled",
-            "points": len(model.points),
-            "cover_sets": len(model.cover),
-            "simplices": len(model.complex) if model.complex else 0,
-            "hash": model_hash(model),
-        })
+    catalog = [_catalog_entry(name, "bundled", load_bundled_model(name))
+               for name in bundled_model_names()]
     if args.extra_dir:
         for path in sorted(Path(args.extra_dir).glob("*.json")):
             model = load_model(str(path))
-            catalog.append({
-                "name": model.name,
-                "source": str(path),
-                "points": len(model.points),
-                "cover_sets": len(model.cover),
-                "simplices": len(model.complex) if model.complex else 0,
-                "hash": model_hash(model),
-            })
+            catalog.append(_catalog_entry(model.name, str(path), model))
     return {"models": catalog}, None
 
 

@@ -24,11 +24,12 @@ from .bicomplex import (PartitionFamily, contraction_defect, first_hit_family,
                         random_page)
 from .cochains import (smallest_point, standard_column_contraction,
                        standard_differential)
-from .coeff import CoefficientSystem, Integers, Rationals
+from .coeff import CoefficientSystem, Integers, PrimeField, Rationals
 from .errors import AcyclicityError, CoefficientError, ModelError
 from .homology import (CechComplexSpec, LocalComplexSpec,
                        SimplicialComplexSpec, TotalComplexSpec,
-                       assemble_matrix, block_profiles, cohomology_profile,
+                       BoundaryMatrix, assemble_matrix, block_profiles,
+                       cleared_columns, cohomology_profile, composes_to_zero,
                        kernel_basis, matrix_rank, profile_from_ranks,
                        rank_in_quotient)
 from .model import CoverModel, encode, left_invariant_cover
@@ -269,6 +270,14 @@ def _local_positions(model: CoverModel, n: int, simplices: tuple) -> list:
     return at.tolist()
 
 
+def _as_columns(vectors: list, length: int) -> BoundaryMatrix:
+    """Sparse vectors (dicts index -> exact integer) as a matrix's columns."""
+    cells = sorted((k, j, v) for j, vec in enumerate(vectors) for k, v in vec.items())
+    entries = [np.array([cell[i] for cell in cells], dtype=object if i == 2 else np.int64)
+               for i in range(3)]
+    return BoundaryMatrix((length, len(vectors)), tuple(entries))
+
+
 def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
                       max_degree: int) -> ComparisonReport:
     """Restriction to simplices induces a bijection on cohomology.
@@ -277,20 +286,18 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
     The restriction λ selects one local coordinate per simplex, so the
     chain-map property is checked exactly on the integer matrices, row by
     row: row λ(s) of d_local is row s of d_simp with its columns read
-    through λ.  Bijectivity is certified by the rank of the harvested
-    cocycle images in the target quotient.
+    through λ.  One elimination of each local d_n gives its rank and h_n
+    cocycle representatives, not the full kernel (:func:`kernel_basis`).
+    d_n must annihilate them, by one sparse product, and λ must keep them
+    independent modulo the simplicial coboundaries; then they are a basis
+    of local H^n that λ* maps onto one of simplicial H^n.
     """
     if not system.is_field:
         raise CoefficientError("induced-map ranks need field coefficients")
     if model.complex is None:
         raise ModelError("the restriction map needs a model with a complex")
-    failures = []
-    statuses = []
-    for simplex in model.nerve().simplices:
-        status = is_acyclic(model, simplex, system)
-        statuses.append(status)
-        if not status:
-            failures.append(simplex)
+    statuses = [is_acyclic(model, simplex, system) for simplex in model.nerve().simplices]
+    failures = [status.indices for status in statuses if not status]
     if failures:
         raise AcyclicityError(
             f"intersections {failures} have nonvanishing reduced cohomology; "
@@ -298,30 +305,34 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
 
     local_spec = LocalComplexSpec(model)
     simp_spec = SimplicialComplexSpec(model.u_small_subcomplex(), model.point_key)
-    local_ranks, simp_ranks, induced = [], [], []
+    p = system.p if isinstance(system, PrimeField) else 0
+    local_ranks, simp_ranks, induced, cocycles = [], [], [], []
     chain_map_ok = True
-    d_simp_below = None
+    d_local_below, d_simp_below, leads = None, None, set()
     lam = _local_positions(model, 0, simp_spec.basis(0))
     for n in range(max_degree + 1):
         d_local = assemble_matrix(local_spec, n)
         d_simp = assemble_matrix(simp_spec, n)
-        kernel = kernel_basis(d_local, system)
-        local_ranks.append(d_local.shape[1] - len(kernel))
+        skip, leads = cleared_columns(d_local, d_local_below, leads), set()
+        reps = kernel_basis(d_local, system, skip=skip, leads=leads)
+        local_ranks.append(len(leads))
         simp_ranks.append(matrix_rank(d_simp, system))
         lam_next = _local_positions(model, n + 1, d_simp.row_labels)
         chain_map_ok = chain_map_ok and all(
             d_local.rows[lam_next[s]] == {lam[c]: v for c, v in row.items()}
             for s, row in enumerate(d_simp.rows))
-        images = [{s: vec[c] for s, c in enumerate(lam) if c in vec} for vec in kernel]
+        cocycles.append(len(reps) if composes_to_zero(
+            d_local, _as_columns(reps, d_local.shape[1]), p) else None)
+        images = [{s: vec[c] for s, c in enumerate(lam) if c in vec} for vec in reps]
         boundaries = [] if d_simp_below is None else d_simp_below.columns
         induced.append(rank_in_quotient(images, boundaries, system))
-        d_simp_below, lam = d_simp, lam_next
+        d_local_below, d_simp_below, lam = d_local, d_simp, lam_next
     local_profile = profile_from_ranks(
         [local_spec.size(n) for n in range(max_degree + 2)], local_ranks)
     simp_profile = profile_from_ranks(
         [simp_spec.size(n) for n in range(max_degree + 2)], simp_ranks)
 
-    matches = tuple(local_profile[n] == simp_profile[n] and induced[n] == local_profile[n]
+    matches = tuple(local_profile[n] == simp_profile[n] == induced[n] == cocycles[n]
                     for n in range(max_degree + 1))
     profiles = {"local": local_profile, "simplicial": simp_profile}
     extras = {

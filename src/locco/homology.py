@@ -6,16 +6,15 @@ its ascending integer codes: sizes, matrices and ranks read only those, and
 labels are decoded from them when a caller first asks for them
 (:meth:`ComplexSpec.basis`).  The tuples of a nerve-blocked basis are
 enumerated for all blocks of one arity at once.  One sparse eliminator,
-:class:`Echelon`, takes every field rank, kernel and quotient rank: it
-inserts rows one at a time into pivot rows keyed by leading column,
+:class:`Echelon`, takes every field rank, kernel and quotient rank,
 fraction-free with gcd stripping over Q and with normalised pivots over
-GF(p); each row is built once, reduced mod p beforehand, and taken over by
-the eliminator without a copy.  A matrix with more rows than columns has its
-rank taken through its columns.  A field profile leaves out of d_n's
-elimination every column at which a pivot row of d_{n-1}'s column
-elimination leads: once d_n d_{n-1} = 0 is checked exactly over the integers
-by a sparse product, each such column is a combination of the columns after
-it.  Every differential is assembled in index space by one kernel,
+GF(p).  A matrix with more rows than columns has its rank taken through its
+columns, last first, and a kernel is that same column elimination with each
+column tagged by its own index, with no back-substitution.  Once
+d_n d_{n-1} = 0 is checked exactly by a sparse product, d_n's elimination
+leaves out every column at which a pivot of d_{n-1} leads, and its kernel
+is then h_n cocycle representatives (:func:`kernel_basis`).  Every
+differential is assembled in index space by one kernel,
 :func:`assemble_matrix`: basis elements are integer codes, faces are found
 by deleting a digit or swapping a block and matched to their columns by
 binary search.  Over the integers a sparse Smith elimination gives free
@@ -525,10 +524,11 @@ def assemble_matrix(spec: ComplexSpec, n: int) -> BoundaryMatrix:
 
 
 class Echelon:
-    """Exact row echelon form of sparse integer rows, filled one row at a time.
+    """Exact echelon form of sparse integer vectors (rows, or columns tagged
+    for a kernel), filled one at a time; nothing is back-substituted.
 
-    Pivot rows are kept in a dict keyed by their leading column, so a new row
-    meets only the pivots of the columns it reaches and no row is scanned
+    Pivot rows are kept in a dict keyed by their leading index, so a new row
+    meets only the pivots of the indices it reaches and no row is scanned
     again when a pivot is chosen.  With ``p = 0`` elimination is
     fraction-free over the integers and gives ranks over Q: a pivot row is
     primitive with a positive lead, a lead of 1 is subtracted without
@@ -603,42 +603,6 @@ class Echelon:
                 row = {k: v // g for k, v in row.items()}
         return row
 
-    def kernel(self, ncols: int) -> list:
-        """Sparse basis of the vectors of length ``ncols`` that every inserted
-        row annihilates: one per free column, with integer entries over Q.
-
-        The pivot rows are first reduced against each other, so each keeps
-        only its lead and free columns; this rewrites them in place.
-        """
-        pivots, p = self.pivots, self.p
-        for c in sorted(pivots, reverse=True):
-            row = pivots[c]
-            for j in [k for k in row if k != c and k in pivots]:
-                row = self._eliminate(row, pivots[j], j)
-            pivots[c] = row
-        reach: dict = {}   # free column -> [(pivot column, entry)]
-        for c, row in pivots.items():
-            for k, v in row.items():
-                if k != c:
-                    reach.setdefault(k, []).append((c, v))
-        basis = []
-        for f in range(ncols):
-            if f in pivots:
-                continue
-            terms = reach.get(f, ())
-            if p:
-                vec = {f: 1}
-                vec.update((c, -v % p) for c, v in terms)
-            else:
-                scale = lcm(*(pivots[c][c] for c, _ in terms))
-                vec = {f: scale}
-                vec.update((c, -v * (scale // pivots[c][c])) for c, v in terms)
-                g = gcd(*vec.values())
-                if g > 1:
-                    vec = {k: v // g for k, v in vec.items()}
-            basis.append(vec)
-        return basis
-
 
 def _modulus(system: CoefficientSystem) -> int:
     """The ``p`` of :class:`Echelon` for a field: 0 for Q, p for GF(p)."""
@@ -649,22 +613,27 @@ def _modulus(system: CoefficientSystem) -> int:
     raise CoefficientError(f"no exact elimination over {system.name}")
 
 
+def _kept_columns(mat: BoundaryMatrix, p: int, kept: np.ndarray):
+    """(index, column) for each column of ``mat`` that ``kept`` marks, last
+    first: dicts row index -> value, reduced mod p, each built when read."""
+    r, c, v = _reduced(mat.entries, p)
+    which = kept.nonzero()[0][::-1].tolist()
+    order = np.argsort(c, kind="stable")
+    return zip(which, _split(c[order], r[order], v[order], mat.shape[1], which))
+
+
 def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
                 leads: Optional[set] = None, blocks: Optional[tuple] = None):
     """Rank over a field; over the integers, the rank over Q.
 
     Columns listed in ``skip`` are left out; the caller vouches that each
-    is a combination of the columns after it, so the rank is the same.  A
+    is a combination of the columns after it (:func:`cleared_columns`).  A
     matrix with more rows than columns kept is eliminated through those
-    columns, which are fewer to insert and have the same rank.  They are
-    inserted last column first, each built as a dict only when its turn
-    comes and handed over without a copy; on the differentials here that
-    order also leaves sparser pivot rows than column order does.  Each
-    pivot row is then a combination of columns, and a set passed as
-    ``leads`` receives the row index at which each pivot row leads.
+    columns, last first (:func:`_kept_columns`), which on the differentials
+    here leaves sparser pivot rows than column order; a set passed as
+    ``leads`` then receives the row index at which each pivot row leads.
     Otherwise the rows are inserted, without the skipped columns, and
-    ``leads`` stays as it was.  Over GF(p) the entries are reduced mod p
-    before any dict is built.
+    ``leads`` stays as it was.
 
     With ``blocks``, a pair of ascending bounds that cut the rows and the
     columns of a block-diagonal matrix into the same blocks, the rank comes
@@ -673,24 +642,20 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
     index when the elimination went through columns, else at a column index.
     """
     ech = Echelon(0 if isinstance(system, Integers) else _modulus(system))
-    r, c, v = _reduced(mat.entries, ech.p)
     nrows, ncols = mat.shape
     kept = np.ones(ncols, dtype=bool)
     kept[np.fromiter(skip, dtype=np.int64)] = False
-    nkept = int(kept.sum())
-    if nkept < ncols:
-        live = kept[c]
-        r, c, v = r[live], c[live], v[live]
-    through_columns = nrows > nkept
+    through_columns = nrows > int(kept.sum())
     if through_columns:
-        order = np.argsort(c, kind="stable")
-        columns = _split(c[order], r[order], v[order], ncols, reversed(kept.nonzero()[0].tolist()))
-        del order, r, c, v   # freed before the elimination, where memory peaks
-        for col in columns:
+        for _, col in _kept_columns(mat, ech.p, kept):
             ech.insert(col)
         if leads is not None:
             leads.update(ech.pivots)
     else:
+        r, c, v = _reduced(mat.entries, ech.p)
+        if not kept.all():
+            live = kept[c]
+            r, c, v = r[live], c[live], v[live]
         for row in _split(r, c, v, nrows):
             ech.insert(row)
     if blocks is None:
@@ -700,12 +665,30 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
     return np.bincount(bounds.searchsorted(keys, "right") - 1, minlength=len(bounds) - 1)
 
 
-def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem) -> list:
-    """Sparse basis (dicts column -> value) of the nullspace over a field."""
+def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
+                 leads: Optional[set] = None) -> list:
+    """Independent vectors (dicts column -> value) that ``mat`` annihilates
+    over a field: a nullspace basis, or with ``skip`` from
+    :func:`cleared_columns`, h_n cocycle representatives.
+
+    :func:`matrix_rank`'s column elimination runs with column j tagged by
+    one more entry, 1 at key ``nrows + j``.  A column whose row part
+    cancels leads at its own tag, since the tags it met are above it, and
+    its tag part is a nullspace vector, integral over Q; the other pivots'
+    leads go to ``leads``.  The vectors lead at distinct kept columns and
+    B^n's pivots at the skipped ones, so they are independent modulo B^n
+    (the clearing of Chen and Kerber; de Silva, Morozov, Vejdemo-Johansson).
+    """
     ech = Echelon(_modulus(system))
-    for row in _split(*_reduced(mat.entries, ech.p), mat.shape[0]):
-        ech.insert(row)
-    return ech.kernel(mat.shape[1])
+    nrows, ncols = mat.shape
+    kept = np.ones(ncols, dtype=bool)
+    kept[np.fromiter(skip, dtype=np.int64)] = False
+    for j, col in _kept_columns(mat, ech.p, kept):
+        col[nrows + j] = 1
+        ech.insert(col)
+    if leads is not None:
+        leads.update(c for c in ech.pivots if c < nrows)
+    return [{k - nrows: v for k, v in row.items()} for c, row in ech.pivots.items() if c >= nrows]
 
 
 def _integral(vec, p: int) -> dict:
@@ -866,6 +849,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
                     moved = (r, c)
             if moved is None:
                 break
+            heappush(heap, (abs(d), cost(r, c), r, c))   # the entry left may be popped already
             r, c = moved
         if d < 0:
             ops.append(("neg", r))
@@ -918,8 +902,9 @@ def check_smith_certificate(matrix: Sequence[Sequence[int]], dec: SmithDecomposi
 _PRODUCT_CHUNK = 1 << 13   # cell products formed at once by composes_to_zero
 
 
-def composes_to_zero(upper: BoundaryMatrix, lower: BoundaryMatrix) -> bool:
-    """Whether ``upper · lower`` is the zero matrix, exactly over the integers.
+def composes_to_zero(upper: BoundaryMatrix, lower: BoundaryMatrix, p: int = 0) -> bool:
+    """Whether ``upper · lower`` is the zero matrix, exactly over the integers,
+    or mod p unless p is 0.
 
     Each entry (a, b, x) of ``upper`` meets the entries (b, c, y) of row b of
     ``lower`` to give x·y at cell (a, c); the products are summed per cell
@@ -945,32 +930,39 @@ def composes_to_zero(upper: BoundaryMatrix, lower: BoundaryMatrix) -> bool:
         entry = np.repeat(np.arange(first, end), width[first:end])
         position = starts[uc[entry]] + np.arange(len(entry)) - (done[entry] - done[first])
         cell = (ur[entry] - lo) * ncols + lc[position]
-        if len(_summed(cell, uv[entry] * lv[position])[0]):
+        value = _summed(cell, uv[entry] * lv[position])[1]
+        if (value % p if p else value).any():
             return False
         lo = hi
     return True
 
 
+def cleared_columns(mat: BoundaryMatrix, below: Optional[BoundaryMatrix], leads: set):
+    """The columns of d_n, ``mat``, that its rank and kernel may leave out:
+    the ``leads`` of d_{n-1}, ``below``, eliminated through its columns.
+
+    Each pivot row v of d_{n-1} is in its image and leads at some index j.
+    If d_n d_{n-1} = 0, checked exactly by :func:`composes_to_zero`, then
+    d_n v = 0 makes column j of d_n a combination of the columns after it;
+    by downward induction on j the columns left keep the span.  Where the
+    check fails nothing is left out.  On a block-diagonal d_n, v and the
+    columns it combines lie in one block, so each block keeps its rank.
+    """
+    return leads if leads and composes_to_zero(mat, below) else ()
+
+
 def _field_ranks(spec: ComplexSpec, system: CoefficientSystem, max_degree: int,
                  split: bool = False) -> list:
-    """Ranks of d_0, ..., d_max over a field; with ``split``, one array of
-    ranks per degree, by block of a block-coded :class:`SimplicialComplexSpec`.
-
-    When d_{n-1} is eliminated through its columns, each pivot row v is in
-    the image of d_{n-1} and leads at some index j.  If d_n d_{n-1} = 0,
-    checked exactly by :func:`composes_to_zero`, then d_n v = 0 makes
-    column j of d_n a combination of the columns after it; by downward
-    induction on j the columns left keep the span, so d_n's rank is taken
-    without them.  Where the check fails every column is eliminated.  On a
-    block-diagonal d_n, v and the columns it combines lie in one block, so
-    each block keeps its rank too.
+    """Ranks of d_0, ..., d_max over a field, each without the columns that
+    :func:`cleared_columns` leaves out; with ``split``, one array of ranks
+    per degree, by block of a block-coded :class:`SimplicialComplexSpec`.
     """
     if not system.is_field:
         raise CoefficientError(f"{system.name} is not a field; use the integer path")
     ranks, below, leads = [], None, set()
     for n in range(max_degree + 1):
         mat = assemble_matrix(spec, n)
-        skip = leads if leads and composes_to_zero(mat, below) else ()
+        skip = cleared_columns(mat, below, leads)
         below, leads = mat, set()   # the matrix below is let go before the rank
         blocks = (spec.block_bounds(n + 1), spec.block_bounds(n)) if split else None
         ranks.append(matrix_rank(mat, system, skip=skip, leads=leads, blocks=blocks))

@@ -216,6 +216,50 @@ def test_lambda_iso_detects_a_broken_chain_map(monkeypatch):
     assert rep.isomorphic is False
 
 
+def lambda_iso_with(monkeypatch, change):
+    """verify_lambda_iso on the hexagon over Q, h = (1, 1), with the degree-1
+    representatives replaced by ``change(reps, d_1, d_0)``."""
+    kernel, below = compare.kernel_basis, []
+
+    def tampered(mat, *args, **kwargs):
+        reps = kernel(mat, *args, **kwargs)
+        if below:
+            reps = change(reps, mat, below[-1])
+        below.append(mat)
+        return reps
+
+    monkeypatch.setattr(compare, "kernel_basis", tampered)
+    return verify_lambda_iso(load_bundled_model("hexagon"), Q, 1)
+
+
+def test_lambda_iso_refuses_a_representative_that_is_not_a_cocycle(monkeypatch):
+    # (x, x) is no simplex, so λ does not read it and the images are as
+    # before, but d_1 takes it to (x, x, x) with 1 - 1 + 1 = 1
+    def off_cocycle(reps, mat, below):
+        k = mat.col_labels.index((mat.col_labels[0][0],) * 2)
+        return [{**reps[0], k: reps[0].get(k, 0) + 1}] + reps[1:]
+
+    rep = lambda_iso_with(monkeypatch, off_cocycle)
+    assert rep.induced_ranks == (1, 1)
+    assert rep.matches == (True, False) and rep.isomorphic is False
+
+
+def test_lambda_iso_refuses_one_representative_too_few(monkeypatch):
+    rep = lambda_iso_with(monkeypatch, lambda reps, mat, below: reps[:-1])
+    assert rep.induced_ranks == (1, 0)
+    assert rep.matches == (True, False) and rep.isomorphic is False
+
+
+def test_lambda_iso_refuses_a_boundary_as_representative(monkeypatch):
+    # a column of d_0 is a coboundary: a cocycle, but zero in H^1
+    def boundary(reps, mat, below):
+        return [next(col for col in below.columns if col)] + reps[1:]
+
+    rep = lambda_iso_with(monkeypatch, boundary)
+    assert rep.induced_ranks == (1, 0)
+    assert rep.matches == (True, False) and rep.isomorphic is False
+
+
 def test_local_vs_cech_builds_one_nerve(monkeypatch):
     built = []
 

@@ -21,8 +21,8 @@ from locco import (AugmentedColumnSpec, AugmentedRowSpec, BudgetError,
                    rank_in_quotient, smith_normal_form, verify_local_vs_cech)
 from locco import homology
 from locco import model as model_module
-from locco.homology import (BoundaryMatrix, Echelon, block_profiles, composes_to_zero,
-                            profile_from_ranks)
+from locco.homology import (BoundaryMatrix, Echelon, block_profiles, cleared_columns,
+                            composes_to_zero, profile_from_ranks)
 from locco.cli import bundled_model_names, load_bundled_model, run
 from locco.compare import random_cover_model
 
@@ -202,6 +202,8 @@ def smith_matrices(draw):
 @example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
 @example([[2, 0], [0, 3]])
 @example([[0, 0, 0], [0, 0, 0]])
+# the pivot moves off the entry 24 it was popped at, which must stay on the heap
+@example([[0, 2, 0, 0, -6], [2, -6, 0, 0, 1], [3, 0, 0, -6, 0], [0, 0, 0, 0, 2]])
 def test_smith_invariants_match_determinantal_divisors(dense):
     dec = smith_normal_form(dense)
     assert dec.invariants == oracle_invariants(dense)
@@ -323,6 +325,57 @@ def test_eliminator_kernel_is_exact(case):
                 assert (total % p if p else total) == 0
         as_dense = [[vec.get(c, 0) for c in range(ncols)] for vec in basis]
         assert oracle_rank(as_dense, p) == len(basis)
+
+
+def edge_cover(m):
+    """K_m covered by its edges: the local cohomology is the graph's, so
+    h^1 = C(m - 1, 2), the number of independent cycles."""
+    edges = tuple(combinations(range(m), 2))
+    return CoverModel(points=tuple(range(m)), cover=edges,
+                      cover_names=tuple(f"e{i}_{j}" for i, j in edges), complex=None, name=f"K{m}")
+
+
+def check_representatives(spec, max_degree):
+    """kernel_basis with the cleared columns of the degree below gives, over
+    each field, exactly h_n cocycles that vanish on those columns and stay
+    independent modulo the coboundaries."""
+    for system, p in [(Q, 0), (PrimeField(2), 2), (Z5, 5)]:
+        h = field_cohomology(spec, system, max_degree)
+        below, leads = None, set()
+        for n in range(max_degree + 1):
+            mat = assemble_matrix(spec, n)
+            skip, leads = cleared_columns(mat, below, leads), set()
+            reps = kernel_basis(mat, system, skip=skip, leads=leads)
+            assert len(reps) == h[n], (system.name, n)
+            assert len(leads) == matrix_rank(mat, system)
+            columns = mat.columns
+            for vec in reps:
+                assert not set(vec) & set(skip)
+                image = {}
+                for j, x in vec.items():
+                    for i, y in columns[j].items():
+                        image[i] = image.get(i, 0) + x * y
+                assert all((v % p if p else v) == 0 for v in image.values())
+            boundaries = [] if below is None else below.columns
+            assert rank_in_quotient(reps, boundaries, system) == h[n]
+            below = mat
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_representatives_on_random_covers(seed):
+    check_representatives(LocalComplexSpec(random_cover_model(random.Random(seed))), 2)
+
+
+@pytest.mark.parametrize("model,max_degree,profile", [
+    (left_invariant_cover(20, 2), 3, [1, 1, 0, 0]),
+    (edge_cover(20), 2, [1, 171, 0]),
+    (edge_cover(30), 2, [1, 406, 0]),
+], ids=["cyc20_2", "K20", "K30"])
+def test_representatives_on_large_covers(model, max_degree, profile):
+    spec = LocalComplexSpec(model)
+    assert field_cohomology(spec, Q, max_degree) == profile
+    check_representatives(spec, max_degree)
 
 
 @settings(max_examples=100, deadline=None)
