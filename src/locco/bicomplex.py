@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .coeff import CoefficientSystem, RealVectors
 from .cochains import (CechPage, LocalCochain, _is_int, cech_coboundary,
                        page_vertical_differential, permutation_sign)
 from .errors import DomainError, SupportError
-from .model import CoverModel
+from .model import CoverModel, decode
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +138,39 @@ def family_from_json(model: CoverModel, doc: dict) -> PartitionFamily:
     return PartitionFamily(model, doc["level"], weights, unity=unity)
 
 
+def _active_sets(model: CoverModel, q: int) -> list:
+    """(tuple, ascending indices of the cover sets whose (q+1)-st power
+    holds it) for each tuple of the level-q neighborhood, in order.
+
+    One membership table is built from the level's codes: a tuple lies in
+    a power when each of its digits names a member.
+    """
+    domain = model.diagonal_neighborhood(q)
+    member = np.zeros((len(model.points), len(model.cover)), dtype=bool)
+    for i, members in enumerate(model.cover):
+        member[[model.point_index[x] for x in members], i] = True
+    digits = decode(domain.codes, len(model.points), q + 1)
+    table = member[digits[:, 0]]
+    for j in range(1, q + 1):
+        table &= member[digits[:, j]]
+    at, index = table.nonzero()
+    bounds = at.searchsorted(np.arange(len(domain) + 1)).tolist()
+    index = index.tolist()
+    return [(t, index[a:b]) for t, a, b in zip(domain.tuples, bounds, bounds[1:])]
+
+
 def first_hit_family(model: CoverModel, q: int) -> PartitionFamily:
     """Indicator weights of the first cover set whose power holds each tuple."""
     weights: dict = {}
-    for t in model.diagonal_neighborhood(q).tuples:
-        for i, members in enumerate(model.cover):
-            if all(c in members for c in t):
-                weights.setdefault(i, {})[t] = 1
-                break
+    for t, active in _active_sets(model, q):
+        weights.setdefault(active[0], {})[t] = 1
     return PartitionFamily(model, q, weights, unity=True, label="first-hit")
 
 
 def random_unity_family(model: CoverModel, q: int, rng, spread: int = 2) -> PartitionFamily:
     """Integer weights, random except the first active index restores the sum."""
     weights: dict = {}
-    for t in model.diagonal_neighborhood(q).tuples:
-        active = [i for i, members in enumerate(model.cover)
-                  if all(c in members for c in t)]
+    for t, active in _active_sets(model, q):
         drawn = {i: rng.randrange(-spread, spread + 1) for i in active[1:]}
         drawn[active[0]] = 1 - sum(drawn.values())
         for i, w in drawn.items():
@@ -164,9 +182,7 @@ def random_unity_family(model: CoverModel, q: int, rng, spread: int = 2) -> Part
 def uniform_unity_family(model: CoverModel, q: int) -> PartitionFamily:
     """Equal rational weight on every cover set whose power holds the tuple."""
     weights: dict = {}
-    for t in model.diagonal_neighborhood(q).tuples:
-        active = [i for i, members in enumerate(model.cover)
-                  if all(c in members for c in t)]
+    for t, active in _active_sets(model, q):
         share = Fraction(1, len(active))
         for i in active:
             weights.setdefault(i, {})[t] = share

@@ -10,10 +10,13 @@ enumerated for all blocks of one arity at once.  One sparse eliminator,
 fraction-free with gcd stripping over Q and with normalised pivots over
 GF(p).  A matrix with more rows than columns has its rank taken through its
 columns, last first, and a kernel is that same column elimination with each
-column tagged by its own index, with no back-substitution.  Once
-d_n d_{n-1} = 0 is checked exactly by a sparse product, d_n's elimination
-leaves out every column at which a pivot of d_{n-1} leads, and its kernel
-is then h_n cocycle representatives (:func:`kernel_basis`).  Every
+column tagged by its own index, with no back-substitution.  A vector whose
+lead no pivot holds yet is kept as its index into the sorted entries and
+built only when a later vector leads there, so most columns of a
+differential are never built as dicts.  Once d_n d_{n-1} = 0 is checked
+exactly by a sparse product, d_n's elimination leaves out every column at
+which a pivot of d_{n-1} leads, and its kernel is then h_n cocycle
+representatives (:func:`kernel_basis`).  Every
 differential is assembled in index space by one kernel,
 :func:`assemble_matrix`: basis elements are integer codes, faces are found
 by deleting a digit or swapping a block and matched to their columns by
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -56,20 +59,25 @@ class FaceRule:
     ``face_blocks[block][k]`` (none where it is -1) with sign (-1)^k.  Face
     codes are ``block * col_size + tuple code``.  The kernel reads three
     tables with one row per block: ``places``, the place value of each
-    deleted digit; ``blocks``, the face blocks; and ``signs``, point faces
-    then index faces, 0 where there is no face.
+    deleted digit (1 past the arity); ``blocks``, the face blocks, a 2-d
+    int array; and ``signs``, point faces then index faces, 0 where there is
+    no face.  Each is built at once over the blocks; the place values come
+    from a table of Python-int powers, so they stay exact past int64.
     """
 
-    def __init__(self, radix: int, row_size: int, col_size: int, arity: list,
-                 weight: list, face_blocks: list):
+    def __init__(self, radix: int, row_size: int, col_size: int, arity, weight,
+                 face_blocks: np.ndarray):
         self.radix, self.row_size, self.col_size = radix, row_size, col_size
-        width = max(arity, default=0)
-        self.places = np.array([[radix ** (a - 1 - j) if j < a else 1 for j in range(width)]
-                                for a in arity], dtype=code_dtype(radix ** width))
-        self.blocks = np.array(face_blocks, dtype=np.int64)
-        self.signs = np.array([[w * (-1) ** j if j < a else 0 for j in range(width)]
-                               + [(-1) ** k if f >= 0 else 0 for k, f in enumerate(fb)]
-                               for a, w, fb in zip(arity, weight, face_blocks)], dtype=np.int64)
+        arity = np.asarray(arity, dtype=np.int64)[:, None]
+        width = int(arity.max(initial=0))
+        j = np.arange(width)
+        powers = np.array([radix ** e for e in range(width)], dtype=code_dtype(radix ** width))
+        self.places = powers[np.maximum(arity - 1 - j, 0)]
+        self.blocks = face_blocks
+        alternate = 1 - 2 * (np.arange(max(width, face_blocks.shape[1])) % 2)   # (-1)^j
+        point = np.where(j < arity, np.asarray(weight, dtype=np.int64)[:, None] * alternate[:width], 0)
+        index = np.where(face_blocks >= 0, alternate[:face_blocks.shape[1]], 0)
+        self.signs = np.concatenate((point, index), axis=1)
 
 
 @lru_cache(maxsize=256)
@@ -77,22 +85,22 @@ def _alternating_rule(radix: int, arity: int, blocks: int = 1) -> FaceRule:
     """Alternating deletion on arity-tuples in each of ``blocks`` blocks, with
     no index faces; shared by every spec."""
     return FaceRule(radix, radix ** arity, radix ** (arity - 1), [arity] * blocks,
-                    [1] * blocks, [[]] * blocks)
+                    [1] * blocks, np.zeros((blocks, 0), dtype=np.int64))
 
 
-def _block_faces(simplices: Sequence[tuple], offset: int = 0, empty: int = -1) -> list:
-    """Face blocks of index tuples for :class:`FaceRule`: ``simplices[b]`` is
-    block ``offset + b`` and its row lists it with each index deleted in
-    turn, padded with -1.  The empty tuple is block ``empty`` (-1: no face);
-    the ``offset`` leading blocks have no index faces."""
+def _block_faces(simplices: Sequence[tuple], offset: int = 0, empty: int = -1) -> np.ndarray:
+    """Face blocks of index tuples for :class:`FaceRule`, one int64 row per
+    block: ``simplices[b]`` is block ``offset + b`` and its row lists it with
+    each index deleted in turn, padded with -1.  The empty tuple is block
+    ``empty`` (-1: no face); the ``offset`` leading blocks have no index
+    faces.  A degree's rule reads the first columns."""
     position = {s: b for b, s in enumerate(simplices, offset)}
     position[()] = empty
     width = max(map(len, simplices), default=0)
-    table = [[-1] * width for _ in range(offset)]
+    table = [-1] * (width * offset)
     for s in simplices:
-        faces = [position[s[:k] + s[k + 1:]] for k in range(len(s))]
-        table.append(faces + [-1] * (width - len(faces)))
-    return table
+        table += [position[s[:k] + s[k + 1:]] for k in range(len(s))] + [-1] * (width - len(s))
+    return np.array(table, dtype=np.int64).reshape(offset + len(simplices), width)
 
 
 def _power_blocks(model: CoverModel, blocks: list, size: int, what: str) -> np.ndarray:
@@ -218,7 +226,7 @@ class CechComplexSpec(ComplexSpec):
 
     def face_rule(self, n: int) -> FaceRule:
         blocks = len(self._faces)
-        return FaceRule(1, 1, 1, [0] * blocks, [0] * blocks, [f[:n + 2] for f in self._faces])
+        return FaceRule(1, 1, 1, np.zeros(blocks), np.zeros(blocks), self._faces[:, :n + 2])
 
 
 class SimplicialComplexSpec(ComplexSpec):
@@ -297,6 +305,7 @@ class TotalComplexSpec(ComplexSpec):
         self.nerve = model.nerve()
         self.radix = len(model.points)
         self._faces = _block_faces(self.nerve.simplices)
+        self._dims = np.array([len(idx) - 1 for idx in self.nerve.simplices], dtype=np.int64)
 
     def _blocks(self, n: int) -> list:
         return [(b, idx, n + 2 - len(idx)) for b, idx in enumerate(self.nerve.simplices)
@@ -312,11 +321,10 @@ class TotalComplexSpec(ComplexSpec):
 
     def face_rule(self, n: int) -> FaceRule:
         # a block of dimension p holds (n + 2 - p)-tuples in degree n + 1
-        dims = [len(idx) - 1 for idx in self.nerve.simplices]
-        arity = [n + 2 - p for p in dims]
-        weight = [(-1) ** p if a >= 2 else 0 for p, a in zip(dims, arity)]
+        arity = n + 2 - self._dims
+        weight = np.where(arity >= 2, 1 - 2 * (self._dims % 2), 0)   # (-1)^p
         return FaceRule(self.radix, self.radix ** (n + 2), self.radix ** (n + 1),
-                        arity, weight, [f[:n + 2] for f in self._faces])
+                        arity, weight, self._faces[:, :n + 2])
 
 
 class AugmentedRowSpec(ComplexSpec):
@@ -357,8 +365,8 @@ class AugmentedRowSpec(ComplexSpec):
     def face_rule(self, n: int) -> FaceRule:
         blocks = len(self._faces)
         size = self.radix ** (self.q + 1)
-        return FaceRule(self.radix, size, size, [self.q + 1] * blocks, [0] * blocks,
-                        [f[:n + 1] for f in self._faces])
+        return FaceRule(self.radix, size, size, np.full(blocks, self.q + 1), np.zeros(blocks),
+                        self._faces[:, :n + 1])
 
 
 class AugmentedColumnSpec(ComplexSpec):
@@ -446,13 +454,12 @@ class BoundaryMatrix:
         return out
 
 
-def _split(major: np.ndarray, minor: np.ndarray, values: np.ndarray, count: int,
-           which: Optional[Iterable[int]] = None):
-    """Dicts minor -> value, one per major index in ``which`` (by default
-    0..count-1), in that order, each made when it is read; ``major`` ascends."""
+def _split(major: np.ndarray, minor: np.ndarray, values: np.ndarray, count: int):
+    """Dicts minor -> value, one per major index 0..count-1, in order, each
+    made when it is read; ``major`` ascends."""
     bounds = major.searchsorted(np.arange(count + 1)).tolist()
     minor, values = minor.tolist(), values.tolist()
-    for k in range(count) if which is None else which:
+    for k in range(count):
         a, b = bounds[k], bounds[k + 1]
         yield dict(zip(minor[a:b], values[a:b]))
 
@@ -527,29 +534,44 @@ class Echelon:
     """Exact echelon form of sparse integer vectors (rows, or columns tagged
     for a kernel), filled one at a time; nothing is back-substituted.
 
-    Pivot rows are kept in a dict keyed by their leading index, so a new row
-    meets only the pivots of the indices it reaches and no row is scanned
-    again when a pivot is chosen.  With ``p = 0`` elimination is
-    fraction-free over the integers and gives ranks over Q: a pivot row is
-    primitive with a positive lead, a lead of 1 is subtracted without
+    Pivot vectors are kept in a dict keyed by their leading index, so a new
+    vector meets only the pivots of the indices it reaches and no vector is
+    scanned again when a pivot is chosen.  With ``p = 0`` elimination is
+    fraction-free over the integers and gives ranks over Q: a pivot vector
+    is primitive with a positive lead, a lead of 1 is subtracted without
     rescaling, and any other lead cross-multiplies by gcd-reduced factors,
-    after which the row's content is divided out.  With a prime ``p`` the
-    entries of a row lie in 1..p-1 and pivot rows are scaled to lead 1.
+    after which the vector's content is divided out.  With a prime ``p`` the
+    entries of a vector lie in 1..p-1 and pivot vectors are scaled to lead 1.
+
+    A pivot may be held unbuilt, as the int that ``build`` turns into its
+    vector: :func:`_echelon` records a vector so when no pivot holds its
+    lead yet.  :meth:`insert` builds and normalises it only when a later
+    vector leads at it, and :meth:`pivot` reads it built; no caller reads
+    an unbuilt pivot.  Normalising depends only on the vector, so a pivot
+    built late equals the one built at once.
     """
 
-    def __init__(self, p: int = 0):
+    def __init__(self, p: int = 0, build: Optional[Callable[[int], dict]] = None):
         self.p = p
-        self.pivots: dict = {}   # leading column -> pivot row
+        self.build = build
+        self.pivots: dict = {}   # leading index -> pivot vector, or its int for ``build``
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    def pivot(self, c: int) -> dict:
+        """The pivot vector leading at ``c``, built on first read."""
+        pivot = self.pivots[c]
+        if pivot.__class__ is int:
+            pivot = self.pivots[c] = self._normalise(self.build(pivot), c)
+        return pivot
+
     def insert(self, row: dict) -> bool:
         """Reduce ``row`` by the pivots; keep it if it is independent.
 
         The row is taken over, not copied, and may be changed or kept as a
-        pivot row.  Over GF(p) its entries must already be reduced mod p,
+        pivot vector.  Over GF(p) its entries must already be reduced mod p,
         with no zeros.
         """
         pivots = self.pivots
@@ -559,6 +581,8 @@ class Echelon:
             if pivot is None:
                 pivots[c] = self._normalise(row, c)
                 return True
+            if pivot.__class__ is int:
+                pivot = self.pivot(c)
             row = self._eliminate(row, pivot, c)
         return False
 
@@ -613,13 +637,54 @@ def _modulus(system: CoefficientSystem) -> int:
     raise CoefficientError(f"no exact elimination over {system.name}")
 
 
-def _kept_columns(mat: BoundaryMatrix, p: int, kept: np.ndarray):
-    """(index, column) for each column of ``mat`` that ``kept`` marks, last
-    first: dicts row index -> value, reduced mod p, each built when read."""
+def _echelon(mat: BoundaryMatrix, p: int, kept: np.ndarray, through_columns: bool,
+             tagged: bool = False) -> Echelon:
+    """The :class:`Echelon` of ``mat``'s vectors, reduced mod p: the columns
+    that ``kept`` marks, last first, or else every row without the columns
+    left out.  With ``tagged``, column j also holds 1 at ``nrows + j``.
+
+    Each vector's lead, its least index, is read from the sorted entries.  A
+    vector whose lead no pivot holds yet is recorded by its index and built
+    only if a later vector leads there (the emergent pairs of Ripser, Bauer
+    2021); any other vector is built once and inserted.  The insertion order
+    and every pivot built are those of inserting each vector in turn.
+    """
+    nrows, ncols = mat.shape
     r, c, v = _reduced(mat.entries, p)
-    which = kept.nonzero()[0][::-1].tolist()
-    order = np.argsort(c, kind="stable")
-    return zip(which, _split(c[order], r[order], v[order], mat.shape[1], which))
+    if through_columns:
+        # numpy sorts 16-bit keys stably by radix, several times faster
+        order = np.argsort(c.astype(np.uint16) if ncols <= 1 << 16 else c, kind="stable")
+        major, minor, values, count = c[order], r[order], v[order], ncols
+        which = kept.nonzero()[0][::-1]
+    else:
+        if not kept.all():
+            live = kept[c]
+            r, c, v = r[live], c[live], v[live]
+        major, minor, values, count = r, c, v, nrows
+        which = np.arange(nrows)
+    bounds = major.searchsorted(np.arange(count + 1))
+    start, empty = bounds[which], bounds[which] == bounds[which + 1]
+    if tagged:
+        lead = np.where(empty, nrows + which, np.append(minor, 0)[start])
+    else:
+        which, lead = which[~empty], minor[start[~empty]]   # an empty vector adds nothing
+    bounds = bounds.tolist()
+
+    def build(k: int) -> dict:
+        a, b = bounds[k], bounds[k + 1]
+        vec = dict(zip(minor[a:b].tolist(), values[a:b].tolist()))
+        if tagged:
+            vec[nrows + k] = 1
+        return vec
+
+    ech = Echelon(p, build)
+    pivots = ech.pivots
+    for k, c in zip(which.tolist(), lead.tolist()):
+        if c in pivots:
+            ech.insert(build(k))
+        else:
+            pivots[c] = k
+    return ech
 
 
 def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
@@ -629,35 +694,25 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
     Columns listed in ``skip`` are left out; the caller vouches that each
     is a combination of the columns after it (:func:`cleared_columns`).  A
     matrix with more rows than columns kept is eliminated through those
-    columns, last first (:func:`_kept_columns`), which on the differentials
-    here leaves sparser pivot rows than column order; a set passed as
-    ``leads`` then receives the row index at which each pivot row leads.
+    columns, last first (:func:`_echelon`), which on the differentials here
+    leaves sparser pivot vectors than column order; a set passed as
+    ``leads`` then receives the row index at which each pivot vector leads.
     Otherwise the rows are inserted, without the skipped columns, and
     ``leads`` stays as it was.
 
     With ``blocks``, a pair of ascending bounds that cut the rows and the
     columns of a block-diagonal matrix into the same blocks, the rank comes
-    back per block as an array.  Every pivot row then lies in one block, so
-    a block's rank is the number of pivots that lead inside it: at a row
+    back per block as an array.  Every pivot vector then lies in one block,
+    so a block's rank is the number of pivots that lead inside it: at a row
     index when the elimination went through columns, else at a column index.
     """
-    ech = Echelon(0 if isinstance(system, Integers) else _modulus(system))
-    nrows, ncols = mat.shape
-    kept = np.ones(ncols, dtype=bool)
+    p = 0 if isinstance(system, Integers) else _modulus(system)
+    kept = np.ones(mat.shape[1], dtype=bool)
     kept[np.fromiter(skip, dtype=np.int64)] = False
-    through_columns = nrows > int(kept.sum())
-    if through_columns:
-        for _, col in _kept_columns(mat, ech.p, kept):
-            ech.insert(col)
-        if leads is not None:
-            leads.update(ech.pivots)
-    else:
-        r, c, v = _reduced(mat.entries, ech.p)
-        if not kept.all():
-            live = kept[c]
-            r, c, v = r[live], c[live], v[live]
-        for row in _split(r, c, v, nrows):
-            ech.insert(row)
+    through_columns = mat.shape[0] > int(kept.sum())
+    ech = _echelon(mat, p, kept, through_columns)
+    if through_columns and leads is not None:
+        leads.update(ech.pivots)
     if blocks is None:
         return ech.rank
     bounds = blocks[0] if through_columns else blocks[1]
@@ -679,16 +734,13 @@ def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[
     B^n's pivots at the skipped ones, so they are independent modulo B^n
     (the clearing of Chen and Kerber; de Silva, Morozov, Vejdemo-Johansson).
     """
-    ech = Echelon(_modulus(system))
     nrows, ncols = mat.shape
     kept = np.ones(ncols, dtype=bool)
     kept[np.fromiter(skip, dtype=np.int64)] = False
-    for j, col in _kept_columns(mat, ech.p, kept):
-        col[nrows + j] = 1
-        ech.insert(col)
+    ech = _echelon(mat, _modulus(system), kept, True, tagged=True)
     if leads is not None:
         leads.update(c for c in ech.pivots if c < nrows)
-    return [{k - nrows: v for k, v in row.items()} for c, row in ech.pivots.items() if c >= nrows]
+    return [{k - nrows: v for k, v in ech.pivot(c).items()} for c in list(ech.pivots) if c >= nrows]
 
 
 def _integral(vec, p: int) -> dict:

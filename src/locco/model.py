@@ -112,10 +112,10 @@ class TupleSet:
     """A finite set of point tuples of fixed length with a frozen basis order.
 
     The set is its ascending ``codes``; ``names`` holds the point id at each
-    position, so the code digits name the points.  ``tuples`` and the index
-    behind ``in`` and :meth:`index` are decoded on first use, and :meth:`at`
-    decodes a single tuple.  Two sets are equal when their arity, label,
-    points and codes are.
+    position, so the code digits name the points.  ``tuples`` is decoded on
+    first use and :meth:`at` decodes a single tuple, while ``in`` and
+    :meth:`index` encode the item and search the codes, decoding nothing.
+    Two sets are equal when their arity, label, points and codes are.
     """
 
     arity: int                      # tuple length, n + 1 for level n
@@ -129,8 +129,22 @@ class TupleSet:
         return decode_tuples(self.names, self.codes, self.arity)
 
     @cached_property
-    def _index(self) -> dict:
-        return {t: k for k, t in enumerate(self.tuples)}
+    def _positions(self) -> dict:
+        return {x: k for k, x in enumerate(self.names.tolist())}
+
+    def _find(self, item) -> int:
+        """Where ``item`` is in the codes, or -1: a tuple of the wrong arity
+        or with an unknown point id is not a member."""
+        if not isinstance(item, tuple) or len(item) != self.arity:
+            return -1
+        code, radix, positions = 0, len(self.names), self._positions
+        for x in item:
+            digit = positions.get(x)
+            if digit is None:
+                return -1
+            code = code * radix + digit
+        k = int(self.codes.searchsorted(code))
+        return k if k < len(self.codes) and self.codes[k] == code else -1
 
     @property
     def degree(self) -> int:
@@ -155,10 +169,13 @@ class TupleSet:
         return decode_tuples(self.names, self.codes[k:k + 1], self.arity)[0]
 
     def __contains__(self, item) -> bool:
-        return item in self._index
+        return self._find(item) >= 0
 
     def index(self, item) -> int:
-        return self._index[item]
+        k = self._find(item)
+        if k < 0:
+            raise KeyError(item)
+        return k
 
 
 @dataclass(frozen=True)

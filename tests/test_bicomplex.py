@@ -12,13 +12,48 @@ from locco import (DomainError, PartitionFamily, Rationals, RealVectors,
                    scale_page_by_weight_sum, sigma_row_contraction,
                    total_differential, total_from_page, uniform_unity_family)
 from locco.loopfill import linear_contraction, sigma_fill
-from locco.cli import load_bundled_model
+from locco.cli import bundled_model_names, load_bundled_model
+from locco.compare import random_cover_model
 
 Q = Rationals()
 
 
 def homotopy_identity_holds(model, family, p, rng):
     return contraction_defect(random_page(model, Q, p, family.q, rng), family).is_zero()
+
+
+def listed_families(model, q, rng):
+    """First-hit, random-unity and uniform weights, each tuple tested against
+    each cover set in turn; the random draws in the same order."""
+    first, drawn_all, uniform = {}, {}, {}
+    tuples = model.diagonal_neighborhood(q).tuples
+    for t in tuples:
+        active = [i for i, members in enumerate(model.cover) if all(c in members for c in t)]
+        first.setdefault(active[0], {})[t] = 1
+        for i in active:
+            uniform.setdefault(i, {})[t] = Fraction(1, len(active))
+    for t in tuples:
+        active = [i for i, members in enumerate(model.cover) if all(c in members for c in t)]
+        drawn = {i: rng.randrange(-2, 3) for i in active[1:]}
+        drawn[active[0]] = 1 - sum(drawn.values())
+        for i, w in drawn.items():
+            if w:
+                drawn_all.setdefault(i, {})[t] = w
+    return first, drawn_all, uniform
+
+
+@pytest.mark.parametrize("source", bundled_model_names() + ["random:1", "random:2", "random:3"])
+def test_partition_families_match_the_listed_definition(source):
+    if source.startswith("random:"):
+        model = random_cover_model(random.Random(int(source[7:])))
+    else:
+        model = load_bundled_model(source)
+    for q in (0, 1, 2):
+        families = [first_hit_family(model, q), random_unity_family(model, q, random.Random(q)),
+                    uniform_unity_family(model, q)]
+        for family, listed in zip(families, listed_families(model, q, random.Random(q))):
+            assert family.weights == listed
+            assert [list(w) for w in family.weights.values()] == [list(w) for w in listed.values()]
 
 
 def test_first_hit_family_is_exact_unity():

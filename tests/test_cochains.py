@@ -10,6 +10,8 @@ from locco import (CechPage, DomainError, LocalCochain, PrimeField, Rationals,
                    random_local_cochain, simplicial_coboundary, smallest_point,
                    standard_column_contraction, standard_differential,
                    vertex_pullback)
+from locco import left_invariant_cover
+from locco import model as model_module
 from locco.cochains import SimplicialCochain, local_cochain_from_json
 from locco.cli import load_bundled_model
 
@@ -58,6 +60,23 @@ def test_local_differential_matches_brute_force():
         for degree in (0, 1):
             f = random_local_cochain(m, Q, degree, rng)
             assert local_differential(f).values == brute_local_differential(f)
+
+
+def test_local_differential_decodes_no_level(monkeypatch):
+    # cyc(30,3): the level-2 neighborhood has 3,810 tuples; membership reads
+    # codes, so neither the cochain nor its differential decodes one
+    m = left_invariant_cover(30, 3)
+    f = random_local_cochain(m, Q, 1, random.Random(5), entries=5)
+    calls = []
+    real = model_module.decode
+    monkeypatch.setattr(model_module, "decode",
+                        lambda codes, *args: calls.append(len(codes)) or real(codes, *args))
+    df = local_differential(f)
+    assert calls == []
+    assert df.values and local_differential(df).is_zero()
+    assert calls == []
+    monkeypatch.setattr(model_module, "decode", real)
+    assert df.values == brute_local_differential(f)
 
 
 def test_local_differential_squares_to_zero():

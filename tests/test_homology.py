@@ -327,6 +327,78 @@ def test_eliminator_kernel_is_exact(case):
         assert oracle_rank(as_dense, p) == len(basis)
 
 
+def eager_echelon(dense, ncols, p, kept, through_columns, tagged=False):
+    """The reference for ``homology._echelon``: every vector built from the
+    dense matrix and inserted, in the same order (kept columns last first,
+    or the rows without the columns left out)."""
+    ech, nrows = Echelon(p), len(dense)
+    reduce = (lambda x: x % p) if p else (lambda x: x)
+    if through_columns:
+        for j in reversed(range(ncols)):
+            if kept[j]:
+                vec = {i: reduce(row[j]) for i, row in enumerate(dense) if reduce(row[j])}
+                if tagged:
+                    vec[nrows + j] = 1
+                ech.insert(vec)
+    else:
+        for row in dense:
+            ech.insert({j: reduce(x) for j, x in enumerate(row) if kept[j] and reduce(x)})
+    return ech
+
+
+@st.composite
+def lazy_cases(draw):
+    """A sparse integer matrix, a set of columns to skip and cuts of the rows
+    and of the columns into blocks.  Nonzero entries crowd into the first
+    rows, so many columns share a lead, and whole columns are zero."""
+    nrows, ncols = draw(st.integers(0, 10)), draw(st.integers(0, 12))
+    zero = draw(st.sets(st.integers(0, max(ncols - 1, 0)))) if ncols else set()
+    dense = [[0 if j in zero or draw(st.integers(0, i + 1)) else draw(st.integers(-6, 6))
+              for j in range(ncols)] for i in range(nrows)]
+    skip = sorted(draw(st.sets(st.integers(0, ncols - 1)))) if ncols else []
+
+    def cuts(n):
+        inner = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        return np.array([0, *sorted(inner), n], dtype=np.int64)
+
+    return dense, ncols, skip, (cuts(nrows), cuts(ncols))
+
+
+def block_counts(keys, bounds):
+    return [sum(bounds[b] <= k < bounds[b + 1] for k in keys) for b in range(len(bounds) - 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lazy_cases())
+@example(([[1, 1, 0], [0, 2, 0], [0, 0, 0]], 3, [], (np.array([0, 1, 3]), np.array([0, 3]))))
+@example(([[2, 4], [4, 8], [1, 0]], 2, [1], (np.array([0, 3]), np.array([0, 2]))))
+def test_lazy_elimination_matches_eager_insertion(case):
+    dense, ncols, skip, blocks = case
+    mat, nrows = as_matrix(dense, ncols), len(dense)
+    kept = np.ones(ncols, dtype=bool)
+    kept[skip] = False
+    for system, p in [(Q, 0), (PrimeField(2), 2), (Z5, 5)]:
+        for through_columns, tagged in [(True, False), (False, False), (True, True)]:
+            lazy = homology._echelon(mat, p, kept, through_columns, tagged)
+            eager = eager_echelon(dense, ncols, p, kept, through_columns, tagged)
+            assert list(lazy.pivots) == list(eager.pivots)
+            assert [lazy.pivot(c) for c in lazy.pivots] == list(eager.pivots.values())
+        through_columns = nrows > int(kept.sum())
+        eager = eager_echelon(dense, ncols, p, kept, through_columns)
+        leads = set()
+        assert matrix_rank(mat, system, skip=skip, leads=leads) == eager.rank
+        assert leads == (set(eager.pivots) if through_columns else set())
+        ranks = matrix_rank(mat, system, skip=skip, blocks=blocks)
+        bounds = blocks[0] if through_columns else blocks[1]
+        assert ranks.tolist() == block_counts(eager.pivots, bounds)
+        tagged = eager_echelon(dense, ncols, p, kept, True, tagged=True)
+        leads = set()
+        assert kernel_basis(mat, system, skip=skip, leads=leads) == [
+            {k - nrows: v for k, v in row.items()}
+            for c, row in tagged.pivots.items() if c >= nrows]
+        assert leads == {c for c in tagged.pivots if c < nrows}
+
+
 def edge_cover(m):
     """K_m covered by its edges: the local cohomology is the graph's, so
     h^1 = C(m - 1, 2), the number of independent cycles."""
@@ -605,6 +677,89 @@ def compose(second, first):
     return out
 
 
+def listed_block_faces(simplices, offset=0, empty=-1):
+    """The face-block table of ``homology._block_faces``, as lists of rows."""
+    position = {s: b for b, s in enumerate(simplices, offset)}
+    position[()] = empty
+    width = max(map(len, simplices), default=0)
+    table = [[-1] * width for _ in range(offset)]
+    for s in simplices:
+        faces = [position[s[:k] + s[k + 1:]] for k in range(len(s))]
+        table.append(faces + [-1] * (width - len(faces)))
+    return table
+
+
+def listed_rule_inputs(spec, n):
+    """(radix, arity, weight, face blocks) of d_n's face rule, as lists, per
+    spec kind."""
+    if isinstance(spec, CechComplexSpec):
+        faces = listed_block_faces(spec.nerve.simplices)
+        return 1, [0] * len(faces), [0] * len(faces), [f[:n + 2] for f in faces]
+    if isinstance(spec, TotalComplexSpec):
+        dims = [len(idx) - 1 for idx in spec.nerve.simplices]
+        arity = [n + 2 - p for p in dims]
+        weight = [(-1) ** p if a >= 2 else 0 for p, a in zip(dims, arity)]
+        faces = listed_block_faces(spec.nerve.simplices)
+        return spec.radix, arity, weight, [f[:n + 2] for f in faces]
+    if isinstance(spec, AugmentedRowSpec):
+        faces = listed_block_faces(spec.nerve.simplices, offset=1, empty=0)
+        return (spec.radix, [spec.q + 1] * len(faces), [0] * len(faces),
+                [f[:n + 1] for f in faces])
+    blocks = getattr(spec, "block_count", 1)
+    arity = n + 1 if isinstance(spec, AugmentedColumnSpec) else n + 2
+    return spec.radix, [arity] * blocks, [1] * blocks, [[]] * blocks
+
+
+def listed_rule_tables(radix, arity, weight, face_blocks):
+    """``places``, ``blocks`` and ``signs`` of a FaceRule, one list
+    comprehension per block."""
+    width = max(arity, default=0)
+    places = np.array([[radix ** (a - 1 - j) if j < a else 1 for j in range(width)]
+                       for a in arity], dtype=homology.code_dtype(radix ** width))
+    signs = np.array([[w * (-1) ** j if j < a else 0 for j in range(width)]
+                      + [(-1) ** k if f >= 0 else 0 for k, f in enumerate(fb)]
+                      for a, w, fb in zip(arity, weight, face_blocks)], dtype=np.int64)
+    return places, np.array(face_blocks, dtype=np.int64), signs
+
+
+def assert_rule_tables(rule, radix, arity, weight, face_blocks):
+    for got, want in zip((rule.places, rule.blocks, rule.signs),
+                         listed_rule_tables(radix, arity, weight, face_blocks)):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(cover_models(), st.integers(0, 10 ** 6))
+def test_face_rule_tables_match_the_listed_definition(model, seed):
+    for spec, _ in every_spec(model, random.Random(seed)):
+        for n in range(4):
+            assert_rule_tables(spec.face_rule(n), *listed_rule_inputs(spec, n))
+
+
+def test_face_rule_tables_past_int64_and_with_arity_below_one():
+    # degree 0 of the total complex of the 4-simplex cover: blocks of nerve
+    # dimension 2..4 hold tuples of arity 0, -1 and -2
+    model = CoverModel(points=(0, 1), cover=(frozenset({0, 1}),) * 5,
+                       cover_names=tuple(f"U{i}" for i in range(5)))
+    spec = TotalComplexSpec(model)
+    assert min(listed_rule_inputs(spec, 0)[1]) == -2
+    assert_rule_tables(spec.face_rule(0), *listed_rule_inputs(spec, 0))
+    # 100^11 is past int64, so the place values are Python ints
+    spec = LocalComplexSpec(left_invariant_cover(100, 7))
+    rule = spec.face_rule(9)
+    assert rule.places.dtype == object
+    assert_rule_tables(rule, *listed_rule_inputs(spec, 9))
+    radix = 2 ** 40
+    arity, weight, faces = [2, 1, 0, -1, 3], [1, -1, 0, 1, -1], [[1, -1], [-1, -1], [0, 2],
+                                                                   [-1, 3], [4, 0]]
+    rule = homology.FaceRule(radix, radix ** 3, radix ** 2, arity, weight,
+                             np.array(faces, dtype=np.int64))
+    assert rule.places.dtype == object
+    assert_rule_tables(rule, radix, arity, weight, faces)
+
+
 def test_assembly_with_codes_past_int64():
     # 600 points: level-6 tuples have codes up to 600^7 > 2^63, level 5 stays in int64
     cover = (frozenset({0, 1}), frozenset({1, 2})) + tuple(frozenset({p}) for p in range(3, 600))
@@ -760,24 +915,45 @@ def test_face_incomplete_set_keeps_its_full_profile():
 
 def test_profiles_skip_the_columns_the_degree_below_proves_dependent(monkeypatch):
     # cyc(12,2) local: bases of 12, 108 and 732 tuples in degrees 0..2, with
-    # ranks 11 and 96 for d_0 and d_1, so d_1 and d_2 insert 108 - 11 and
-    # 732 - 96 columns
-    inserts = []
-    rank, insert = homology.matrix_rank, Echelon.insert
+    # ranks 11 and 96 for d_0 and d_1, so d_1 and d_2 hand 108 - 11 and
+    # 732 - 96 columns to the elimination
+    handed, echelon = [], homology._echelon
 
-    def counted_rank(*args, **kwargs):
-        inserts.append(0)
-        return rank(*args, **kwargs)
+    def counted(mat, p, kept, through_columns, tagged=False):
+        handed.append(int(kept.sum()) if through_columns else mat.shape[0])
+        return echelon(mat, p, kept, through_columns, tagged)
 
-    def counted_insert(self, row):
-        inserts[-1] += 1
-        return insert(self, row)
-
-    monkeypatch.setattr(homology, "matrix_rank", counted_rank)
-    monkeypatch.setattr(Echelon, "insert", counted_insert)
+    monkeypatch.setattr(homology, "_echelon", counted)
     spec = LocalComplexSpec(left_invariant_cover(12, 2))
     assert field_cohomology(spec, Q, 2) == [1, 1, 0]
-    assert inserts == [12, 108 - 11, 732 - 96]
+    assert handed == [12, 108 - 11, 732 - 96]
+
+
+def counting_builds(monkeypatch) -> list:
+    """One count per Echelon made from then on: the vectors it built."""
+    built, init = [], Echelon.__init__
+
+    def counting_init(self, p=0, build=None):
+        built.append(0)
+
+        def counted(k, slot=len(built) - 1):
+            built[slot] += 1
+            return build(k)
+
+        init(self, p, None if build is None else counted)
+
+    monkeypatch.setattr(Echelon, "__init__", counting_init)
+    return built
+
+
+def test_only_the_vectors_that_meet_a_pivot_are_built(monkeypatch):
+    # cyc(12,2) local d_2: 636 columns are kept, and nearly every one leads
+    # at a row no pivot holds yet, so it is recorded by index and never built
+    built = counting_builds(monkeypatch)
+    spec = LocalComplexSpec(left_invariant_cover(12, 2))
+    assert field_cohomology(spec, Q, 2) == [1, 1, 0]
+    assert len(built) == 3
+    assert built[2] <= 636 // 10, built
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,37 @@ def test_tuple_sets_decode_only_what_is_read(monkeypatch):
     assert [wide.at(k) for k in (0, 1, 127, -1)] == [wide.tuples[k] for k in (0, 1, 127, -1)]
 
 
+def test_tuple_set_membership_reads_codes(monkeypatch):
+    decoded = []
+    real = model_module.decode
+    monkeypatch.setattr(model_module, "decode",
+                        lambda codes, *args: decoded.append(len(codes)) or real(codes, *args))
+    m = load_bundled_model("z6_arcs")
+    ts = m.diagonal_neighborhood(2)
+    members = sorted(brute_diagonal(m, 2), key=m.point_key)
+    outside = set(itertools.product(m.points, repeat=3)) - set(members)
+    assert outside
+    assert all(t in ts for t in members)
+    assert [ts.index(t) for t in members] == list(range(len(members)))
+    assert not any(t in ts for t in outside)
+    # wrong arity, unknown point ids and non-tuples are not members
+    strangers = [members[0][:2], members[0] + members[0][:1], (), ("nowhere",) * 3,
+                 members[0][:2] + (len(m.points),), list(members[0])]
+    for item in sorted(outside, key=m.point_key)[:5] + strangers:
+        assert item not in ts
+        with pytest.raises(KeyError):
+            ts.index(item)
+    assert decoded == []
+    # codes past int64
+    cover = (frozenset({0, 1}),) + tuple(frozenset({p}) for p in range(2, 600))
+    wide = CoverModel(points=tuple(range(600)), cover=cover,
+                      cover_names=tuple(f"U{i}" for i in range(len(cover))))
+    wide = wide.diagonal_neighborhood(6)
+    assert wide.codes.dtype == object
+    assert (0, 1, 1, 0, 1, 0, 1) in wide and wide.index((599,) * 7) == len(wide) - 1
+    assert (0, 1, 2, 0, 1, 0, 1) not in wide and (599,) * 6 not in wide
+
+
 def test_tuple_sets_compare_by_codes():
     m = load_bundled_model("z6_arcs")
     ts = m.diagonal_neighborhood(1)
