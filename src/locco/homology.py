@@ -447,11 +447,15 @@ class BoundaryMatrix:
         order = np.argsort(c, kind="stable")
         return list(_split(c[order], r[order], v[order], self.shape[1]))
 
-    def dense(self) -> list:
-        out = [[0] * self.shape[1] for _ in range(self.shape[0])]
-        for r, c, v in zip(*(x.tolist() for x in self.entries)):
-            out[r][c] = v
-        return out
+    def __len__(self) -> int:
+        """Rows; with ``mat[i]`` it reads as dense rows, as certbench's snf_cells count does."""
+        return self.shape[0]
+
+    def __getitem__(self, i: int) -> list:
+        """Row i as a dense list, built from its entries alone."""
+        r, c, v = self.entries
+        at = r == range(self.shape[0])[i]
+        return [dict(zip(c[at].tolist(), v[at].tolist())).get(j, 0) for j in range(self.shape[1])]
 
 
 def _split(major: np.ndarray, minor: np.ndarray, values: np.ndarray, count: int):
@@ -798,50 +802,49 @@ class SmithDecomposition:
 
 
 class _SparseIntegers:
-    """An integer matrix as sparse rows (dicts column -> entry), each column
-    keeping the set of rows that reach it, changed by elementary operations."""
+    """An integer matrix as sparse rows (dicts column -> entry), each column keeping the
+    set of rows that reach it, changed by elementary operations.  A :class:`BoundaryMatrix`
+    is read from its sorted entries, one pass over the nonzeros; dense rows cell by cell."""
 
-    def __init__(self, matrix: Sequence[Sequence[int]]):
-        ncols = len(matrix[0]) if matrix else 0
-        self.rows = []
-        self.cols = [set() for _ in range(ncols)]
-        for r, row in enumerate(matrix):
-            if len(row) != ncols:
+    def __init__(self, matrix):
+        if isinstance(matrix, BoundaryMatrix):
+            self.shape = matrix.shape
+            cells = zip(*(x.tolist() for x in matrix.entries))
+        else:
+            self.shape = (len(matrix), len(matrix[0]) if matrix else 0)
+            if any(len(row) != self.shape[1] for row in matrix):
                 raise ModelError("ragged integer matrix")
-            if set(map(type, row)) - {int}:
-                bad = next(v for v in row if type(v) is not int)
-                raise CoefficientError(f"Smith normal form needs integer entries, got {bad!r}")
-            entries = {c: v for c, v in enumerate(row) if v}
-            for c in entries:
-                self.cols[c].add(r)
-            self.rows.append(entries)
-
-    def _set(self, r: int, c: int, v: int) -> None:
-        if v:
-            self.rows[r][c] = v
-            self.cols[c].add(r)
-        elif self.rows[r].pop(c, None) is not None:
-            self.cols[c].discard(r)
+            cells = ((r, c, v) for r, row in enumerate(matrix) for c, v in enumerate(row))
+        rows = self.rows = [{} for _ in range(self.shape[0])]
+        cols = self.cols = [set() for _ in range(self.shape[1])]
+        for r, c, v in cells:
+            if v.__class__ is not int:
+                raise CoefficientError(f"Smith normal form needs integer entries, got {v!r}")
+            if v:
+                rows[r][c] = v
+                cols[c].add(r)
 
     def apply(self, op: tuple) -> None:
         """Carry out one operation in the encoding of :class:`SmithDecomposition`."""
-        rows = self.rows
+        rows, cols = self.rows, self.cols
         if op[0] == "neg":
             rows[op[1]] = {c: -v for c, v in rows[op[1]].items()}
             return
         kind, src, dst, f = op
-        if kind == "row":
-            row = rows[dst]
-            for c, v in rows[src].items():
-                self._set(dst, c, row.get(c, 0) + f * v)
-        else:
-            for r in list(self.cols[src]):
-                row = rows[r]
-                self._set(r, dst, row.get(dst, 0) + f * row[src])
+        cells = (((dst, c, v) for c, v in rows[src].items()) if kind == "row"
+                 else ((r, dst, rows[r][src]) for r in list(cols[src])))
+        for r, c, v in cells:
+            row = rows[r]
+            v = row.get(c, 0) + f * v
+            if v:
+                row[c] = v
+                cols[c].add(r)
+            elif row.pop(c, None) is not None:
+                cols[c].discard(r)
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Smith normal form of a dense integer matrix by sparse elimination.
+def smith_normal_form(matrix) -> SmithDecomposition:
+    """Smith normal form of a :class:`BoundaryMatrix` or of dense integer rows.
 
     The next pivot is the entry of least absolute value among rows and
     columns not yet pivoted, ties broken by Markowitz cost
@@ -910,32 +913,31 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
         done_cols.add(c)
         pivots.append((r, c, abs(d)))
     return SmithDecomposition(invariants=tuple(d for _, _, d in pivots), pivots=tuple(pivots),
-                              ops=tuple(ops), shape=(len(matrix), len(cols)))
+                              ops=tuple(ops), shape=work.shape)
 
 
 def _is_elementary(op, nrows: int, ncols: int) -> bool:
     """Whether ``op`` adds an integer multiple of one row or column to
     another, or negates a row: unimodular, with an elementary inverse."""
-    if not isinstance(op, tuple) or not all(type(x) is int for x in op[1:]):
-        return False
-    if len(op) == 4 and op[0] in ("row", "col"):
-        bound = nrows if op[0] == "row" else ncols
-        return 0 <= op[1] < bound and 0 <= op[2] < bound and op[1] != op[2]
-    return len(op) == 2 and op[0] == "neg" and 0 <= op[1] < nrows
+    if isinstance(op, tuple) and len(op) == 4:
+        kind, src, dst, f = op
+        bound = nrows if kind == "row" else ncols if kind == "col" else 0
+        return (src.__class__ is dst.__class__ is f.__class__ is int
+                and 0 <= src < bound and 0 <= dst < bound and src != dst)
+    return (isinstance(op, tuple) and len(op) == 2 and op[0] == "neg"
+            and op[1].__class__ is int and 0 <= op[1] < nrows)
 
 
-def check_smith_certificate(matrix: Sequence[Sequence[int]], dec: SmithDecomposition) -> bool:
-    """Replay the operations on a fresh sparse copy of M and confirm that only
-    the recorded pivots remain, positive, a divisor chain equal to the
-    invariants.  Each operation must be elementary, which makes U and V
-    unimodular without a determinant."""
-    nrows, ncols = dec.shape
-    if nrows != len(matrix) or (nrows and ncols != len(matrix[0])):
-        return False
+def check_smith_certificate(matrix, dec: SmithDecomposition) -> bool:
+    """Replay the operations on a fresh sparse copy of M (a :class:`BoundaryMatrix` or
+    dense rows) and confirm that only the recorded pivots remain, positive, a divisor
+    chain equal to the invariants.  Each operation must be elementary, which makes U
+    and V unimodular without a determinant."""
     work = _SparseIntegers(matrix)
+    nrows, ncols = work.shape
+    if dec.shape != work.shape or not all(_is_elementary(op, nrows, ncols) for op in dec.ops):
+        return False
     for op in dec.ops:
-        if not _is_elementary(op, nrows, ncols):
-            return False
         work.apply(op)
     pivots = dec.pivots
     if (len({r for r, _, _ in pivots}) != len(pivots) or len({c for _, c, _ in pivots}) != len(pivots)
@@ -1030,9 +1032,8 @@ def field_cohomology(spec: ComplexSpec, system: CoefficientSystem, max_degree: i
 
 def _certified_smith(mat: BoundaryMatrix, n: int) -> SmithDecomposition:
     """Smith normal form of d_n, its certificate replayed before it is used."""
-    dense = mat.dense()
-    dec = smith_normal_form(dense)
-    if not check_smith_certificate(dense, dec):
+    dec = smith_normal_form(mat)
+    if not check_smith_certificate(mat, dec):
         raise ModelError(f"Smith certificate failed in degree {n}")
     return dec
 
@@ -1084,8 +1085,7 @@ def block_profiles(spec: SimplicialComplexSpec, system: CoefficientSystem,
         raise CoefficientError(f"no cohomology profile over {system.name}")
     decs: list = [[] for _ in tops]
     for n in range(top + 1):
-        mat = assemble_matrix(spec, n)
-        r, c, v = mat.entries
+        r, c, v = assemble_matrix(spec, n).entries
         rows, cols = bounds[n + 1], bounds[n]
         at = r.searchsorted(rows)   # each block's first entry
         for b in (b for b, t in enumerate(tops) if n <= t):

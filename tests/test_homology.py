@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locco import (AugmentedColumnSpec, AugmentedRowSpec, BudgetError,
-                   CechComplexSpec, CoverModel, Integers, LocalComplexSpec,
-                   ModelError, PrimeField, Rationals,
+                   CechComplexSpec, CoefficientError, CoverModel, Integers,
+                   LocalComplexSpec, ModelError, PrimeField, Rationals,
                    SimplicialComplexSpec, TotalComplexSpec,
                    assemble_matrix, check_smith_certificate,
                    cohomology_profile, field_cohomology, integer_cohomology,
@@ -24,7 +24,7 @@ from locco import model as model_module
 from locco.homology import (BoundaryMatrix, Echelon, block_profiles, cleared_columns,
                             composes_to_zero, profile_from_ranks)
 from locco.cli import bundled_model_names, load_bundled_model, run
-from locco.compare import random_cover_model
+from locco.compare import _as_columns, random_cover_model
 
 Q = Rationals()
 Z5 = PrimeField(5)
@@ -208,6 +208,7 @@ def test_smith_invariants_match_determinantal_divisors(dense):
     dec = smith_normal_form(dense)
     assert dec.invariants == oracle_invariants(dense)
     assert check_smith_certificate(dense, dec)
+    assert_same_smith(dense, as_matrix(dense, len(dense[0]) if dense else 0))
 
 
 TAMPER_CASE = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
@@ -235,6 +236,7 @@ def _tampered():
     cases["moved pivot"] = replace(dec, pivots=((r, (c + 1) % 3, d),) + dec.pivots[1:])
     cases["swapped pivots"] = replace(dec, pivots=(dec.pivots[1], dec.pivots[0], dec.pivots[2]))
     cases["altered invariant"] = replace(dec, invariants=dec.invariants[:-1] + (24,))
+    cases["other shape"] = replace(dec, shape=(3, 4))
     r, c, d = pivots[-1]
     cases["altered pivot and invariant"] = replace(
         dec, pivots=dec.pivots[:-1] + ((r, c, 24),), invariants=dec.invariants[:-1] + (24,))
@@ -244,9 +246,10 @@ def _tampered():
 def test_smith_certificate_rejects_tampering():
     dec, cases = _tampered()
     assert dec.invariants == (2, 6, 12)
-    assert check_smith_certificate(TAMPER_CASE, dec)
-    for name, bad in cases.items():
-        assert not check_smith_certificate(TAMPER_CASE, bad), name
+    for matrix in (TAMPER_CASE, as_matrix(TAMPER_CASE, 3)):
+        assert check_smith_certificate(matrix, dec)
+        for name, bad in cases.items():
+            assert not check_smith_certificate(matrix, bad), name
 
 
 def test_smith_certificate_rejects_non_elementary_operations():
@@ -260,6 +263,70 @@ def test_smith_certificate_rejects_non_elementary_operations():
                      ops=(("row", 0, 1, Fraction(-1, 2)),))
     assert not check_smith_certificate([[2], [1]], halved)
     assert not check_smith_certificate([[1]], replace(doubled, ops=(("scale", 0, 1),)))
+    # a bool is not an int, although ("row", False, True, -1) replays correctly
+    honest = smith_normal_form([[1], [1]])
+    ((kind, src, dst, f),) = honest.ops
+    assert check_smith_certificate([[1], [1]], honest)
+    boolean = replace(honest, ops=((kind, bool(src), bool(dst), f),))
+    assert not check_smith_certificate([[1], [1]], boolean)
+    assert not check_smith_certificate(as_matrix([[1], [1]], 1), boolean)
+
+
+def dense_rows(mat):
+    return [[row.get(c, 0) for c in range(mat.shape[1])] for row in mat.rows]
+
+
+def assert_same_smith(dense, mat):
+    """Smith from dense rows and from the COO entries of the same matrix
+    make the same operations, and each certificate holds on either form."""
+    from_dense, from_coo = smith_normal_form(dense), smith_normal_form(mat)
+    assert from_coo.invariants == from_dense.invariants
+    assert from_coo.pivots == from_dense.pivots
+    assert from_coo.ops == from_dense.ops
+    assert from_coo.shape == mat.shape
+    for dec in (from_dense, from_coo):   # dense rows, when there are none, have no width
+        assert check_smith_certificate(mat, replace(dec, shape=mat.shape))
+        assert check_smith_certificate(dense, replace(dec, shape=from_dense.shape))
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_smith_from_entries_equals_smith_from_dense_rows_on_bundled_models(name):
+    model = load_bundled_model(name)
+    for spec in (LocalComplexSpec(model), CechComplexSpec(model), TotalComplexSpec(model)):
+        for n in range(3):
+            mat = assemble_matrix(spec, n)
+            assert_same_smith(dense_rows(mat), mat)
+
+
+def test_smith_on_entries_keeps_its_typed_errors():
+    # object-dtype values, as compare._as_columns builds them
+    halves = _as_columns([{0: 1, 1: Fraction(1, 2)}], 2)
+    assert halves.entries[2].dtype == object
+    with pytest.raises(CoefficientError):
+        smith_normal_form(halves)
+    with pytest.raises(CoefficientError):
+        check_smith_certificate(halves, smith_normal_form(as_matrix([[1], [0]], 1)))
+    r, c = np.array([0]), np.array([0])
+    with pytest.raises(CoefficientError):
+        smith_normal_form(BoundaryMatrix((1, 1), (r, c, np.array([True]))))
+    with pytest.raises(ModelError):
+        smith_normal_form([[1, 2], [3]])
+    with pytest.raises(ModelError):
+        check_smith_certificate([[1, 2], [3]], smith_normal_form([[1, 2], [3, 4]]))
+
+
+def test_boundary_matrix_reads_as_its_dense_rows():
+    # certbench/layers.py (Tracer._smith) counts homology.snf_cells as
+    # len(matrix) * len(matrix[0]) on the matrix handed to smith_normal_form
+    mat = assemble_matrix(LocalComplexSpec(load_bundled_model("hexagon")), 1)
+    dense = dense_rows(mat)
+    assert len(mat) == mat.shape[0] == len(dense)
+    assert [mat[i] for i in range(len(mat))] == list(mat) == dense
+    assert mat[-1] == dense[-1] and len(mat[0]) == mat.shape[1]
+    with pytest.raises(IndexError):
+        mat[len(mat)]
+    empty = as_matrix([], 0)
+    assert len(empty) == 0 and list(empty) == []
 
 
 def test_kernel_basis_annihilates():
@@ -510,6 +577,15 @@ def test_cyclic_cover_16_2_local_vs_cech_over_integers():
     assert rep.isomorphic
     for label in ("local", "cech", "total"):
         assert rep.profiles[label] == [(1, ()), (1, ())]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_random_cover_profiles_agree_over_integers(seed):
+    model = random_cover_model(random.Random(seed))
+    local, cech, total = (cohomology_profile(spec(model), Integers(), 1)
+                          for spec in (LocalComplexSpec, CechComplexSpec, TotalComplexSpec))
+    assert local == cech == total
 
 
 def seeded_cover_sets(seed, npoints, sizes):
