@@ -22,7 +22,7 @@ from .bicomplex import (PartitionFamily, contraction_defect, family_from_json,
 from .coeff import parse_system
 from .compare import (colimit_scan, model_hash, verify_lambda_iso,
                       verify_local_vs_cech)
-from .errors import BudgetError, LoccoError
+from .errors import BudgetError, LoccoError, ModelError
 from .homology import (CechComplexSpec, LocalComplexSpec,
                        SimplicialComplexSpec, TotalComplexSpec,
                        cohomology_profile)
@@ -57,11 +57,17 @@ def load_bundled_model(name: str) -> CoverModel:
 # subcommand handlers; each returns (result document, passed flag or None)
 
 
+def _simplicial_spec(model: CoverModel) -> SimplicialComplexSpec:
+    if model.complex is None:
+        raise ModelError("model has no complex")
+    return SimplicialComplexSpec(model.complex, model.point_key)
+
+
 _SPEC_BUILDERS = {
     "local": lambda m: LocalComplexSpec(m),
     "cech": lambda m: CechComplexSpec(m),
     "total": lambda m: TotalComplexSpec(m),
-    "simplicial": lambda m: SimplicialComplexSpec(m.complex, m.point_key),
+    "simplicial": _simplicial_spec,
     "nerve": lambda m: SimplicialComplexSpec(m.nerve().simplices),
 }
 
@@ -230,6 +236,11 @@ def _cmd_sigma_check(args) -> tuple:
     return doc, ok
 
 
+def _is_number(x) -> bool:
+    """Whether ``x`` was a JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _cmd_sigma_eval(args) -> tuple:
     if args.input == "-":
         doc_in = json.load(sys.stdin)
@@ -245,9 +256,10 @@ def _cmd_sigma_eval(args) -> tuple:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if not isinstance(vertices, list) or not isinstance(weights, list):
         raise ValueError("vertices and weights must be JSON lists")
-    if not all(isinstance(v, list) and all(isinstance(x, (int, float)) for x in v)
-               for v in vertices):
+    if not all(isinstance(v, list) and all(map(_is_number, v)) for v in vertices):
         raise ValueError("each vertex must be a list of numbers")
+    if not all(map(_is_number, weights)):
+        raise ValueError("each weight must be a number")
     if len(vertices) != n + 1 or len(weights) != n + 1:
         raise ValueError(f"need {n + 1} vertices and weights for level {n}")
     value = sigma_fill(linear_contraction(), vertices, weights)

@@ -102,11 +102,6 @@ class Rationals(CoefficientSystem):
             raise CoefficientError("rational values take integer or rational scalars")
         return Fraction(r) * v
 
-    def invert(self, a):
-        if a == 0:
-            raise CoefficientError("division by zero")
-        return Fraction(1) / a
-
     def check_value(self, v):
         if isinstance(v, float):
             raise CoefficientError(f"float {v!r} is not an exact rational")
@@ -194,12 +189,6 @@ class PrimeField(CoefficientSystem):
         if not isinstance(r, int):
             raise CoefficientError("prime-field values take integer scalars")
         return (r * v) % self.p
-
-    def invert(self, a):
-        a %= self.p
-        if a == 0:
-            raise CoefficientError("division by zero")
-        return pow(a, self.p - 2, self.p)
 
     def check_value(self, v):
         if isinstance(v, bool) or not isinstance(v, int):

@@ -8,16 +8,15 @@ labels are decoded from them when a caller first asks for them
 enumerated for all blocks of one arity at once.  One sparse eliminator,
 :class:`Echelon`, takes every field rank, kernel and quotient rank,
 fraction-free with gcd stripping over Q and with normalised pivots over
-GF(p).  A matrix with more rows than columns has its rank taken through its
-columns, last first, and a kernel is that same column elimination with each
-column tagged by its own index, with no back-substitution.  A vector whose
-lead no pivot holds yet is kept as its index into the sorted entries and
-built only when a later vector leads there, so most columns of a
-differential are never built as dicts.  Once d_n d_{n-1} = 0 is checked
-exactly by a sparse product, d_n's elimination leaves out every column at
-which a pivot of d_{n-1} leads, and its kernel is then h_n cocycle
-representatives (:func:`kernel_basis`).  Every
-differential is assembled in index space by one kernel,
+GF(p).  Every rank is taken through the matrix's columns, last first, and a
+kernel is that same column elimination with each column tagged by its own
+index, with no back-substitution.  A column whose lead no pivot holds yet is
+kept as its index into the sorted entries and built only when a later
+column leads there, so most columns of a differential are never built as
+dicts.  Once d_n d_{n-1} = 0 is checked exactly by a sparse product, d_n's
+elimination leaves out every column at which a pivot of d_{n-1} leads, and
+its kernel is then h_n cocycle representatives (:func:`kernel_basis`).
+Every differential is assembled in index space by one kernel,
 :func:`assemble_matrix`: basis elements are integer codes, faces are found
 by deleting a digit or swapping a block and matched to their columns by
 binary search.  Over the integers a sparse Smith elimination gives free
@@ -35,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -535,8 +534,9 @@ def assemble_matrix(spec: ComplexSpec, n: int) -> BoundaryMatrix:
 
 
 class Echelon:
-    """Exact echelon form of sparse integer vectors (rows, or columns tagged
-    for a kernel), filled one at a time; nothing is back-substituted.
+    """Exact echelon form of sparse integer vectors (a matrix's columns, tagged
+    for a kernel, or a quotient's vectors), filled one at a time; nothing is
+    back-substituted.
 
     Pivot vectors are kept in a dict keyed by their leading index, so a new
     vector meets only the pivots of the indices it reaches and no vector is
@@ -641,42 +641,37 @@ def _modulus(system: CoefficientSystem) -> int:
     raise CoefficientError(f"no exact elimination over {system.name}")
 
 
-def _echelon(mat: BoundaryMatrix, p: int, kept: np.ndarray, through_columns: bool,
+def _echelon(mat: BoundaryMatrix, p: int, skip: Iterable[int] = (),
              tagged: bool = False) -> Echelon:
-    """The :class:`Echelon` of ``mat``'s vectors, reduced mod p: the columns
-    that ``kept`` marks, last first, or else every row without the columns
-    left out.  With ``tagged``, column j also holds 1 at ``nrows + j``.
+    """The :class:`Echelon` of ``mat``'s columns, reduced mod p, last first,
+    without the columns listed in ``skip``.  With ``tagged``, column j also
+    holds 1 at ``nrows + j``.
 
-    Each vector's lead, its least index, is read from the sorted entries.  A
-    vector whose lead no pivot holds yet is recorded by its index and built
-    only if a later vector leads there (the emergent pairs of Ripser, Bauer
-    2021); any other vector is built once and inserted.  The insertion order
-    and every pivot built are those of inserting each vector in turn.
+    Each column's lead, its least row, is read from the sorted entries.  A
+    column whose lead no pivot holds yet is recorded by its index and built
+    only if a later column leads there (the emergent pairs of Ripser, Bauer
+    2021); any other column is built once and inserted.  The insertion order
+    and every pivot built are those of inserting each column in turn.
     """
     nrows, ncols = mat.shape
     r, c, v = _reduced(mat.entries, p)
-    if through_columns:
-        # numpy sorts 16-bit keys stably by radix, several times faster
-        order = np.argsort(c.astype(np.uint16) if ncols <= 1 << 16 else c, kind="stable")
-        major, minor, values, count = c[order], r[order], v[order], ncols
-        which = kept.nonzero()[0][::-1]
-    else:
-        if not kept.all():
-            live = kept[c]
-            r, c, v = r[live], c[live], v[live]
-        major, minor, values, count = r, c, v, nrows
-        which = np.arange(nrows)
-    bounds = major.searchsorted(np.arange(count + 1))
+    # numpy sorts 16-bit keys stably by radix, several times faster
+    order = np.argsort(c.astype(np.uint16) if ncols <= 1 << 16 else c, kind="stable")
+    r, v = r[order], v[order]
+    kept = np.ones(ncols, dtype=bool)
+    kept[np.fromiter(skip, dtype=np.int64)] = False
+    which = kept.nonzero()[0][::-1]
+    bounds = c[order].searchsorted(np.arange(ncols + 1))
     start, empty = bounds[which], bounds[which] == bounds[which + 1]
     if tagged:
-        lead = np.where(empty, nrows + which, np.append(minor, 0)[start])
+        lead = np.where(empty, nrows + which, np.append(r, 0)[start])
     else:
-        which, lead = which[~empty], minor[start[~empty]]   # an empty vector adds nothing
+        which, lead = which[~empty], r[start[~empty]]   # an empty column adds nothing
     bounds = bounds.tolist()
 
     def build(k: int) -> dict:
         a, b = bounds[k], bounds[k + 1]
-        vec = dict(zip(minor[a:b].tolist(), values[a:b].tolist()))
+        vec = dict(zip(r[a:b].tolist(), v[a:b].tolist()))
         if tagged:
             vec[nrows + k] = 1
         return vec
@@ -692,36 +687,28 @@ def _echelon(mat: BoundaryMatrix, p: int, kept: np.ndarray, through_columns: boo
 
 
 def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
-                leads: Optional[set] = None, blocks: Optional[tuple] = None):
+                leads: Optional[set] = None, blocks: Optional[np.ndarray] = None):
     """Rank over a field; over the integers, the rank over Q.
 
-    Columns listed in ``skip`` are left out; the caller vouches that each
-    is a combination of the columns after it (:func:`cleared_columns`).  A
-    matrix with more rows than columns kept is eliminated through those
-    columns, last first (:func:`_echelon`), which on the differentials here
-    leaves sparser pivot vectors than column order; a set passed as
-    ``leads`` then receives the row index at which each pivot vector leads.
-    Otherwise the rows are inserted, without the skipped columns, and
-    ``leads`` stays as it was.
+    The columns are eliminated last first (:func:`_echelon`), which on the
+    differentials here leaves sparse pivot vectors.  Columns listed in
+    ``skip`` are left out; the caller vouches that each is a combination of
+    the columns after it (:func:`cleared_columns`).  A set passed as
+    ``leads`` receives the row index at which each pivot vector leads.
 
-    With ``blocks``, a pair of ascending bounds that cut the rows and the
-    columns of a block-diagonal matrix into the same blocks, the rank comes
-    back per block as an array.  Every pivot vector then lies in one block,
-    so a block's rank is the number of pivots that lead inside it: at a row
-    index when the elimination went through columns, else at a column index.
+    With ``blocks``, ascending bounds that cut the rows of a block-diagonal
+    matrix into its blocks, the rank comes back per block as an array.
+    Every pivot vector then lies in one block, so a block's rank is the
+    number of pivots that lead inside it.
     """
     p = 0 if isinstance(system, Integers) else _modulus(system)
-    kept = np.ones(mat.shape[1], dtype=bool)
-    kept[np.fromiter(skip, dtype=np.int64)] = False
-    through_columns = mat.shape[0] > int(kept.sum())
-    ech = _echelon(mat, p, kept, through_columns)
-    if through_columns and leads is not None:
+    ech = _echelon(mat, p, skip)
+    if leads is not None:
         leads.update(ech.pivots)
     if blocks is None:
         return ech.rank
-    bounds = blocks[0] if through_columns else blocks[1]
     keys = np.fromiter(ech.pivots, dtype=np.int64, count=ech.rank)
-    return np.bincount(bounds.searchsorted(keys, "right") - 1, minlength=len(bounds) - 1)
+    return np.bincount(blocks.searchsorted(keys, "right") - 1, minlength=len(blocks) - 1)
 
 
 def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
@@ -738,36 +725,31 @@ def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[
     B^n's pivots at the skipped ones, so they are independent modulo B^n
     (the clearing of Chen and Kerber; de Silva, Morozov, Vejdemo-Johansson).
     """
-    nrows, ncols = mat.shape
-    kept = np.ones(ncols, dtype=bool)
-    kept[np.fromiter(skip, dtype=np.int64)] = False
-    ech = _echelon(mat, _modulus(system), kept, True, tagged=True)
+    nrows = mat.shape[0]
+    ech = _echelon(mat, _modulus(system), skip, tagged=True)
     if leads is not None:
         leads.update(c for c in ech.pivots if c < nrows)
     return [{k - nrows: v for k, v in ech.pivot(c).items()} for c in list(ech.pivots) if c >= nrows]
 
 
-def _integral(vec, p: int) -> dict:
-    """A vector (dict or sequence) of rationals as a fresh integer row of the
-    same span, reduced mod p unless p is 0."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    row = {c: v for c, v in items if v}
-    scale = lcm(*(v.denominator for v in row.values()))
-    row = {c: int(v * scale) for c, v in row.items()}
-    return {c: v % p for c, v in row.items() if v % p} if p else row
-
-
 def rank_in_quotient(vectors: list, subspace: list, system: CoefficientSystem) -> int:
     """Dimension of span(vectors) inside the quotient by span(subspace).
 
-    Vectors are dicts or sequences: integers or fractions over Q, integers
-    over GF(p).  One elimination takes the subspace first; each vector that
-    still adds a pivot after it counts once.
+    Vectors are dicts index -> int, reduced mod p here over GF(p).  One
+    elimination takes the subspace first; each vector that still adds a
+    pivot after it counts once.
     """
-    ech = Echelon(_modulus(system))
+    p = _modulus(system)
+    ech = Echelon(p)
+
+    def row(vec: dict) -> dict:   # a fresh row without zeros: the eliminator takes it over
+        if p:
+            return {c: v % p for c, v in vec.items() if v % p}
+        return {c: v for c, v in vec.items() if v}
+
     for vec in subspace:
-        ech.insert(_integral(vec, ech.p))
-    return sum(ech.insert(_integral(vec, ech.p)) for vec in vectors)
+        ech.insert(row(vec))
+    return sum(ech.insert(row(vec)) for vec in vectors)
 
 
 def profile_from_ranks(dims: Sequence[int], ranks: Sequence[int]) -> list:
@@ -802,22 +784,15 @@ class SmithDecomposition:
 
 
 class _SparseIntegers:
-    """An integer matrix as sparse rows (dicts column -> entry), each column keeping the
-    set of rows that reach it, changed by elementary operations.  A :class:`BoundaryMatrix`
-    is read from its sorted entries, one pass over the nonzeros; dense rows cell by cell."""
+    """A :class:`BoundaryMatrix` as sparse rows (dicts column -> entry), each column
+    keeping the set of rows that reach it, read from the sorted entries in one pass
+    and changed by elementary operations."""
 
-    def __init__(self, matrix):
-        if isinstance(matrix, BoundaryMatrix):
-            self.shape = matrix.shape
-            cells = zip(*(x.tolist() for x in matrix.entries))
-        else:
-            self.shape = (len(matrix), len(matrix[0]) if matrix else 0)
-            if any(len(row) != self.shape[1] for row in matrix):
-                raise ModelError("ragged integer matrix")
-            cells = ((r, c, v) for r, row in enumerate(matrix) for c, v in enumerate(row))
+    def __init__(self, matrix: BoundaryMatrix):
+        self.shape = matrix.shape
         rows = self.rows = [{} for _ in range(self.shape[0])]
         cols = self.cols = [set() for _ in range(self.shape[1])]
-        for r, c, v in cells:
+        for r, c, v in zip(*(x.tolist() for x in matrix.entries)):
             if v.__class__ is not int:
                 raise CoefficientError(f"Smith normal form needs integer entries, got {v!r}")
             if v:
@@ -843,8 +818,8 @@ class _SparseIntegers:
                 cols[c].discard(r)
 
 
-def smith_normal_form(matrix) -> SmithDecomposition:
-    """Smith normal form of a :class:`BoundaryMatrix` or of dense integer rows.
+def smith_normal_form(matrix: BoundaryMatrix) -> SmithDecomposition:
+    """Smith normal form of a :class:`BoundaryMatrix`.
 
     The next pivot is the entry of least absolute value among rows and
     columns not yet pivoted, ties broken by Markowitz cost
@@ -928,11 +903,11 @@ def _is_elementary(op, nrows: int, ncols: int) -> bool:
             and op[1].__class__ is int and 0 <= op[1] < nrows)
 
 
-def check_smith_certificate(matrix, dec: SmithDecomposition) -> bool:
-    """Replay the operations on a fresh sparse copy of M (a :class:`BoundaryMatrix` or
-    dense rows) and confirm that only the recorded pivots remain, positive, a divisor
-    chain equal to the invariants.  Each operation must be elementary, which makes U
-    and V unimodular without a determinant."""
+def check_smith_certificate(matrix: BoundaryMatrix, dec: SmithDecomposition) -> bool:
+    """Replay the operations on a fresh sparse copy of M and confirm that only the
+    recorded pivots remain, positive, a divisor chain equal to the invariants.  Each
+    operation must be elementary, which makes U and V unimodular without a
+    determinant."""
     work = _SparseIntegers(matrix)
     nrows, ncols = work.shape
     if dec.shape != work.shape or not all(_is_elementary(op, nrows, ncols) for op in dec.ops):
@@ -1018,7 +993,7 @@ def _field_ranks(spec: ComplexSpec, system: CoefficientSystem, max_degree: int,
         mat = assemble_matrix(spec, n)
         skip = cleared_columns(mat, below, leads)
         below, leads = mat, set()   # the matrix below is let go before the rank
-        blocks = (spec.block_bounds(n + 1), spec.block_bounds(n)) if split else None
+        blocks = spec.block_bounds(n + 1) if split else None
         ranks.append(matrix_rank(mat, system, skip=skip, leads=leads, blocks=blocks))
     return ranks
 

@@ -187,10 +187,6 @@ class Nerve:
     def of_dimension(self, p: int) -> tuple:
         return tuple(s for s in self.simplices if len(s) == p + 1)
 
-    @property
-    def dimension(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
-
     def __contains__(self, item) -> bool:
         return tuple(item) in set(self.simplices)
 

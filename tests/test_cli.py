@@ -95,6 +95,18 @@ def test_sigma_check_and_eval(tmp_path):
     assert doc["result"]["value"] == pytest.approx([0.25, 0.25], abs=1e-12)
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": 1, "vertices": [[1], [True]], "weights": [0.5, 0.5]},
+    {"n": 1, "vertices": [[1], [0]], "weights": [0.5, "0.5"]},
+], ids=["bool-coordinate", "string-weight"])
+def test_sigma_eval_requires_json_numbers(tmp_path, payload):
+    path = tmp_path / "fill.json"
+    path.write_text(json.dumps(payload))
+    code, doc, _ = run_to_file(tmp_path, ["sigma-eval", "--input", str(path)])
+    assert code == 2
+    assert doc["error"]["kind"] == "ValueError"
+
+
 def test_pou_check_constructions(tmp_path):
     for construction in ("rescue", "product:q=1", "ball:eps=0.25"):
         code, doc, _ = run_to_file(
@@ -252,6 +264,28 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["profile"]["0"]["rank"] == 1
+
+
+def test_model_without_a_complex_gets_a_report_or_a_typed_error(tmp_path):
+    model = tmp_path / "bare.json"
+    model.write_text(json.dumps({"name": "bare", "points": [0, 1, 2], "cover": [
+        {"name": "left", "members": [0, 1]}, {"name": "right", "members": [1, 2]}]}))
+    env = dict(os.environ)
+    src = str(Path(locco.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    calls = [["cohomology", str(model), "--complex", c] for c in sorted(cli._SPEC_BUILDERS)]
+    calls.append(["compare", str(model), "--lambda"])
+    kinds = {}
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "locco.cli"] + argv,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode in (0, 2), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        doc = json.loads(proc.stdout)
+        kinds[argv[0] if argv[0] == "compare" else argv[-1]] = (
+            doc["error"]["kind"] if proc.returncode else None)
+    assert kinds == {"local": None, "cech": None, "total": None, "nerve": None,
+                     "simplicial": "ModelError", "compare": "ModelError"}
 
 
 @pytest.mark.parametrize("argv, command", [

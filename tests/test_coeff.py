@@ -34,7 +34,6 @@ def test_prime_field():
     assert F5.check_value(7) == 2
     assert F5.add(3, 4) == 2
     assert F5.scale(2, 4) == 3
-    assert F5.invert(2) == 3
     with pytest.raises(CoefficientError):
         PrimeField(6)
     with pytest.raises(CoefficientError):

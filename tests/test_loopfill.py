@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locco import (DomainError, LoopContraction, SampledPath, edge_fill,
@@ -258,7 +258,9 @@ def _weight_row(rng, k, kind):
 
 CONTRACTIONS = {
     "linear": (linear_contraction(), ((), (1,), (3,), (2, 2))),
-    "user": (LoopContraction("quadratic", lambda v, t: (1.0 - t) ** 2 * v),
+    # a product, not ``** 2``: on a Python float ``**`` runs through C pow,
+    # which rounds differently from numpy squaring an array of times
+    "user": (LoopContraction("quadratic", lambda v, t: (1.0 - t) * (1.0 - t) * v),
              ((), (2,), (2, 3))),
     "path": (path_loop_contraction(17), ((17,), (17, 2))),
 }
@@ -267,6 +269,7 @@ CONTRACTIONS = {
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(CONTRACTIONS)), st.integers(0, 7), st.integers(1, 6),
        st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(name="user", trials=7, k=5, shape_pick=1, seed=2757125)
 def test_batched_filler_equals_recursion_bit_for_bit(name, trials, k, shape_pick, seed):
     contraction, shapes = CONTRACTIONS[name]
     carrier = shapes[shape_pick % len(shapes)]
@@ -307,7 +310,7 @@ def test_chunked_checks_give_the_same_reports(monkeypatch, cells):
 
 
 def test_user_contraction_runs_on_a_batch():
-    quadratic = LoopContraction("quadratic", lambda v, t: (1.0 - t) ** 2 * v)
+    quadratic = LoopContraction("quadratic", lambda v, t: (1.0 - t) * (1.0 - t) * v)
     vs = np.arange(12.0).reshape(4, 3)
     ts = np.array([0.0, 0.25, 0.5, 1.0])
     got = quadratic(vs, ts)
