@@ -19,10 +19,15 @@ its kernel is then h_n cocycle representatives (:func:`kernel_basis`).
 Every differential is assembled in index space by one kernel,
 :func:`assemble_matrix`: basis elements are integer codes, faces are found
 by deleting a digit or swapping a block and matched to their columns by
-binary search.  Over the integers a sparse Smith elimination gives free
-ranks and torsion; its certificate, every elementary operation it made, is
-checked by replaying them on a fresh copy of the matrix, with no determinant
-taken.  Many small simplicial complexes are computed together as the blocks
+binary search.  Over the integers the Smith normal form, which gives free
+ranks and torsion, takes unit pivots first (Dumas, Heckenbach, Saunders and
+Welker 2003): a sweep of the columns, last first and lazy as the field
+elimination is, clears each column by the columns whose lead is ±1, and
+one-cell row operations finish that column echelon.  Only a lead that is
+not ±1 hands the matrix to a heap search for the pivot of least absolute
+value.  Either way the certificate, every elementary operation made, is
+checked by replaying them on a fresh copy of the matrix, with no
+determinant taken.  Many small simplicial complexes are computed together as the blocks
 of one :class:`SimplicialComplexSpec`: its differentials are block-diagonal,
 so one assembly and one elimination per degree give each block's rank
 (:func:`block_profiles`), while over the integers each block keeps a Smith
@@ -641,6 +646,15 @@ def _modulus(system: CoefficientSystem) -> int:
     raise CoefficientError(f"no exact elimination over {system.name}")
 
 
+def _by_column(entries: tuple, ncols: int) -> tuple:
+    """Rows and values of sorted COO ``entries`` in column order, rows
+    ascending within each column, and the bounds of each column in them."""
+    r, c, v = entries
+    # numpy sorts 16-bit keys stably by radix, several times faster
+    order = np.argsort(c.astype(np.uint16) if ncols <= 1 << 16 else c, kind="stable")
+    return r[order], v[order], c[order].searchsorted(np.arange(ncols + 1))
+
+
 def _echelon(mat: BoundaryMatrix, p: int, skip: Iterable[int] = (),
              tagged: bool = False) -> Echelon:
     """The :class:`Echelon` of ``mat``'s columns, reduced mod p, last first,
@@ -654,14 +668,10 @@ def _echelon(mat: BoundaryMatrix, p: int, skip: Iterable[int] = (),
     and every pivot built are those of inserting each column in turn.
     """
     nrows, ncols = mat.shape
-    r, c, v = _reduced(mat.entries, p)
-    # numpy sorts 16-bit keys stably by radix, several times faster
-    order = np.argsort(c.astype(np.uint16) if ncols <= 1 << 16 else c, kind="stable")
-    r, v = r[order], v[order]
+    r, v, bounds = _by_column(_reduced(mat.entries, p), ncols)
     kept = np.ones(ncols, dtype=bool)
     kept[np.fromiter(skip, dtype=np.int64)] = False
     which = kept.nonzero()[0][::-1]
-    bounds = c[order].searchsorted(np.arange(ncols + 1))
     start, empty = bounds[which], bounds[which] == bounds[which + 1]
     if tagged:
         lead = np.where(empty, nrows + which, np.append(r, 0)[start])
@@ -768,7 +778,14 @@ class SmithDecomposition:
     f)`` col dst += f * col src and ``("neg", i)`` row i = -row i.  Replayed
     on M they leave U * M * V, U and V in GL(Z): ``d`` at ``(row, col)`` for
     each pivot and zeros elsewhere, the diagonal of invariants up to a
-    permutation of rows and columns."""
+    permutation of rows and columns.
+
+    :func:`smith_normal_form` records its sweep as ``"col"`` operations, each
+    adding a multiple of a pivot column, then its finish as ``"row"``
+    operations that each clear one cell below a unit lead and a ``"neg"``
+    for each lead of -1.  A matrix handed to the heap search is recorded from
+    scratch, in that search's order.  :func:`check_smith_certificate` reads
+    both alike."""
 
     invariants: tuple        # nonzero diagonal entries, each dividing the next
     pivots: tuple            # (row, col, d) per invariant, in the same order
@@ -783,6 +800,13 @@ class SmithDecomposition:
         return tuple(d for d in self.invariants if abs(d) != 1)
 
 
+def _check_integers(values: np.ndarray) -> None:
+    """Raise unless every value reads as a Python int, as an integer dtype does."""
+    for v in values.tolist() if values.dtype.kind not in "iu" else ():
+        if v.__class__ is not int:
+            raise CoefficientError(f"Smith normal form needs integer entries, got {v!r}")
+
+
 class _SparseIntegers:
     """A :class:`BoundaryMatrix` as sparse rows (dicts column -> entry), each column
     keeping the set of rows that reach it, read from the sorted entries in one pass
@@ -792,9 +816,8 @@ class _SparseIntegers:
         self.shape = matrix.shape
         rows = self.rows = [{} for _ in range(self.shape[0])]
         cols = self.cols = [set() for _ in range(self.shape[1])]
+        _check_integers(matrix.entries[2])
         for r, c, v in zip(*(x.tolist() for x in matrix.entries)):
-            if v.__class__ is not int:
-                raise CoefficientError(f"Smith normal form needs integer entries, got {v!r}")
             if v:
                 rows[r][c] = v
                 cols[c].add(r)
@@ -819,7 +842,70 @@ class _SparseIntegers:
 
 
 def smith_normal_form(matrix: BoundaryMatrix) -> SmithDecomposition:
-    """Smith normal form of a :class:`BoundaryMatrix`.
+    """Smith normal form of a :class:`BoundaryMatrix`, unit pivots first
+    (Dumas, Heckenbach, Saunders and Welker 2003).
+
+    A sweep takes the columns last first, as :func:`_echelon` does.  A column
+    whose lead, its least row, is ±1 and held by no pivot becomes a pivot
+    and is never built; any other column is built and cleared by the pivots
+    at its leads, each step ``("col", pivot, k, f)``, until it is zero or
+    becomes a pivot itself.  The pivots then form a column echelon with unit
+    leads.  Taken in increasing lead order, each pivot's lead row holds only
+    the lead, so one-cell row operations clear the rest of its column and a
+    lead of -1 is negated: every invariant is 1.  The first column left with
+    a lead that is not ±1 hands the whole matrix to :func:`_smith_by_heap`.
+    """
+    _check_integers(matrix.entries[2])
+    r, v, bounds = _by_column(matrix.entries, matrix.shape[1])
+    which = (bounds[1:] != bounds[:-1]).nonzero()[0][::-1]   # nonempty columns, last first
+    start = bounds[which]
+    leads, values = r[start].tolist(), v[start].tolist()
+    r, v, bounds = r.tolist(), v.tolist(), bounds.tolist()
+
+    def column(k: int) -> dict:
+        a, b = bounds[k], bounds[k + 1]
+        return dict(zip(r[a:b], v[a:b]))
+
+    held, built, ops = {}, {}, []   # lead -> pivot column; pivot column -> its vector
+    for k, lead, u in zip(which.tolist(), leads, values):
+        if abs(u) == 1 and lead not in held:
+            held[lead] = k
+            continue
+        col = column(k)
+        while col:
+            i = min(col)
+            j = held.get(i)
+            if j is None:
+                if abs(col[i]) != 1:
+                    return _smith_by_heap(matrix)
+                held[i], built[k] = k, col
+                break
+            pivot = built.get(j)
+            if pivot is None:
+                pivot = built[j] = column(j)
+            f = -col[i] * pivot[i]
+            ops.append(("col", j, k, f))
+            for row, x in pivot.items():
+                x = col.get(row, 0) + f * x
+                if x:
+                    col[row] = x
+                else:
+                    del col[row]
+    pivots = []
+    for lead in sorted(held):
+        k = held[lead]
+        vec = built.get(k) or column(k)
+        u = vec[lead]
+        ops.extend(("row", lead, i, -x * u) for i, x in vec.items() if i != lead)
+        if u < 0:
+            ops.append(("neg", lead))
+        pivots.append((lead, k, 1))
+    return SmithDecomposition(invariants=(1,) * len(pivots), pivots=tuple(pivots),
+                              ops=tuple(ops), shape=matrix.shape)
+
+
+def _smith_by_heap(matrix: BoundaryMatrix) -> SmithDecomposition:
+    """Smith normal form of any integer :class:`BoundaryMatrix`.
 
     The next pivot is the entry of least absolute value among rows and
     columns not yet pivoted, ties broken by Markowitz cost

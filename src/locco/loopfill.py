@@ -75,8 +75,16 @@ def edge_fill(contraction: LoopContraction, v0, w, t) -> np.ndarray:
     return v0 + np.asarray(contraction(w - v0, t))
 
 
+def _refuse_non_numbers(values, what: str) -> None:
+    """DomainError on a bool or a string anywhere in ``values``, which
+    ``float()`` and numpy would otherwise read as numbers."""
+    if any(isinstance(x, (bool, np.bool_, str, bytes)) for x in np.asarray(values, dtype=object).flat):
+        raise DomainError(f"{what} must be numbers, got {values!r}")
+
+
 def check_barycentric(weights: Sequence[float], tol: float = 1e-12) -> tuple:
     try:
+        _refuse_non_numbers(weights, "barycentric weights")
         ws = tuple(float(w) for w in weights)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"barycentric weights must be numbers: {exc}") from exc
@@ -101,6 +109,8 @@ def sigma_fill(contraction: LoopContraction, vertices: Sequence,
     and share one shape.
     """
     try:
+        for v in vertices:
+            _refuse_non_numbers(v, "vertex coordinates")
         vs = [np.asarray(v, dtype=float) for v in vertices]
     except (TypeError, ValueError) as exc:
         raise DomainError(f"vertices must be numeric arrays: {exc}") from exc

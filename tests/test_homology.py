@@ -207,6 +207,10 @@ def smith_matrices(draw):
 @example([[0, 0, 0], [0, 0, 0]])
 # the pivot moves off the entry 24 it was popped at, which must stay on the heap
 @example([[0, 2, 0, 0, -6], [2, -6, 0, 0, 1], [3, 0, 0, -6, 0], [0, 0, 0, 0, 2]])
+# the unit sweep finishes: column ops, one-cell row ops and a negated lead of -1
+@example([[1, 1, 0], [-1, 0, 1], [0, -1, -1], [0, 0, -1]])
+# column 1 is a unit pivot; clearing column 0 by it leaves the lead -2 at row 1
+@example([[1, 1], [1, 3]])
 def test_smith_invariants_match_determinantal_divisors(dense):
     mat = as_matrix(dense, len(dense[0]) if dense else 0)
     dec = smith_normal_form(mat)
@@ -253,6 +257,60 @@ def test_smith_certificate_rejects_tampering():
     assert check_smith_certificate(matrix, dec)
     for name, bad in cases.items():
         assert not check_smith_certificate(matrix, bad), name
+
+
+def test_smith_certificate_from_the_sweep_rejects_tampering():
+    # z6_arcs' local d_1: every lead is a unit and some are -1, so the sweep
+    # makes column, row and neg operations and never reaches the heap search
+    matrix = assemble_matrix(LocalComplexSpec(load_bundled_model("z6_arcs")), 1)
+    dec = smith_normal_form(matrix)
+    ops = list(dec.ops)
+    assert {op[0] for op in ops} == {"col", "row", "neg"}
+    assert check_smith_certificate(matrix, dec)
+    k = _first(ops, "col")
+    kind, src, dst, f = ops[k]
+    cases = {"changed column factor": ops[:k] + [(kind, src, dst, f + 1)] + ops[k + 1:]}
+    k = _first(ops, "row")
+    cases["dropped row op"] = ops[:k] + ops[k + 1:]
+    k = _first(ops, "neg")
+    cases["dropped neg"] = ops[:k] + ops[k + 1:]
+    cases = {name: replace(dec, ops=tuple(o)) for name, o in cases.items()}
+    r, c, d = dec.pivots[0]
+    moved = next(j for j in range(matrix.shape[1]) if j != c)
+    cases["moved pivot"] = replace(dec, pivots=((r, moved, d),) + dec.pivots[1:])
+    for name, bad in cases.items():
+        assert not check_smith_certificate(matrix, bad), name
+
+
+def unit_lead_differentials():
+    """Local, Čech and total d_0..d_2 of every bundled model and of 40 seeded
+    random covers."""
+    models = [load_bundled_model(name) for name in bundled_model_names()]
+    for model in models + [random_cover_model(random.Random(seed)) for seed in range(40)]:
+        for spec in (LocalComplexSpec(model), CechComplexSpec(model), TotalComplexSpec(model)):
+            for n in range(3):
+                yield assemble_matrix(spec, n)
+
+
+def test_unit_leads_never_reach_the_heap_search(monkeypatch):
+    def heap(matrix):
+        raise AssertionError(f"the heap search was reached on a {matrix.shape} matrix")
+
+    monkeypatch.setattr(homology, "_smith_by_heap", heap)
+    for mat in unit_lead_differentials():
+        dec = smith_normal_form(mat)
+        assert set(dec.invariants) <= {1}
+        assert check_smith_certificate(mat, dec)
+
+
+def test_a_non_unit_lead_hands_the_matrix_to_the_heap_search(monkeypatch):
+    rp2 = load_bundled_model("projective_plane")
+    spec = SimplicialComplexSpec(rp2.complex, rp2.point_key)
+    heap, reached = homology._smith_by_heap, []
+    monkeypatch.setattr(homology, "_smith_by_heap",
+                        lambda matrix: reached.append(matrix.shape) or heap(matrix))
+    assert integer_cohomology(spec, 2) == [(1, ()), (0, ()), (0, (2,))]
+    assert reached == [assemble_matrix(spec, 1).shape]
 
 
 def test_smith_certificate_rejects_non_elementary_operations():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -349,6 +351,30 @@ def test_sigma_fill_rejects_unequal_vertex_shapes():
         check_barycentric([float("nan"), 0.5])
     with pytest.raises(DomainError):
         check_barycentric(["a", 0.5])
+
+
+@pytest.mark.parametrize("vertices, weights", [
+    ([[1], [True]], [0.5, "0.5"]),
+    ([[1], [True]], [0.5, 0.5]),
+    ([[1, True], [1, 2]], [0.5, 0.5]),
+    ([np.array([True]), [1]], [0.5, 0.5]),
+    ([["0.5"], [1]], [0.5, 0.5]),
+    ([[1], [2]], [0.5, "0.5"]),
+    ([[1], [2]], [True, False]),
+    ([[1], [2]], [np.bool_(True), 0.0]),
+])
+def test_library_filler_refuses_bools_and_strings(vertices, weights):
+    # float() and numpy would read True as 1.0 and "0.5" as 0.5
+    with pytest.raises(DomainError, match="must be numbers"):
+        sigma_fill(linear_contraction(), vertices, weights)
+
+
+def test_library_filler_takes_numeric_scalars_of_any_kind():
+    vertices = [np.array([1.0, 2.0]), [np.int64(3), Fraction(4)]]
+    value = sigma_fill(linear_contraction(), vertices, [Fraction(1, 4), np.float64(0.75)])
+    assert np.allclose(value, [2.5, 3.5])
+    with pytest.raises(DomainError, match="must be numbers"):
+        check_barycentric([False, 1.0])
 
 
 @pytest.mark.parametrize("call", [
