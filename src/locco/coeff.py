@@ -16,16 +16,15 @@ DEFAULT_VECTOR_TOL = 1e-12
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Miller-Rabin on the prime bases 2..37, exact below 3.18e23, the least
+    strong pseudoprime to all of them (Jiang and Deng 2014)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or p - 1 in [pow(a, d << r, p) for r in range(s)]
+               for a in bases)
 
 
 class CoefficientSystem:
@@ -171,6 +170,8 @@ class PrimeField(CoefficientSystem):
     is_field = True
 
     def __init__(self, p: int):
+        if p >= 1 << 63:   # the int64 entries of a matrix are reduced mod p
+            raise CoefficientError(f"prime fields need p < 2^63, got {p}")
         if not _is_prime(p):
             raise CoefficientError(f"{p} is not prime")
         self.p = p

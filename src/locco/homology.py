@@ -23,9 +23,10 @@ binary search.  Over the integers the Smith normal form, which gives free
 ranks and torsion, takes unit pivots first (Dumas, Heckenbach, Saunders and
 Welker 2003): a sweep of the columns, last first and lazy as the field
 elimination is, clears each column by the columns whose lead is ±1, and
-one-cell row operations finish that column echelon.  Only a lead that is
-not ±1 hands the matrix to a heap search for the pivot of least absolute
-value.  Either way the certificate, every elementary operation made, is
+one-cell row operations finish that column echelon.  A column left with a
+lead that is not ±1 is set aside, and what those columns keep off the
+pivots' rows, the remainder, is finished by a search for an entry of least
+absolute value.  The certificate, every elementary operation made, is
 checked by replaying them on a fresh copy of the matrix, with no
 determinant taken.  Many small simplicial complexes are computed together as the blocks
 of one :class:`SimplicialComplexSpec`: its differentials are block-diagonal,
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -783,9 +783,9 @@ class SmithDecomposition:
     :func:`smith_normal_form` records its sweep as ``"col"`` operations, each
     adding a multiple of a pivot column, then its finish as ``"row"``
     operations that each clear one cell below a unit lead and a ``"neg"``
-    for each lead of -1.  A matrix handed to the heap search is recorded from
-    scratch, in that search's order.  :func:`check_smith_certificate` reads
-    both alike."""
+    for each lead of -1, and last the operations of the remainder's search,
+    whose pivots follow the unit pivots.  :func:`check_smith_certificate`
+    reads them all alike."""
 
     invariants: tuple        # nonzero diagonal entries, each dividing the next
     pivots: tuple            # (row, col, d) per invariant, in the same order
@@ -808,16 +808,15 @@ def _check_integers(values: np.ndarray) -> None:
 
 
 class _SparseIntegers:
-    """A :class:`BoundaryMatrix` as sparse rows (dicts column -> entry), each column
-    keeping the set of rows that reach it, read from the sorted entries in one pass
-    and changed by elementary operations."""
+    """An integer matrix of ``shape`` as sparse rows (dicts column -> entry), each
+    column keeping the set of rows that reach it, filled from (row, column, entry)
+    ``cells`` and changed by elementary operations."""
 
-    def __init__(self, matrix: BoundaryMatrix):
-        self.shape = matrix.shape
-        rows = self.rows = [{} for _ in range(self.shape[0])]
-        cols = self.cols = [set() for _ in range(self.shape[1])]
-        _check_integers(matrix.entries[2])
-        for r, c, v in zip(*(x.tolist() for x in matrix.entries)):
+    def __init__(self, shape: tuple, cells: Iterable[tuple]):
+        self.shape = shape
+        rows = self.rows = [{} for _ in range(shape[0])]
+        cols = self.cols = [set() for _ in range(shape[1])]
+        for r, c, v in cells:
             if v:
                 rows[r][c] = v
                 cols[c].add(r)
@@ -848,12 +847,15 @@ def smith_normal_form(matrix: BoundaryMatrix) -> SmithDecomposition:
     A sweep takes the columns last first, as :func:`_echelon` does.  A column
     whose lead, its least row, is ±1 and held by no pivot becomes a pivot
     and is never built; any other column is built and cleared by the pivots
-    at its leads, each step ``("col", pivot, k, f)``, until it is zero or
-    becomes a pivot itself.  The pivots then form a column echelon with unit
-    leads.  Taken in increasing lead order, each pivot's lead row holds only
-    the lead, so one-cell row operations clear the rest of its column and a
-    lead of -1 is negated: every invariant is 1.  The first column left with
-    a lead that is not ±1 hands the whole matrix to :func:`_smith_by_heap`.
+    at its leads, each step ``("col", pivot, k, f)``, until it is zero,
+    becomes a pivot itself or leads, with an entry that is not ±1, at a row
+    no pivot holds: then it is set aside.  After the sweep each column set
+    aside is cleared the same way at every row a pivot leads at.  The pivots
+    form a column echelon with unit leads: taken in increasing lead order,
+    each pivot's lead row holds only the lead, so one-cell row operations
+    clear the rest of its column and a lead of -1 is negated, each invariant
+    1.  What the set-aside columns keep is the remainder, which meets no
+    pivot's row or column; :func:`_smith_remainder` finishes it.
     """
     _check_integers(matrix.entries[2])
     r, v, bounds = _by_column(matrix.entries, matrix.shape[1])
@@ -866,83 +868,79 @@ def smith_normal_form(matrix: BoundaryMatrix) -> SmithDecomposition:
         a, b = bounds[k], bounds[k + 1]
         return dict(zip(r[a:b], v[a:b]))
 
-    held, built, ops = {}, {}, []   # lead -> pivot column; pivot column -> its vector
+    held, built, aside, ops = {}, {}, {}, []   # lead -> pivot column; column -> its vector
+
+    def clear(k: int, col: dict, i: int) -> None:   # col's entry at i, a pivot's lead
+        j = held[i]
+        pivot = built.get(j) or built.setdefault(j, column(j))   # built on first use
+        f = -col[i] * pivot[i]
+        ops.append(("col", j, k, f))
+        for row, x in pivot.items():
+            x = col.get(row, 0) + f * x
+            if x:
+                col[row] = x
+            else:
+                del col[row]
+
     for k, lead, u in zip(which.tolist(), leads, values):
         if abs(u) == 1 and lead not in held:
             held[lead] = k
             continue
         col = column(k)
-        while col:
-            i = min(col)
-            j = held.get(i)
-            if j is None:
-                if abs(col[i]) != 1:
-                    return _smith_by_heap(matrix)
-                held[i], built[k] = k, col
-                break
-            pivot = built.get(j)
-            if pivot is None:
-                pivot = built[j] = column(j)
-            f = -col[i] * pivot[i]
-            ops.append(("col", j, k, f))
-            for row, x in pivot.items():
-                x = col.get(row, 0) + f * x
-                if x:
-                    col[row] = x
-                else:
-                    del col[row]
+        while col and (i := min(col)) in held:
+            clear(k, col, i)
+        if col and abs(col[i]) == 1:
+            held[i], built[k] = k, col
+        elif col:
+            aside[k] = col
+    for k, col in aside.items():   # a pivot adds rows past its lead only
+        while (i := min((x for x in col if x in held), default=-1)) >= 0:
+            clear(k, col, i)
     pivots = []
-    for lead in sorted(held):
-        k = held[lead]
+    for lead, k in sorted(held.items()):
         vec = built.get(k) or column(k)
         u = vec[lead]
         ops.extend(("row", lead, i, -x * u) for i, x in vec.items() if i != lead)
         if u < 0:
             ops.append(("neg", lead))
         pivots.append((lead, k, 1))
-    return SmithDecomposition(invariants=(1,) * len(pivots), pivots=tuple(pivots),
+    cells = [(i, k, x) for k, col in aside.items() for i, x in col.items()]
+    pivots += _smith_remainder(_SparseIntegers(matrix.shape, cells), ops) if cells else []
+    return SmithDecomposition(invariants=tuple(d for _, _, d in pivots), pivots=tuple(pivots),
                               ops=tuple(ops), shape=matrix.shape)
 
 
-def _smith_by_heap(matrix: BoundaryMatrix) -> SmithDecomposition:
-    """Smith normal form of any integer :class:`BoundaryMatrix`.
+def _smith_remainder(work: _SparseIntegers, ops: list) -> list:
+    """Pivots (row, col, d) of the Smith normal form of ``work``, appending its
+    operations to ``ops``.
 
-    The next pivot is the entry of least absolute value among rows and
-    columns not yet pivoted, ties broken by Markowitz cost
-    (row nnz - 1) * (col nnz - 1) as last seen, so unit pivots come first.
-    Row operations clear the pivot column, then column operations, which
-    meet only the pivot row, clear the pivot row; a remainder becomes the
-    new pivot, Euclid-style.  A divisibility repair folds in a row with an
-    entry the pivot does not divide, so the pivots form a divisor chain.
-    Pivots stay in place and every operation is recorded.
+    The next pivot is an entry of least absolute value outside the pivot
+    rows, found by a scan that stops at an entry equal to the last invariant:
+    every entry left is a multiple of it.  Row operations clear the pivot
+    column, then column operations, which meet only the pivot row, clear the
+    pivot row; a remainder becomes the new pivot, Euclid-style.  A
+    divisibility repair folds in a row with an entry the pivot does not
+    divide, so the pivots form a divisor chain.  Pivots stay in place.
     """
-    work = _SparseIntegers(matrix)
     rows, cols = work.rows, work.cols
-    ops, pivots, done_rows, done_cols = [], [], set(), set()
-
-    def cost(r, c):
-        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
-
-    heap = [(abs(v), cost(r, c), r, c) for r, row in enumerate(rows) for c, v in row.items()]
-    heapify(heap)
+    live = [i for i, row in enumerate(rows) if row]   # rows outside the pivots; none refills
+    pivots, last = [], 1
 
     def apply(op):
         ops.append(op)
         work.apply(op)
-        kind, src, dst, _ = op
-        changed = ((dst, c) for c in rows[src]) if kind == "row" else ((r, dst) for r in cols[src])
-        for r, c in changed:
-            v = rows[r].get(c)
-            if v:
-                heappush(heap, (abs(v), cost(r, c), r, c))
 
-    while heap:
-        a, m, r, c = heappop(heap)
-        if r in done_rows or c in done_cols or abs(rows[r].get(c, 0)) != a:
-            continue
-        if cost(r, c) != m:
-            heappush(heap, (a, cost(r, c), r, c))
-            continue
+    def least():
+        at, a = None, 0
+        for i in live:
+            for j, x in rows[i].items():
+                if not a or abs(x) < a:
+                    at, a = (i, j), abs(x)
+                    if a == last:
+                        return at
+        return at
+
+    for r, c in iter(least, None):
         while True:
             d, moved = rows[r][c], None
             for i in [i for i in cols[c] if i != r]:
@@ -957,24 +955,21 @@ def _smith_by_heap(matrix: BoundaryMatrix) -> SmithDecomposition:
                     if j in rows[r]:
                         moved = (r, j)
                         break
-            if moved is None and abs(d) != 1:
-                bad = next((i for i, row in enumerate(rows) if i != r and i not in done_rows
-                            and any(v % d for v in row.values())), None)
+            if moved is None and abs(d) != last:   # else every entry left is a multiple of d
+                bad = next((i for i in live if i != r and any(x % d for x in rows[i].values())),
+                           None)
                 if bad is not None:
                     apply(("row", bad, r, 1))
                     moved = (r, c)
             if moved is None:
                 break
-            heappush(heap, (abs(d), cost(r, c), r, c))   # the entry left may be popped already
             r, c = moved
         if d < 0:
-            ops.append(("neg", r))
-            work.apply(ops[-1])
-        done_rows.add(r)
-        done_cols.add(c)
-        pivots.append((r, c, abs(d)))
-    return SmithDecomposition(invariants=tuple(d for _, _, d in pivots), pivots=tuple(pivots),
-                              ops=tuple(ops), shape=work.shape)
+            apply(("neg", r))
+        last = abs(d)
+        pivots.append((r, c, last))
+        live = [i for i in live if i != r and rows[i]]
+    return pivots
 
 
 def _is_elementary(op, nrows: int, ncols: int) -> bool:
@@ -994,7 +989,8 @@ def check_smith_certificate(matrix: BoundaryMatrix, dec: SmithDecomposition) -> 
     recorded pivots remain, positive, a divisor chain equal to the invariants.  Each
     operation must be elementary, which makes U and V unimodular without a
     determinant."""
-    work = _SparseIntegers(matrix)
+    _check_integers(matrix.entries[2])
+    work = _SparseIntegers(matrix.shape, zip(*(x.tolist() for x in matrix.entries)))
     nrows, ncols = work.shape
     if dec.shape != work.shape or not all(_is_elementary(op, nrows, ncols) for op in dec.ops):
         return False

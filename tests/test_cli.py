@@ -266,6 +266,22 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["result"]["profile"]["0"]["rank"] == 1
 
 
+def test_a_prime_field_below_2_63_computes_and_one_above_is_a_typed_error():
+    env = dict(os.environ)
+    src = str(Path(locco.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outcomes = []
+    for p in (2 ** 63 - 25, 2 ** 63 + 29):   # the primes either side of 2^63
+        proc = subprocess.run([sys.executable, "-m", "locco.cli", "cohomology",
+                               model_path("hexagon"), "--coeff", f"Zp:{p}"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        outcomes.append((proc.returncode, json.loads(proc.stdout)))
+    (low, report), (high, error) = outcomes
+    assert low == 0 and [report["result"]["profile"][n]["rank"] for n in "01"] == [1, 1]
+    assert high == 2 and error["error"]["kind"] == "CoefficientError"
+
+
 def test_model_without_a_complex_gets_a_report_or_a_typed_error(tmp_path):
     model = tmp_path / "bare.json"
     model.write_text(json.dumps({"name": "bare", "points": [0, 1, 2], "cover": [

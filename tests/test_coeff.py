@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from locco import (CoefficientError, Integers, PrimeField, Rationals,
                    RealVectors, parse_system)
+from locco.coeff import _is_prime
 
 
 def test_rationals_arithmetic_and_json():
@@ -38,6 +40,24 @@ def test_prime_field():
         PrimeField(6)
     with pytest.raises(CoefficientError):
         PrimeField(1)
+
+
+def test_prime_field_primality_is_exact_and_quick():
+    # a Carmichael number and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for composite in (561, 3215031751, 2 ** 61 + 1, (2 ** 31 - 1) * (2 ** 31 + 11)):
+        with pytest.raises(CoefficientError):
+            PrimeField(composite)
+    start = time.perf_counter()
+    for prime in (2, 3, 37, 41, 2 ** 61 - 1, 2 ** 63 - 25):
+        assert PrimeField(prime).p == prime
+    assert time.perf_counter() - start < 1.0
+    assert [p for p in range(200) if _is_prime(p)] == [
+        p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
+def test_prime_field_refuses_a_modulus_past_int64():
+    with pytest.raises(CoefficientError):
+        PrimeField(2 ** 63 + 29)   # the least prime above 2^63
 
 
 def test_real_vectors():

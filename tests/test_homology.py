@@ -205,7 +205,8 @@ def smith_matrices(draw):
 @example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
 @example([[2, 0], [0, 3]])
 @example([[0, 0, 0], [0, 0, 0]])
-# the pivot moves off the entry 24 it was popped at, which must stay on the heap
+# no lead is a unit, so the whole matrix is the remainder; its search folds row 0
+# into row 3 by a divisibility repair and ends at the invariant 24
 @example([[0, 2, 0, 0, -6], [2, -6, 0, 0, 1], [3, 0, 0, -6, 0], [0, 0, 0, 0, 2]])
 # the unit sweep finishes: column ops, one-cell row ops and a negated lead of -1
 @example([[1, 1, 0], [-1, 0, 1], [0, -1, -1], [0, 0, -1]])
@@ -261,7 +262,7 @@ def test_smith_certificate_rejects_tampering():
 
 def test_smith_certificate_from_the_sweep_rejects_tampering():
     # z6_arcs' local d_1: every lead is a unit and some are -1, so the sweep
-    # makes column, row and neg operations and never reaches the heap search
+    # makes column, row and neg operations and leaves no remainder
     matrix = assemble_matrix(LocalComplexSpec(load_bundled_model("z6_arcs")), 1)
     dec = smith_normal_form(matrix)
     ops = list(dec.ops)
@@ -292,25 +293,71 @@ def unit_lead_differentials():
                 yield assemble_matrix(spec, n)
 
 
-def test_unit_leads_never_reach_the_heap_search(monkeypatch):
-    def heap(matrix):
-        raise AssertionError(f"the heap search was reached on a {matrix.shape} matrix")
+def record_remainders(monkeypatch) -> list:
+    """(rows, cells) of each remainder :func:`smith_normal_form` hands on."""
+    finish, sizes = homology._smith_remainder, []
 
-    monkeypatch.setattr(homology, "_smith_by_heap", heap)
+    def recorded(work, ops):
+        sizes.append((sum(1 for row in work.rows if row), sum(map(len, work.rows))))
+        return finish(work, ops)
+
+    monkeypatch.setattr(homology, "_smith_remainder", recorded)
+    return sizes
+
+
+def test_unit_leads_leave_an_empty_remainder(monkeypatch):
+    sizes = record_remainders(monkeypatch)
     for mat in unit_lead_differentials():
         dec = smith_normal_form(mat)
         assert set(dec.invariants) <= {1}
         assert check_smith_certificate(mat, dec)
+    assert sizes == []
 
 
-def test_a_non_unit_lead_hands_the_matrix_to_the_heap_search(monkeypatch):
+def test_a_non_unit_lead_leaves_a_remainder_with_the_torsion(monkeypatch):
     rp2 = load_bundled_model("projective_plane")
     spec = SimplicialComplexSpec(rp2.complex, rp2.point_key)
-    heap, reached = homology._smith_by_heap, []
-    monkeypatch.setattr(homology, "_smith_by_heap",
-                        lambda matrix: reached.append(matrix.shape) or heap(matrix))
+    sizes = record_remainders(monkeypatch)
     assert integer_cohomology(spec, 2) == [(1, ()), (0, ()), (0, (2,))]
-    assert reached == [assemble_matrix(spec, 1).shape]
+    assert sizes == [(1, 3)]
+    assert assemble_matrix(spec, 1).shape == (10, 15)
+
+
+def test_a_matrix_without_a_unit_lead_is_all_remainder(monkeypatch):
+    mat = assemble_matrix(LocalComplexSpec(load_bundled_model("z6_arcs")), 1)
+    r, c, v = mat.entries
+    doubled = BoundaryMatrix(mat.shape, (r, c, 2 * v))
+    sizes = record_remainders(monkeypatch)
+    dec = smith_normal_form(doubled)
+    assert dec.invariants == (2,) * matrix_rank(mat, Q)
+    assert check_smith_certificate(doubled, dec)
+    assert sizes == [(len(set(r.tolist())), len(r))]
+
+
+def barycentric(simplices) -> list:
+    """The barycentric subdivision of a complex given by all its simplices: a
+    vertex, numbered, per simplex, and a simplex per chain of faces."""
+    faces = {frozenset(s) for s in simplices}
+    number = {f: k for k, f in enumerate(sorted(faces, key=lambda f: (len(f), sorted(f))))}
+    chains, longest = [], [(f,) for f in faces]
+    while longest:
+        chains += longest
+        longest = [c + (g,) for c in longest for g in faces if c[-1] < g]
+    return [tuple(sorted(number[f] for f in c)) for c in chains]
+
+
+def test_twice_subdivided_projective_plane_leaves_one_remainder_row(monkeypatch):
+    rp2 = load_bundled_model("projective_plane")
+    spec = SimplicialComplexSpec(barycentric(barycentric(rp2.complex)))
+    d1 = assemble_matrix(spec, 1)
+    assert d1.shape == (360, 540)
+    sizes = record_remainders(monkeypatch)
+    dec = smith_normal_form(d1)
+    assert (dec.rank, dec.torsion()) == (360, (2,))
+    assert check_smith_certificate(d1, dec)
+    ((rows, cells),) = sizes   # 359 unit pivots leave one row to the search
+    assert rows == 1 and cells <= 12
+    assert integer_cohomology(spec, 2) == [(1, ()), (0, ()), (0, (2,))]
 
 
 def test_smith_certificate_rejects_non_elementary_operations():

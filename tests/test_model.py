@@ -2,14 +2,21 @@ import itertools
 import json
 import random
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from locco import (BudgetError, CoverModel, ModelError, TupleSet, arc,
-                   enumeration_budget, left_invariant_cover, load_model,
+from locco import (BudgetError, CoverModel, ModelError, PrimeField, Rationals, TupleSet,
+                   arc, enumeration_budget, left_invariant_cover, load_model,
                    model_from_json_dict, shrink_relation_check)
+from locco.bicomplex import (family_from_json, first_hit_family, random_unity_family,
+                             uniform_unity_family)
 from locco.cli import bundled_model_names, load_bundled_model
-from locco.compare import random_cover_model
+from locco.cochains import local_cochain_from_json, random_local_cochain
+from locco.compare import model_hash, random_cover_model
 from locco import model as model_module
 from locco.model import code_dtype, decode, delete_digit, encode, product_codes
 
@@ -276,6 +283,24 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     assert load_model(str(path)).cover == m.cover
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_random_models_round_trip_through_json(seed):
+    rng = random.Random(seed)
+    m = random_cover_model(rng)
+    back = model_from_json_dict(m.to_json_dict())
+    assert back == m and model_hash(back) == model_hash(m)
+    for system in (Rationals(), PrimeField(5)):
+        for degree in (0, 1):
+            f = random_local_cochain(m, system, degree, rng)
+            assert local_cochain_from_json(m, system, f.to_json_dict()) == f
+    for q in (0, 1):
+        # uniform weights are "a/b" strings wherever two sets hold a tuple
+        for fam in (first_hit_family(m, q), random_unity_family(m, q, rng),
+                    uniform_unity_family(m, q)):
+            assert family_from_json(m, fam.to_json_dict()) == replace(fam, label="")
 
 
 def test_left_invariant_cover_radius_caps():
