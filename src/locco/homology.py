@@ -22,15 +22,19 @@ by deleting a digit or swapping a block and matched to their columns by
 binary search.  Over the integers the Smith normal form, which gives free
 ranks and torsion, takes unit pivots first (Dumas, Heckenbach, Saunders and
 Welker 2003): a sweep of the columns, last first and lazy as the field
-elimination is, clears each column by the columns whose lead is ±1, and
-one-cell row operations finish that column echelon.  A column left with a
-lead that is not ±1 is set aside, and what those columns keep off the
-pivots' rows, the remainder, is finished by a search for an entry of least
-absolute value.  The certificate, every elementary operation made, is
-checked by replaying them on a fresh copy of the matrix, with no
-determinant taken.  Many small simplicial complexes are computed together as the blocks
-of one :class:`SimplicialComplexSpec`: its differentials are block-diagonal,
-so one assembly and one elimination per degree give each block's rank
+elimination is, clears each column by the columns whose lead is ±1 into a
+column echelon with unit leads.  A column left with a lead that is not ±1
+is set aside, and what those columns keep off the pivots' rows, the
+remainder, is finished by a search for an entry of least absolute value.
+As over a field, d_n's sweep leaves out every column at which a unit pivot
+of d_{n-1} leads, once d_n d_{n-1} = 0 is checked.  The certificate is the
+sweep's column operations and the remainder's own: the check replays the
+first on a fresh copy of the matrix and confirms the unit echelon, whose
+finish by row operations then exists, and replays the second on the
+remainder alone, with no determinant taken.  Many small simplicial
+complexes are computed together as the blocks of one
+:class:`SimplicialComplexSpec`: its differentials are block-diagonal, so one
+assembly and one elimination per degree give each block's rank
 (:func:`block_profiles`), while over the integers each block keeps a Smith
 form of its own.
 """
@@ -415,8 +419,9 @@ class BoundaryMatrix:
 
     ``shape`` is (rows, columns), and ``entries`` holds int64 arrays (row,
     column, value), one per nonzero cell, sorted by row and then column.
-    ``rows`` are built from the entries on first use and kept; ``columns``
-    are built afresh on each use.  A matrix of d_n assembled from ``spec``
+    ``rows`` are built from the entries on first use and kept, as is
+    ``by_column``, which Smith forms and their checks read; ``columns`` are
+    built afresh on each use.  A matrix of d_n assembled from ``spec``
     reads its labels from it when they are first asked for: the degree-(n+1)
     basis for rows, the degree-n basis for columns.  Without a spec the
     labels are the positions.
@@ -437,6 +442,16 @@ class BoundaryMatrix:
 
     def _labels(self, n: int, count: int) -> tuple:
         return tuple(range(count)) if self.spec is None else self.spec.basis(n)
+
+    @cached_property
+    def by_column(self) -> tuple:
+        """The entries in column order, as :func:`_by_column` gives them, so
+        that each column's least row comes first; kept.  Raises
+        :class:`ModelError` unless the entries are as documented."""
+        r, c, v = self.entries
+        if not ((np.diff(r * max(self.shape[1], 1) + c) > 0).all() and (v != 0).all()):
+            raise ModelError("matrix entries must be nonzero cells sorted by row, then column")
+        return _by_column(self.entries, self.shape[1])
 
     @cached_property
     def rows(self) -> tuple:
@@ -774,27 +789,40 @@ def profile_from_ranks(dims: Sequence[int], ranks: Sequence[int]) -> list:
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Smith normal form of M with the elementary operations that certify it:
-    ``("row", src, dst, f)`` is row dst += f * row src, ``("col", src, dst,
-    f)`` col dst += f * col src and ``("neg", i)`` row i = -row i.  Replayed
-    on M they leave U * M * V, U and V in GL(Z): ``d`` at ``(row, col)`` for
-    each pivot and zeros elsewhere, the diagonal of invariants up to a
-    permutation of rows and columns.
+    ``("col", src, dst, f)`` is col dst += f * col src, ``("row", src, dst,
+    f)`` row dst += f * row src and ``("neg", i)`` row i = -row i.
 
-    :func:`smith_normal_form` records its sweep as ``"col"`` operations, each
-    adding a multiple of a pivot column, then its finish as ``"row"``
-    operations that each clear one cell below a unit lead and a ``"neg"``
-    for each lead of -1, and last the operations of the remainder's search,
-    whose pivots follow the unit pivots.  :func:`check_smith_certificate`
-    reads them all alike."""
+    The columns in ``skip`` are left out: M' is M with them zero, and each is
+    vouched for by a unit pivot of d_{n-1} (:func:`check_smith_certificate`),
+    so M' has M's invariants.  ``ops``, the sweep of
+    :func:`smith_normal_form`, are ``col`` operations only, and make M'V a
+    unit echelon.  The first ``units`` pivots are ``(lead, col, 1)``: column
+    col of M'V has its least row at lead, holding ±1, no two pivots share a
+    lead, and no other column has a cell on a lead row.  Taken in increasing
+    lead order, one-cell row operations then clear each pivot column below
+    its lead, and a lead of -1 is negated; that finish exists, so it is not
+    recorded.  What the other columns keep is the remainder, on rows and
+    columns of no unit pivot.  ``remainder_ops`` act on it alone and leave
+    only the other pivots, whose d form a positive divisor chain.  The
+    invariants are 1 per unit pivot, then those d.
+    """
 
     invariants: tuple        # nonzero diagonal entries, each dividing the next
     pivots: tuple            # (row, col, d) per invariant, in the same order
-    ops: tuple               # elementary operations, in the order applied
+    ops: tuple               # the sweep's column operations, in the order applied
     shape: tuple
+    units: int = 0           # how many pivots, first, are unit leads
+    remainder_ops: tuple = ()   # the remainder's operations, in the order applied
+    skip: tuple = ()         # the columns left out, ascending
 
     @property
     def rank(self) -> int:
         return len(self.invariants)
+
+    @property
+    def unit_leads(self) -> set:
+        """The rows at which the unit pivots lead."""
+        return {r for r, _, _ in self.pivots[:self.units]}
 
     def torsion(self) -> tuple:
         return tuple(d for d in self.invariants if abs(d) != 1)
@@ -840,26 +868,40 @@ class _SparseIntegers:
                 cols[c].discard(r)
 
 
-def smith_normal_form(matrix: BoundaryMatrix) -> SmithDecomposition:
-    """Smith normal form of a :class:`BoundaryMatrix`, unit pivots first
-    (Dumas, Heckenbach, Saunders and Welker 2003).
+def _add_multiple(col: dict, f: int, vec: dict) -> None:
+    """col += f * vec, for sparse integer vectors without zeros."""
+    for i, x in vec.items():
+        x = col.get(i, 0) + f * x
+        if x:
+            col[i] = x
+        else:
+            del col[i]
 
-    A sweep takes the columns last first, as :func:`_echelon` does.  A column
-    whose lead, its least row, is ±1 and held by no pivot becomes a pivot
-    and is never built; any other column is built and cleared by the pivots
-    at its leads, each step ``("col", pivot, k, f)``, until it is zero,
-    becomes a pivot itself or leads, with an entry that is not ±1, at a row
-    no pivot holds: then it is set aside.  After the sweep each column set
-    aside is cleared the same way at every row a pivot leads at.  The pivots
-    form a column echelon with unit leads: taken in increasing lead order,
-    each pivot's lead row holds only the lead, so one-cell row operations
-    clear the rest of its column and a lead of -1 is negated, each invariant
-    1.  What the set-aside columns keep is the remainder, which meets no
-    pivot's row or column; :func:`_smith_remainder` finishes it.
+
+def smith_normal_form(matrix: BoundaryMatrix, skip: Iterable[int] = ()) -> SmithDecomposition:
+    """Smith normal form of a :class:`BoundaryMatrix`, unit pivots first
+    (Dumas, Heckenbach, Saunders and Welker 2003), without the columns listed
+    in ``skip``, which are never read; the caller vouches that each is a
+    combination of the columns after it (:func:`cleared_columns`).
+
+    A sweep takes the other columns last first, as :func:`_echelon` does.  A
+    column whose lead, its least row, is ±1 and held by no pivot becomes a
+    pivot and is never built; any other column is built and cleared by the
+    pivots at its leads, each step ``("col", pivot, k, f)``, until it is
+    zero, becomes a pivot itself or leads, with an entry that is not ±1, at
+    a row no pivot holds: then it is set aside.  After the sweep each column
+    set aside is cleared the same way at every row a pivot leads at.  The
+    pivots then form a column echelon with unit leads, whose finish by row
+    operations :class:`SmithDecomposition` leaves unwritten.  What the
+    set-aside columns keep is the remainder, which meets no pivot's row or
+    column; :func:`_smith_remainder` finishes it.
     """
     _check_integers(matrix.entries[2])
-    r, v, bounds = _by_column(matrix.entries, matrix.shape[1])
-    which = (bounds[1:] != bounds[:-1]).nonzero()[0][::-1]   # nonempty columns, last first
+    skip = tuple(sorted(set(skip)))
+    r, v, bounds = matrix.by_column
+    kept = bounds[1:] != bounds[:-1]   # nonempty columns
+    kept[np.fromiter(skip, dtype=np.int64)] = False
+    which = kept.nonzero()[0][::-1]   # last first
     start = bounds[which]
     leads, values = r[start].tolist(), v[start].tolist()
     r, v, bounds = r.tolist(), v.tolist(), bounds.tolist()
@@ -875,12 +917,7 @@ def smith_normal_form(matrix: BoundaryMatrix) -> SmithDecomposition:
         pivot = built.get(j) or built.setdefault(j, column(j))   # built on first use
         f = -col[i] * pivot[i]
         ops.append(("col", j, k, f))
-        for row, x in pivot.items():
-            x = col.get(row, 0) + f * x
-            if x:
-                col[row] = x
-            else:
-                del col[row]
+        _add_multiple(col, f, pivot)
 
     for k, lead, u in zip(which.tolist(), leads, values):
         if abs(u) == 1 and lead not in held:
@@ -896,18 +933,13 @@ def smith_normal_form(matrix: BoundaryMatrix) -> SmithDecomposition:
     for k, col in aside.items():   # a pivot adds rows past its lead only
         while (i := min((x for x in col if x in held), default=-1)) >= 0:
             clear(k, col, i)
-    pivots = []
-    for lead, k in sorted(held.items()):
-        vec = built.get(k) or column(k)
-        u = vec[lead]
-        ops.extend(("row", lead, i, -x * u) for i, x in vec.items() if i != lead)
-        if u < 0:
-            ops.append(("neg", lead))
-        pivots.append((lead, k, 1))
+    pivots = [(lead, k, 1) for lead, k in sorted(held.items())]
+    units, finish = len(pivots), []
     cells = [(i, k, x) for k, col in aside.items() for i, x in col.items()]
-    pivots += _smith_remainder(_SparseIntegers(matrix.shape, cells), ops) if cells else []
+    pivots += _smith_remainder(_SparseIntegers(matrix.shape, cells), finish) if cells else []
     return SmithDecomposition(invariants=tuple(d for _, _, d in pivots), pivots=tuple(pivots),
-                              ops=tuple(ops), shape=matrix.shape)
+                              ops=tuple(ops), shape=matrix.shape, units=units,
+                              remainder_ops=tuple(finish), skip=skip)
 
 
 def _smith_remainder(work: _SparseIntegers, ops: list) -> list:
@@ -918,17 +950,19 @@ def _smith_remainder(work: _SparseIntegers, ops: list) -> list:
     rows, found by a scan that stops at an entry equal to the last invariant:
     every entry left is a multiple of it.  Row operations clear the pivot
     column, then column operations, which meet only the pivot row, clear the
-    pivot row; a remainder becomes the new pivot, Euclid-style.  A
-    divisibility repair folds in a row with an entry the pivot does not
-    divide, so the pivots form a divisor chain.  Pivots stay in place.
+    pivot row; a remainder becomes the new pivot, Euclid-style, and a
+    quotient of 0 is not recorded.  A divisibility repair folds in a row
+    with an entry the pivot does not divide, so the pivots form a divisor
+    chain.  Pivots stay in place.
     """
     rows, cols = work.rows, work.cols
     live = [i for i, row in enumerate(rows) if row]   # rows outside the pivots; none refills
     pivots, last = [], 1
 
-    def apply(op):
-        ops.append(op)
-        work.apply(op)
+    def apply(*op):
+        if op[0] == "neg" or op[3]:   # a factor of 0 would change nothing
+            ops.append(op)
+            work.apply(op)
 
     def least():
         at, a = None, 0
@@ -944,14 +978,14 @@ def _smith_remainder(work: _SparseIntegers, ops: list) -> list:
         while True:
             d, moved = rows[r][c], None
             for i in [i for i in cols[c] if i != r]:
-                apply(("row", r, i, -(rows[i][c] // d)))
+                apply("row", r, i, -(rows[i][c] // d))
                 if c in rows[i]:
                     moved = (i, c)
                     break
             if moved is None:
                 # column c now holds d alone, so these touch row r only
                 for j in [j for j in rows[r] if j != c]:
-                    apply(("col", c, j, -(rows[r][j] // d)))
+                    apply("col", c, j, -(rows[r][j] // d))
                     if j in rows[r]:
                         moved = (r, j)
                         break
@@ -959,13 +993,13 @@ def _smith_remainder(work: _SparseIntegers, ops: list) -> list:
                 bad = next((i for i in live if i != r and any(x % d for x in rows[i].values())),
                            None)
                 if bad is not None:
-                    apply(("row", bad, r, 1))
+                    apply("row", bad, r, 1)
                     moved = (r, c)
             if moved is None:
                 break
             r, c = moved
         if d < 0:
-            apply(("neg", r))
+            apply("neg", r)
         last = abs(d)
         pivots.append((r, c, last))
         live = [i for i in live if i != r and rows[i]]
@@ -984,25 +1018,150 @@ def _is_elementary(op, nrows: int, ncols: int) -> bool:
             and op[1].__class__ is int and 0 <= op[1] < nrows)
 
 
-def check_smith_certificate(matrix: BoundaryMatrix, dec: SmithDecomposition) -> bool:
-    """Replay the operations on a fresh sparse copy of M and confirm that only the
-    recorded pivots remain, positive, a divisor chain equal to the invariants.  Each
+class _Columns:
+    """The columns of an integer matrix, those in ``skip`` zero, as column
+    operations change them.  A column is read from the matrix's entries in
+    column order until it is first used; from then on it is a dict row ->
+    entry in ``built``, as a column in ``skip`` is from the start."""
+
+    def __init__(self, matrix: BoundaryMatrix, skip: Sequence[int] = ()):
+        _check_integers(matrix.entries[2])
+        self.shape = matrix.shape
+        self.r, self.v, self.bounds = matrix.by_column
+        self.built: dict = {k: {} for k in skip}
+
+    def column(self, k: int) -> dict:
+        col = self.built.get(k)
+        if col is None:
+            a, b = self.bounds[k], self.bounds[k + 1]
+            col = self.built[k] = dict(zip(self.r[a:b].tolist(), self.v[a:b].tolist()))
+        return col
+
+    def add(self, src: int, dst: int, f: int) -> None:
+        """col dst += f * col src."""
+        _add_multiple(self.column(dst), f, self.column(src))
+
+    def leads_hold(self, lead: dict) -> bool:
+        """Whether column c has its least row at lead[c], holding ±1, for
+        every c in ``lead``."""
+        raw, want = [], []
+        for c, i in lead.items():
+            col = self.built.get(c)
+            if col is None:
+                raw.append(c)
+                want.append(i)
+            elif min(col, default=-1) != i or abs(col[i]) != 1:
+                return False
+        raw = np.array(raw, dtype=np.int64)
+        a, b = self.bounds[raw], self.bounds[raw + 1]
+        # an empty column has no lead
+        return bool((b > a).all() and (self.r[a] == want).all() and (abs(self.v[a]) == 1).all())
+
+    def cells_off(self, lead: dict) -> Optional[list]:
+        """The cells (row, column, entry) of the columns not in ``lead``, or
+        None if one lies on a row in its values."""
+        cells = [(i, k, x) for k, col in self.built.items() if k not in lead for i, x in col.items()]
+        other = np.ones(self.shape[1], dtype=bool)
+        other[list(lead)] = other[list(self.built)] = False
+        counts = np.diff(self.bounds)
+        at = np.repeat(other, counts)   # the entries of the other columns, as read
+        if at.any():
+            cols = np.repeat(np.arange(self.shape[1]), counts)
+            cells += zip(self.r[at].tolist(), cols[at].tolist(), self.v[at].tolist())
+        return cells if set(lead.values()).isdisjoint(i for i, _, _ in cells) else None
+
+
+def _replayed(matrix: BoundaryMatrix, dec: SmithDecomposition) -> Optional[_Columns]:
+    """M's columns, ``dec.skip`` zero, after ``dec.ops``; None unless the
+    shapes agree and every operation is an elementary column operation."""
+    nrows, ncols = matrix.shape
+    if dec.shape != matrix.shape or not all(_is_elementary(op, nrows, ncols) and op[0] == "col"
+                                            for op in dec.ops):
+        return None
+    cols = _Columns(matrix, dec.skip)
+    for _, src, dst, f in dec.ops:
+        cols.add(src, dst, f)
+    return cols
+
+
+def _unit_pivots(pivots: Sequence, nrows: int, ncols: int) -> Optional[dict]:
+    """Unit pivots (row, col, 1) as a dict col -> row, or None unless their
+    rows and columns are ints in range, each used once."""
+    lead = {c: r for r, c, d in pivots
+            if r.__class__ is c.__class__ is int and 0 <= r < nrows and 0 <= c < ncols and d == 1}
+    return lead if len(lead) == len(pivots) == len(set(lead.values())) else None
+
+
+def _skip_justified(matrix: BoundaryMatrix, skip: Sequence[int], below: Optional[BoundaryMatrix],
+                    below_dec: Optional[SmithDecomposition]) -> bool:
+    """Whether each column j in ``skip`` is an integer combination of the
+    columns after it.  A unit pivot of ``below_dec`` must lead at row j:
+    replaying its sweep on ``below`` gives a column v of below·V, so in the
+    image of ``below``, whose least entry is ±1 at j.  With ``matrix ·
+    below = 0``, matrix · v = 0 writes column j through the later ones."""
+    if below is None or below_dec is None or not all(j.__class__ is int for j in skip):
+        return False
+    wanted = set(skip)
+    lead = _unit_pivots([p for p in below_dec.pivots[:below_dec.units] if p[0] in wanted],
+                        *below.shape)
+    if lead is None or set(lead.values()) != wanted:
+        return False
+    cols = _replayed(below, below_dec)
+    return cols is not None and cols.leads_hold(lead) and composes_to_zero(matrix, below)
+
+
+def _off_units(op: tuple, rows: set, cols: set) -> bool:
+    """Whether a remainder operation meets no lead row and no pivot column."""
+    if op[0] == "neg":
+        return op[1] not in rows
+    return not {op[1], op[2]} & (rows if op[0] == "row" else cols)
+
+
+def check_smith_certificate(matrix: BoundaryMatrix, dec: SmithDecomposition,
+                            below: Optional[BoundaryMatrix] = None,
+                            below_dec: Optional[SmithDecomposition] = None) -> bool:
+    """Check ``dec`` against M without forming U or V.
+
+    A nonempty ``dec.skip`` needs d_{n-1}, ``below``, with its decomposition:
+    each skipped column must be the lead row of one of its unit pivots, whose
+    lead is replayed, and M · below = 0 is checked exactly
+    (:func:`composes_to_zero`).  Then ``dec.ops``, column operations only,
+    are replayed on a fresh copy of M without the skipped columns.  Each unit
+    pivot's column must have its least row at the pivot's row, holding ±1,
+    at distinct rows; every other column keeps no cell on a lead row, and
+    those cells, the remainder, are replayed alone under
+    ``dec.remainder_ops``, which must meet no lead row or pivot column, to
+    leave only the remaining pivots, positive, a divisor chain.  Each
     operation must be elementary, which makes U and V unimodular without a
-    determinant."""
-    _check_integers(matrix.entries[2])
-    work = _SparseIntegers(matrix.shape, zip(*(x.tolist() for x in matrix.entries)))
-    nrows, ncols = work.shape
-    if dec.shape != work.shape or not all(_is_elementary(op, nrows, ncols) for op in dec.ops):
+    determinant; the finish of the unit echelon by row operations exists
+    (:class:`SmithDecomposition`).
+    """
+    nrows, ncols = matrix.shape
+    units = dec.units
+    if units.__class__ is not int or not 0 <= units <= len(dec.pivots):
         return False
-    for op in dec.ops:
-        work.apply(op)
-    pivots = dec.pivots
-    if (len({r for r, _, _ in pivots}) != len(pivots) or len({c for _, c, _ in pivots}) != len(pivots)
-            or sum(map(len, work.rows)) != len(pivots)
-            or any(not 0 <= r < nrows or work.rows[r].get(c) != d for r, c, d in pivots)):
+    if dec.skip and not _skip_justified(matrix, dec.skip, below, below_dec):
         return False
-    seen = tuple(d for _, _, d in pivots)
-    return (seen == dec.invariants and all(d > 0 for d in seen)
+    cols = _replayed(matrix, dec)
+    lead = _unit_pivots(dec.pivots[:units], nrows, ncols)
+    if cols is None or lead is None or not cols.leads_hold(lead):
+        return False
+    cells = cols.cells_off(lead)
+    rows, columns = set(lead.values()), set(lead)
+    if cells is None or not all(_is_elementary(op, nrows, ncols) and _off_units(op, rows, columns)
+                                for op in dec.remainder_ops):
+        return False
+    rest = dec.pivots[units:]
+    if cells or dec.remainder_ops or rest:
+        work = _SparseIntegers(matrix.shape, cells)
+        for op in dec.remainder_ops:
+            work.apply(op)
+        if (len({r for r, _, _ in rest}) != len(rest) or len({c for _, c, _ in rest}) != len(rest)
+                or sum(map(len, work.rows)) != len(rest)
+                or any(not 0 <= r < nrows or work.rows[r].get(c) != d for r, c, d in rest)):
+            return False
+    seen = tuple(d for _, _, d in rest)
+    return (dec.invariants == (1,) * units + seen and all(d > 0 for d in seen)
             and all(b % a == 0 for a, b in zip(seen, seen[1:])))
 
 
@@ -1049,15 +1208,19 @@ def composes_to_zero(upper: BoundaryMatrix, lower: BoundaryMatrix, p: int = 0) -
 
 
 def cleared_columns(mat: BoundaryMatrix, below: Optional[BoundaryMatrix], leads: set):
-    """The columns of d_n, ``mat``, that its rank and kernel may leave out:
-    the ``leads`` of d_{n-1}, ``below``, eliminated through its columns.
+    """The columns of d_n, ``mat``, that its rank and kernel, or its Smith
+    form, may leave out: the ``leads`` of d_{n-1}, ``below``, eliminated
+    through its columns.
 
     Each pivot row v of d_{n-1} is in its image and leads at some index j.
     If d_n d_{n-1} = 0, checked exactly by :func:`composes_to_zero`, then
     d_n v = 0 makes column j of d_n a combination of the columns after it;
-    by downward induction on j the columns left keep the span.  Where the
-    check fails nothing is left out.  On a block-diagonal d_n, v and the
-    columns it combines lie in one block, so each block keeps its rank.
+    by downward induction on j the columns left keep the span.  Over the
+    integers v must lead with ±1, as a unit pivot of d_{n-1}'s Smith sweep
+    does, so the combination is integral and the columns left keep the
+    lattice.  Where the check fails nothing is left out.  On a
+    block-diagonal d_n, v and the columns it combines lie in one block, so
+    each block keeps its rank.
     """
     return leads if leads and composes_to_zero(mat, below) else ()
 
@@ -1087,10 +1250,14 @@ def field_cohomology(spec: ComplexSpec, system: CoefficientSystem, max_degree: i
     return profile_from_ranks([spec.size(n) for n in range(max_degree + 2)], ranks)
 
 
-def _certified_smith(mat: BoundaryMatrix, n: int) -> SmithDecomposition:
-    """Smith normal form of d_n, its certificate replayed before it is used."""
-    dec = smith_normal_form(mat)
-    if not check_smith_certificate(mat, dec):
+def _certified_smith(mat: BoundaryMatrix, n: int, below: Optional[BoundaryMatrix] = None,
+                     below_dec: Optional[SmithDecomposition] = None) -> SmithDecomposition:
+    """Smith normal form of d_n, ``mat``, without the columns that the unit
+    pivots of d_{n-1}, ``below``, lead at (:func:`cleared_columns`), its
+    certificate checked before it is used."""
+    leads = below_dec.unit_leads if below_dec else set()
+    dec = smith_normal_form(mat, cleared_columns(mat, below, leads))
+    if not check_smith_certificate(mat, dec, below, below_dec):
         raise ModelError(f"Smith certificate failed in degree {n}")
     return dec
 
@@ -1108,8 +1275,12 @@ def _integer_profile(dims: Sequence[int], decs: Sequence[SmithDecomposition]) ->
 def integer_cohomology(spec: ComplexSpec, max_degree: int) -> list:
     """Free rank and torsion factors per degree, from Smith normal forms."""
     dims = [spec.size(n) for n in range(max_degree + 2)]
-    return _integer_profile(dims, [_certified_smith(assemble_matrix(spec, n), n)
-                                   for n in range(max_degree + 1)])
+    decs, below = [], None
+    for n in range(max_degree + 1):
+        mat = assemble_matrix(spec, n)
+        decs.append(_certified_smith(mat, n, below, decs[-1] if decs else None))
+        below = mat
+    return _integer_profile(dims, decs)
 
 
 def cohomology_profile(spec: ComplexSpec, system: CoefficientSystem, max_degree: int):
@@ -1141,6 +1312,7 @@ def block_profiles(spec: SimplicialComplexSpec, system: CoefficientSystem,
     if not isinstance(system, Integers):
         raise CoefficientError(f"no cohomology profile over {system.name}")
     decs: list = [[] for _ in tops]
+    below: list = [None] * len(tops)   # each block's matrix one degree down
     for n in range(top + 1):
         r, c, v = assemble_matrix(spec, n).entries
         rows, cols = bounds[n + 1], bounds[n]
@@ -1149,5 +1321,6 @@ def block_profiles(spec: SimplicialComplexSpec, system: CoefficientSystem,
             part = slice(at[b], at[b + 1])
             block = BoundaryMatrix((int(rows[b + 1] - rows[b]), int(cols[b + 1] - cols[b])),
                                    (r[part] - rows[b], c[part] - cols[b], v[part]))
-            decs[b].append(_certified_smith(block, n))
+            decs[b].append(_certified_smith(block, n, below[b], decs[b][-1] if n else None))
+            below[b] = block
     return [_integer_profile(dims[b], decs[b]) for b in range(len(tops))]

@@ -21,8 +21,8 @@ from locco import (AugmentedColumnSpec, AugmentedRowSpec, BudgetError,
                    rank_in_quotient, smith_normal_form, verify_local_vs_cech)
 from locco import homology
 from locco import model as model_module
-from locco.homology import (BoundaryMatrix, Echelon, block_profiles, cleared_columns,
-                            composes_to_zero, profile_from_ranks)
+from locco.homology import (BoundaryMatrix, Echelon, SmithDecomposition, block_profiles,
+                            cleared_columns, composes_to_zero, profile_from_ranks)
 from locco.cli import bundled_model_names, load_bundled_model, run
 from locco.compare import _as_columns, random_cover_model
 
@@ -217,6 +217,22 @@ def test_smith_invariants_match_determinantal_divisors(dense):
     dec = smith_normal_form(mat)
     assert dec.invariants == oracle_invariants(dense)
     assert check_smith_certificate(mat, dec)
+    assert 0 not in factors(dec)
+
+
+def factors(dec):
+    """The factor of every recorded row and column operation."""
+    return [op[3] for op in dec.ops + dec.remainder_ops if op[0] != "neg"]
+
+
+def test_no_recorded_operation_has_a_factor_of_0():
+    # the search once recorded ("row", 0, 3, 0) here, a quotient of 0 that
+    # only moved the pivot to a smaller entry in its column
+    mat = as_matrix([[0, 2, 0, 0, -6], [2, -6, 0, 0, 1], [3, 0, 0, -6, 0], [0, 0, 0, 0, 2]], 5)
+    dec = smith_normal_form(mat)
+    assert dec.invariants == (1, 1, 2, 24) and len(dec.remainder_ops) > 1
+    assert 0 not in factors(dec)
+    assert check_smith_certificate(mat, dec)
 
 
 TAMPER_CASE = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
@@ -227,9 +243,10 @@ def _first(ops, kind):
 
 
 def _tampered():
-    """Certificates of TAMPER_CASE, each with one defect."""
+    """Certificates of TAMPER_CASE, each with one defect.  No lead is a unit,
+    so the whole matrix is the remainder and every operation is its own."""
     dec = smith_normal_form(as_matrix(TAMPER_CASE, 3))
-    ops, pivots = list(dec.ops), list(dec.pivots)
+    ops, pivots = list(dec.remainder_ops), list(dec.pivots)
     k = _first(ops, "row")
     kind, src, dst, f = ops[k]
     out = {"changed factor": ops[:k] + [(kind, src, dst, f + 1)] + ops[k + 1:],
@@ -239,7 +256,10 @@ def _tampered():
     kind, src, dst, f = ops[k]
     out["changed column factor"] = ops[:k] + [(kind, src, dst, f - 1)] + ops[k + 1:]
     out["fractional factor"] = ops[:k] + [(kind, src, dst, Fraction(f))] + ops[k + 1:]
-    cases = {name: replace(dec, ops=tuple(o)) for name, o in out.items()}
+    cases = {name: replace(dec, remainder_ops=tuple(o)) for name, o in out.items()}
+    # the same operation, first in either list, replays alike on the whole matrix
+    k = _first(ops, "row")
+    cases["row op in the sweep"] = replace(dec, ops=(ops[k],), remainder_ops=tuple(ops[k + 1:]))
     r, c, d = pivots[0]
     cases["moved pivot"] = replace(dec, pivots=((r, (c + 1) % 3, d),) + dec.pivots[1:])
     cases["swapped pivots"] = replace(dec, pivots=(dec.pivots[1], dec.pivots[0], dec.pivots[2]))
@@ -254,6 +274,7 @@ def _tampered():
 def test_smith_certificate_rejects_tampering():
     dec, cases = _tampered()
     assert dec.invariants == (2, 6, 12)
+    assert (dec.units, dec.ops) == (0, ())
     matrix = as_matrix(TAMPER_CASE, 3)
     assert check_smith_certificate(matrix, dec)
     for name, bad in cases.items():
@@ -261,26 +282,121 @@ def test_smith_certificate_rejects_tampering():
 
 
 def test_smith_certificate_from_the_sweep_rejects_tampering():
-    # z6_arcs' local d_1: every lead is a unit and some are -1, so the sweep
-    # makes column, row and neg operations and leaves no remainder
+    # z6_arcs' local d_1: every lead is a unit, so the sweep's column
+    # operations make the whole certificate and leave no remainder
     matrix = assemble_matrix(LocalComplexSpec(load_bundled_model("z6_arcs")), 1)
     dec = smith_normal_form(matrix)
     ops = list(dec.ops)
-    assert {op[0] for op in ops} == {"col", "row", "neg"}
+    assert {op[0] for op in ops} == {"col"} and dec.remainder_ops == ()
+    assert dec.units == dec.rank
     assert check_smith_certificate(matrix, dec)
     k = _first(ops, "col")
     kind, src, dst, f = ops[k]
-    cases = {"changed column factor": ops[:k] + [(kind, src, dst, f + 1)] + ops[k + 1:]}
-    k = _first(ops, "row")
-    cases["dropped row op"] = ops[:k] + ops[k + 1:]
-    k = _first(ops, "neg")
-    cases["dropped neg"] = ops[:k] + ops[k + 1:]
+    cases = {"changed column factor": ops[:k] + [(kind, src, dst, f + 1)] + ops[k + 1:],
+             "dropped column op": ops[:k] + ops[k + 1:],
+             "row op in the sweep": ops + [("row", 0, 1, 1)]}
     cases = {name: replace(dec, ops=tuple(o)) for name, o in cases.items()}
     r, c, d = dec.pivots[0]
     moved = next(j for j in range(matrix.shape[1]) if j != c)
     cases["moved pivot"] = replace(dec, pivots=((r, moved, d),) + dec.pivots[1:])
+    # its column is then neither a pivot nor left to a remainder pivot
+    cases["dropped unit pivot"] = replace(dec, pivots=dec.pivots[1:], invariants=dec.invariants[1:],
+                                          units=dec.units - 1)
+    cases["one unit too many"] = replace(dec, units=dec.units + 1)
     for name, bad in cases.items():
         assert not check_smith_certificate(matrix, bad), name
+
+
+def test_compact_certificate_rejects_a_broken_unit_echelon():
+    # each forgery breaks one condition the check puts on the unit echelon or
+    # on the remainder's operations; most also claim a false rank or invariant
+    two = as_matrix([[2]], 1)
+    assert smith_normal_form(two).invariants == (2,)
+    assert not check_smith_certificate(two, SmithDecomposition((1,), ((0, 0, 1),), (), (1, 1), 1))
+    ones = as_matrix([[1, 1]], 2)
+    honest = smith_normal_form(ones)
+    assert honest.ops == (("col", 1, 0, -1),) and check_smith_certificate(ones, honest)
+    shared = replace(honest, ops=(), pivots=((0, 0, 1), (0, 1, 1)), invariants=(1, 1), units=2)
+    assert not check_smith_certificate(ones, shared)
+    assert not check_smith_certificate(ones, replace(honest, ops=()))   # column 0 stays
+    # column 1 is cleared at the lead row 0; without that its 2 sits on the lead row
+    lead_row = as_matrix([[1, 2], [0, 0]], 2)
+    honest = smith_normal_form(lead_row)
+    assert honest.ops == (("col", 0, 1, -2),) and check_smith_certificate(lead_row, honest)
+    on_lead = replace(honest, ops=(), pivots=((0, 0, 1), (0, 1, 2)), invariants=(1, 2))
+    assert not check_smith_certificate(lead_row, on_lead)
+    # the sweep holds column operations only: read as one, this would add the
+    # zero column 1 to column 0 and change nothing
+    assert not check_smith_certificate(lead_row, replace(honest, ops=honest.ops + (("row", 1, 0, 3),)))
+    # a unit pivot's d is 1, as its invariant is
+    assert not check_smith_certificate(lead_row, replace(honest, pivots=((0, 0, 2),)))
+    # a remainder of 2 at (1, 1): the remainder is replayed alone, where these
+    # change nothing, but after the unit finish each would spoil the diagonal
+    mixed = as_matrix([[1, 2], [0, 2]], 2)
+    honest = smith_normal_form(mixed)
+    assert (honest.units, honest.pivots[1:], honest.remainder_ops) == (1, ((1, 1, 2),), ())
+    assert check_smith_certificate(mixed, honest)
+    for op in [("row", 0, 1, 3), ("col", 0, 1, 3), ("neg", 0)]:
+        assert not check_smith_certificate(mixed, replace(honest, remainder_ops=(op,))), op
+
+
+def rp2_simplicial():
+    rp2 = load_bundled_model("projective_plane")
+    return SimplicialComplexSpec(rp2.complex, rp2.point_key)
+
+
+def certified_chain(spec, top):
+    """(matrices, decompositions) of d_0..d_top, each d_n without the columns
+    d_{n-1}'s unit pivots lead at, each certificate checked."""
+    mats, decs = [], []
+    for n in range(top + 1):
+        mat = assemble_matrix(spec, n)
+        below, below_dec = (mats[-1], decs[-1]) if n else (None, None)
+        dec = smith_normal_form(mat, cleared_columns(mat, below, below_dec.unit_leads) if n else ())
+        assert check_smith_certificate(mat, dec, below, below_dec)
+        mats.append(mat)
+        decs.append(dec)
+    return mats, decs
+
+
+def test_smith_certificate_rejects_an_unjustified_skip():
+    (d0, d1, d2), (dec0, dec1, dec2) = certified_chain(rp2_simplicial(), 2)
+    assert dec1.skip == (0, 1, 2, 3, 4) and dec2.skip == tuple(range(9))
+    # d_1's one remainder pivot, the Z/2, leads at row 9: not a unit lead
+    assert dec1.pivots[dec1.units:] == ((9, 5, 2),)
+    wider = replace(dec2, skip=tuple(range(10)))
+    assert not check_smith_certificate(d2, wider, d1, dec1)
+    # nor does counting it among the unit pivots help: its lead in d_1 V is -2
+    assert not check_smith_certificate(d2, wider, d1, replace(dec1, units=dec1.units + 1))
+    assert not check_smith_certificate(d1, replace(dec1, skip=dec1.skip + (5,)), d0, dec0)
+    assert not check_smith_certificate(d1, dec1)   # a skip needs d_0 and its decomposition
+    # nor by a decomposition of d_0 whose sweep no longer leads where it says
+    assert not check_smith_certificate(d1, dec1, d0, replace(dec0, ops=(("col", 0, 1, 1),)))
+    # a d_0 with one sign flipped keeps its unit leads and a good certificate,
+    # but d_1 no longer annihilates it
+    for spec in (rp2_simplicial(), LocalComplexSpec(load_bundled_model("z6_arcs"))):
+        (d0, d1), (dec0, dec1) = certified_chain(spec, 1)
+        r, c, v = d0.entries
+        flipped = BoundaryMatrix(d0.shape, (r, c, np.concatenate((v[:-1], -v[-1:]))))
+        flipped_dec = smith_normal_form(flipped)
+        assert check_smith_certificate(flipped, flipped_dec)
+        assert set(dec1.skip) <= flipped_dec.unit_leads
+        assert not composes_to_zero(d1, flipped)
+        assert not check_smith_certificate(d1, dec1, flipped, flipped_dec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_the_skip_changes_no_integer_profile(seed):
+    model = random_cover_model(random.Random(seed))
+    for spec in (LocalComplexSpec(model), CechComplexSpec(model), TotalComplexSpec(model)):
+        mats, skipped = certified_chain(spec, 2)
+        whole = [smith_normal_form(mat, skip=()) for mat in mats]
+        assert all(check_smith_certificate(mat, dec) for mat, dec in zip(mats, whole))
+        dims = [spec.size(n) for n in range(4)]
+        profile = homology._integer_profile(dims, whole)
+        assert homology._integer_profile(dims, skipped) == profile
+        assert integer_cohomology(spec, 2) == profile
 
 
 def unit_lead_differentials():
@@ -315,11 +431,12 @@ def test_unit_leads_leave_an_empty_remainder(monkeypatch):
 
 
 def test_a_non_unit_lead_leaves_a_remainder_with_the_torsion(monkeypatch):
-    rp2 = load_bundled_model("projective_plane")
-    spec = SimplicialComplexSpec(rp2.complex, rp2.point_key)
+    spec = rp2_simplicial()
     sizes = record_remainders(monkeypatch)
     assert integer_cohomology(spec, 2) == [(1, ()), (0, ()), (0, (2,))]
-    assert sizes == [(1, 3)]
+    # d_1 leaves out the 5 columns d_0's unit pivots lead at, 2 of them among
+    # the 3 cells the remainder's row held without the skip
+    assert sizes == [(1, 1)]
     assert assemble_matrix(spec, 1).shape == (10, 15)
 
 
@@ -331,6 +448,7 @@ def test_a_matrix_without_a_unit_lead_is_all_remainder(monkeypatch):
     dec = smith_normal_form(doubled)
     assert dec.invariants == (2,) * matrix_rank(mat, Q)
     assert check_smith_certificate(doubled, dec)
+    assert 0 not in factors(dec)
     assert sizes == [(len(set(r.tolist())), len(r))]
 
 
@@ -355,6 +473,7 @@ def test_twice_subdivided_projective_plane_leaves_one_remainder_row(monkeypatch)
     dec = smith_normal_form(d1)
     assert (dec.rank, dec.torsion()) == (360, (2,))
     assert check_smith_certificate(d1, dec)
+    assert 0 not in factors(dec)
     ((rows, cells),) = sizes   # 359 unit pivots leave one row to the search
     assert rows == 1 and cells <= 12
     assert integer_cohomology(spec, 2) == [(1, ()), (0, ()), (0, (2,))]
@@ -366,14 +485,15 @@ def test_smith_certificate_rejects_non_elementary_operations():
     one, column = as_matrix([[1]], 1), as_matrix([[2], [1]], 1)
     doubled = smith_normal_form(one)
     assert check_smith_certificate(one, doubled)
-    forged = replace(doubled, invariants=(2,), pivots=((0, 0, 2),), ops=(("row", 0, 0, 1),))
+    forged = replace(doubled, invariants=(2,), pivots=((0, 0, 2),), units=0,
+                     remainder_ops=(("row", 0, 0, 1),))
     assert not check_smith_certificate(one, forged)
-    halved = replace(smith_normal_form(column), invariants=(2,), pivots=((0, 0, 2),),
-                     ops=(("row", 0, 1, Fraction(-1, 2)),))
+    halved = replace(smith_normal_form(column), invariants=(2,), pivots=((0, 0, 2),), units=0,
+                     remainder_ops=(("row", 0, 1, Fraction(-1, 2)),))
     assert not check_smith_certificate(column, halved)
     assert not check_smith_certificate(one, replace(doubled, ops=(("scale", 0, 1),)))
-    # a bool is not an int, although ("row", False, True, -1) replays correctly
-    ones = as_matrix([[1], [1]], 1)
+    # a bool is not an int, although ("col", True, False, -1) replays correctly
+    ones = as_matrix([[1, 1]], 2)
     honest = smith_normal_form(ones)
     ((kind, src, dst, f),) = honest.ops
     assert check_smith_certificate(ones, honest)
@@ -419,6 +539,19 @@ def test_smith_on_entries_keeps_its_typed_errors():
     r, c = np.array([0]), np.array([0])
     with pytest.raises(CoefficientError):
         smith_normal_form(BoundaryMatrix((1, 1), (r, c, np.array([True]))))
+
+
+def test_smith_and_its_check_refuse_entries_out_of_order():
+    # both read each column's least row as its first entry in column order
+    mat = as_matrix([[0, 1], [2, 1]], 2)
+    r, c, v = mat.entries
+    assert check_smith_certificate(mat, smith_normal_form(mat))
+    for bad in [BoundaryMatrix(mat.shape, (r[::-1], c[::-1], v[::-1])),
+                BoundaryMatrix(mat.shape, (r, c, np.where(r == 0, 0, v)))]:
+        with pytest.raises(ModelError):
+            smith_normal_form(bad)
+        with pytest.raises(ModelError):
+            check_smith_certificate(bad, smith_normal_form(mat))
 
 
 def test_boundary_matrix_reads_as_its_dense_rows():
