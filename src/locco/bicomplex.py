@@ -461,8 +461,7 @@ def augment_cech(model: CoverModel, system: CoefficientSystem,
 
 def random_page(model: CoverModel, system: CoefficientSystem, p: int, q: int,
                 rng, entries: int = 5) -> CechPage:
-    nerve = model.nerve()
-    simplices = nerve.of_dimension(p)
+    simplices = model.nerve(p).of_dimension(p)
     components: dict = {}
     if not simplices:
         return CechPage(model, system, p, q, {})

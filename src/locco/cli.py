@@ -63,12 +63,14 @@ def _simplicial_spec(model: CoverModel) -> SimplicialComplexSpec:
     return SimplicialComplexSpec(model.complex, model.point_key)
 
 
+# each builder takes the model and the top degree; degrees <= N of the
+# nerve's cochains read its simplices through dimension N + 1 only
 _SPEC_BUILDERS = {
-    "local": lambda m: LocalComplexSpec(m),
-    "cech": lambda m: CechComplexSpec(m),
-    "total": lambda m: TotalComplexSpec(m),
-    "simplicial": _simplicial_spec,
-    "nerve": lambda m: SimplicialComplexSpec(m.nerve().simplices),
+    "local": lambda m, top: LocalComplexSpec(m),
+    "cech": lambda m, top: CechComplexSpec(m),
+    "total": lambda m, top: TotalComplexSpec(m),
+    "simplicial": lambda m, top: _simplicial_spec(m),
+    "nerve": lambda m, top: SimplicialComplexSpec(m.nerve(top + 1).simplices),
 }
 
 
@@ -86,7 +88,7 @@ def _profile_doc(profile) -> dict:
 def _cmd_cohomology(args) -> tuple:
     model = load_model(args.model)
     system = parse_system(args.coeff)
-    spec = _SPEC_BUILDERS[args.complex](model)
+    spec = _SPEC_BUILDERS[args.complex](model, args.max_degree)
     profile = cohomology_profile(spec, system, args.max_degree)
     doc = {
         "model": {"name": model.name, "hash": model_hash(model)},

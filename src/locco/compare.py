@@ -97,7 +97,7 @@ def _degreewise_match(profiles: Sequence, max_degree: int) -> tuple:
 def _check_column_contraction(model: CoverModel, system: CoefficientSystem,
                               rng) -> bool:
     """Cone identity on a standard complex over one intersection."""
-    nerve = model.nerve()
+    nerve = model.nerve(1)
     indices = (nerve.of_dimension(1) or nerve.of_dimension(0))[0]
     members = model.intersection(indices)
     base = smallest_point(model, members)
@@ -206,50 +206,45 @@ def is_acyclic(model: CoverModel, indices: Sequence[int],
                system: CoefficientSystem) -> AcyclicityStatus:
     """Does the full subcomplex on an intersection look like a point?
 
-    The first call on a model settles every nerve simplex at once
-    (:func:`_nerve_statuses`) and keeps the statuses on the model; later
-    calls look the status up.  Every index tuple with a nonempty
-    intersection is a nerve simplex, so any other is empty once
-    :meth:`CoverModel.intersection` has checked it.
+    The status is looked up by the intersection of the given indices.  The
+    first call on a model settles every distinct nonempty intersection at
+    once (:func:`_intersection_statuses`) and keeps the statuses on the
+    model; an empty intersection passes vacuously.
     """
     if model.complex is None:
         raise ModelError("acyclicity needs a model with a complex")
     idx = tuple(indices)
-    status = model.cached(("acyclic", system), _nerve_statuses, model, system).get(idx)
-    if status is not None:
-        return status
-    model.intersection(idx)
-    return AcyclicityStatus(indices=idx, empty=True, acyclic=True)
+    pts = model.intersection(idx)
+    if not pts:
+        return AcyclicityStatus(indices=idx, empty=True, acyclic=True)
+    statuses = model.cached(("acyclic", system), _intersection_statuses, model, system)
+    acyclic, profile = statuses[pts]
+    return AcyclicityStatus(indices=idx, empty=False, acyclic=acyclic, profile=profile)
 
 
-def _nerve_statuses(model: CoverModel, system: CoefficientSystem) -> dict:
-    """The status of every nerve simplex, from one batch.
+def _intersection_statuses(model: CoverModel, system: CoefficientSystem) -> dict:
+    """(acyclic, profile) of each distinct nonempty intersection, keyed by
+    its points, from one batch.
 
-    Each distinct intersection is one block of a single
+    The distinct intersections are the closure of the cover under
+    intersection (:meth:`CoverModel.intersection_closure`), so no nerve
+    simplex is enumerated.  Each is one block of a single
     :class:`SimplicialComplexSpec`: its full subcomplex plus its points
     that lie in no simplex, as isolated vertices.  :func:`block_profiles`
     then takes every block's profile, up to the block's own top degree,
     from one assembly per degree.
     """
-    where = {simplex: model.intersection(simplex) for simplex in model.nerve().simplices}
-    block: dict = {}   # intersection -> block
-    for pts in where.values():
-        block.setdefault(pts, len(block))
+    intersections = [model.intersection(holders) for holders in model.intersection_closure()]
     complexes = []
-    for pts in block:
+    for pts in intersections:
         simps = list(model.full_subcomplex(pts))
         have = {s[0] for s in simps if len(s) == 1}
         complexes.append(simps + [(p,) for p in pts if p not in have])
     spec = SimplicialComplexSpec(order_key=model.point_key, blocks=complexes)
     profiles = block_profiles(spec, system, [max(map(len, simps)) - 1 for simps in complexes])
     point, zero = (1, 0) if system.is_field else ((1, ()), (0, ()))
-    statuses = {}
-    for simplex, pts in where.items():
-        profile = tuple(profiles[block[pts]])
-        statuses[simplex] = AcyclicityStatus(
-            indices=simplex, empty=False, profile=profile,
-            acyclic=profile[0] == point and all(h == zero for h in profile[1:]))
-    return statuses
+    return {pts: (profile[0] == point and all(h == zero for h in profile[1:]), tuple(profile))
+            for pts, profile in zip(intersections, profiles)}
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +277,8 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
                       max_degree: int) -> ComparisonReport:
     """Restriction to simplices induces a bijection on cohomology.
 
-    Gated on every nonempty intersection having an acyclic full subcomplex.
+    Gated on every nonempty intersection having an acyclic full subcomplex,
+    settled once per distinct intersection.
     The restriction λ selects one local coordinate per simplex, so the
     chain-map property is checked exactly on the integer matrices, row by
     row: row λ(s) of d_local is row s of d_simp with its columns read
@@ -296,9 +292,9 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
         raise CoefficientError("induced-map ranks need field coefficients")
     if model.complex is None:
         raise ModelError("the restriction map needs a model with a complex")
-    statuses = [is_acyclic(model, simplex, system) for simplex in model.nerve().simplices]
-    failures = [status.indices for status in statuses if not status]
-    if failures:
+    # one question per distinct intersection; the nerve is listed only to name failures
+    if not all(is_acyclic(model, holders, system) for holders in model.intersection_closure()):
+        failures = [s for s in model.nerve().simplices if not is_acyclic(model, s, system)]
         raise AcyclicityError(
             f"intersections {failures} have nonvanishing reduced cohomology; "
             "the restriction map cannot be certified on this cover")
@@ -337,8 +333,9 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
     profiles = {"local": local_profile, "simplicial": simp_profile}
     extras = {
         "chain_map_exact": chain_map_ok,
-        "acyclic_intersections": len(statuses),
-        "empty_intersections": sum(1 for s in statuses if s.empty),
+        # every nerve simplex passed, and none has an empty intersection
+        "acyclic_intersections": sum(model.intersection_closure().values()),
+        "empty_intersections": 0,
         "target": "ordered simplicial cochains on the cover-small subcomplex",
     }
     return ComparisonReport(

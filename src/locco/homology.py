@@ -27,8 +27,8 @@ column echelon with unit leads.  A column left with a lead that is not ±1
 is set aside, and what those columns keep off the pivots' rows, the
 remainder, is finished by a search for an entry of least absolute value.
 As over a field, d_n's sweep leaves out every column at which a unit pivot
-of d_{n-1} leads, once d_n d_{n-1} = 0 is checked.  The certificate is the
-sweep's column operations and the remainder's own: the check replays the
+of d_{n-1} leads, and its check proves d_n d_{n-1} = 0.  The certificate is
+the sweep's column operations and the remainder's own: the check replays the
 first on a fresh copy of the matrix and confirms the unit echelon, whose
 finish by row operations then exists, and replays the second on the
 remainder alone, with no determinant taken.  Many small simplicial
@@ -50,7 +50,8 @@ import numpy as np
 
 from .coeff import CoefficientSystem, Integers, PrimeField, Rationals
 from .errors import BudgetError, CoefficientError, ModelError
-from .model import CoverModel, code_dtype, delete_digit, encode, enumeration_budget
+from .model import (CoverModel, Nerve, code_dtype, delete_digit, encode, enumeration_budget,
+                    mask_positions)
 
 # ---------------------------------------------------------------------------
 # complex descriptors: ordered bases, their integer codes and one face rule
@@ -96,24 +97,30 @@ def _alternating_rule(radix: int, arity: int, blocks: int = 1) -> FaceRule:
                     [1] * blocks, np.zeros((blocks, 0), dtype=np.int64))
 
 
-def _block_faces(simplices: Sequence[tuple], offset: int = 0, empty: int = -1) -> np.ndarray:
-    """Face blocks of index tuples for :class:`FaceRule`, one int64 row per
-    block: ``simplices[b]`` is block ``offset + b`` and its row lists it with
-    each index deleted in turn, padded with -1.  The empty tuple is block
-    ``empty`` (-1: no face); the ``offset`` leading blocks have no index
-    faces.  A degree's rule reads the first columns."""
-    position = {s: b for b, s in enumerate(simplices, offset)}
-    position[()] = empty
-    width = max(map(len, simplices), default=0)
-    table = [-1] * (width * offset)
-    for s in simplices:
-        table += [position[s[:k] + s[k + 1:]] for k in range(len(s))] + [-1] * (width - len(s))
-    return np.array(table, dtype=np.int64).reshape(offset + len(simplices), width)
+def _block_faces(nerve: Nerve, offset: int = 0, empty: int = -1) -> np.ndarray:
+    """Face blocks of a nerve's simplices for :class:`FaceRule`, one int64
+    row per block: simplex b is block ``offset + b`` and its row lists it
+    with each index deleted in turn, padded with -1.  The empty tuple is
+    block ``empty`` (-1: no face); the ``offset`` leading blocks have no
+    index faces.  A degree's rule reads the first columns.  Each face is
+    found by binary search among the simplices one dimension down, coded
+    with their indices as digits in base one past the last vertex."""
+    bounds, radix = nerve.bounds, 1 + max((s[0] for s in nerve.of_dimension(0)), default=0)
+    table = np.full((offset + len(nerve), len(bounds) - 1), -1, dtype=np.int64)
+    for d in range(len(bounds) - 1):
+        rows = slice(offset + bounds[d], offset + bounds[d + 1])
+        codes = encode(np.array(nerve.of_dimension(d)), radix, code_dtype(radix ** (d + 1)))
+        for k in range(d + 1):
+            table[rows, k] = empty if d == 0 else offset + bounds[d - 1] + below.searchsorted(
+                delete_digit(codes, radix, radix ** (d - k)))
+        below = codes
+    return table
 
 
 def _power_blocks(model: CoverModel, blocks: list, size: int, what: str) -> np.ndarray:
     """Codes of the tuples from intersections, in (block id, index tuple,
-    arity) blocks with ascending ids: ``block id * size + tuple code``.
+    arity, intersection bitmask) blocks with ascending ids: ``block id *
+    size + tuple code``.
 
     The budget is charged |U_indices|^arity per block before any block is
     enumerated.  Each run of blocks of one arity is enumerated at once: the
@@ -122,15 +129,15 @@ def _power_blocks(model: CoverModel, blocks: list, size: int, what: str) -> np.n
     codes ascend within each block as across blocks.
     """
     limit = enumeration_budget()
-    members = [model.intersection(idx) for _, idx, _ in blocks]
-    charge = sum(len(pts) ** arity for pts, (_, _, arity) in zip(members, blocks))
+    masks = [mask for _, _, _, mask in blocks]
+    count = np.array([mask.bit_count() for mask in masks], dtype=np.int64)   # |U| per block
+    charge = sum(c ** a for c, (_, _, a, _) in zip(count.tolist(), blocks))
     if charge > limit:
         raise BudgetError(charge, limit, what)
-    dtype = code_dtype(max((b + 1) * size for b, _, _ in blocks) if blocks else 1)
-    ids = np.array([b for b, _, _ in blocks], dtype=np.int64)
-    arity = np.array([a for _, _, a in blocks], dtype=np.int64)
-    count = np.array([len(pts) for pts in members], dtype=np.int64)   # |U| per block
-    positions = np.array([model.point_index[x] for pts in members for x in pts], dtype=np.int64)
+    dtype = code_dtype(max((b + 1) * size for b, _, _, _ in blocks) if blocks else 1)
+    ids = np.array([b for b, _, _, _ in blocks], dtype=np.int64)
+    arity = np.array([a for _, _, a, _ in blocks], dtype=np.int64)
+    positions = mask_positions(masks, len(model.points))
     first = np.cumsum(count) - count   # where each block's points start in ``positions``
     starts = np.flatnonzero(np.diff(arity, prepend=0)).tolist()   # arities are positive
     codes = [np.zeros(0, dtype=dtype)]
@@ -216,25 +223,31 @@ class LocalComplexSpec(ComplexSpec):
 
 
 class CechComplexSpec(ComplexSpec):
-    """One coefficient copy per nerve simplex, alternating index deletion."""
+    """One coefficient copy per nerve simplex, alternating index deletion.
+
+    A simplex is coded by its position in the nerve.  Degree n reads the
+    nerve through dimension n, and d_n's face table lists the simplices
+    through dimension n + 1 only, so a profile to degree N grows no nerve
+    simplex past dimension N + 1 (:meth:`CoverModel.nerve`).
+    """
 
     label = "cech"
 
     def __init__(self, model: CoverModel):
         super().__init__()
         self.model = model
-        self.nerve = model.nerve()
-        self._faces = _block_faces(self.nerve.simplices)
 
     def _build_basis(self, n: int) -> np.ndarray:
-        return np.flatnonzero([len(s) == n + 1 for s in self.nerve.simplices])
+        at = self.model.nerve(n).span(n)
+        return np.arange(at.start, at.stop)
 
     def _labels(self, n: int) -> Sequence:
-        return self.nerve.of_dimension(n)
+        return self.model.nerve(n).of_dimension(n)
 
     def face_rule(self, n: int) -> FaceRule:
-        blocks = len(self._faces)
-        return FaceRule(1, 1, 1, np.zeros(blocks), np.zeros(blocks), self._faces[:, :n + 2])
+        faces = _block_faces(self.model.nerve(n + 1))
+        blocks = len(faces)
+        return FaceRule(1, 1, 1, np.zeros(blocks), np.zeros(blocks), faces[:, :n + 2])
 
 
 class SimplicialComplexSpec(ComplexSpec):
@@ -302,7 +315,8 @@ class TotalComplexSpec(ComplexSpec):
     the index tuple.  The differential combines index insertion with the
     alternating point-tuple differential weighted by (-1)^p.  Blocks are the
     nerve simplices in nerve order, so codes ascend with p, then the index
-    tuple, then the point tuple.
+    tuple, then the point tuple.  Degree n reads the nerve through dimension
+    n, and d_n's face tables list the blocks through dimension n + 1 only.
     """
 
     label = "total"
@@ -310,29 +324,29 @@ class TotalComplexSpec(ComplexSpec):
     def __init__(self, model: CoverModel):
         super().__init__()
         self.model = model
-        self.nerve = model.nerve()
         self.radix = len(model.points)
-        self._faces = _block_faces(self.nerve.simplices)
-        self._dims = np.array([len(idx) - 1 for idx in self.nerve.simplices], dtype=np.int64)
 
     def _blocks(self, n: int) -> list:
-        return [(b, idx, n + 2 - len(idx)) for b, idx in enumerate(self.nerve.simplices)
-                if len(idx) <= n + 1]
+        nerve = self.model.nerve(n)
+        return [(b, idx, n + 2 - len(idx), mask)
+                for b, (idx, mask) in enumerate(zip(nerve.simplices, nerve.masks))]
 
     def _build_basis(self, n: int) -> np.ndarray:
         return _power_blocks(self.model, self._blocks(n), self.radix ** (n + 1),
                              f"total-complex basis in degree {n}")
 
     def _labels(self, n: int) -> Sequence:
-        return [(len(idx) - 1, idx, t) for _, idx, k in self._blocks(n)
+        return [(len(idx) - 1, idx, t) for _, idx, k, _ in self._blocks(n)
                 for t in self.model.intersection_power(idx, k).tuples]
 
     def face_rule(self, n: int) -> FaceRule:
+        nerve = self.model.nerve(n + 1)
+        dims = np.repeat(np.arange(len(nerve.bounds) - 1), np.diff(nerve.bounds))
         # a block of dimension p holds (n + 2 - p)-tuples in degree n + 1
-        arity = n + 2 - self._dims
-        weight = np.where(arity >= 2, 1 - 2 * (self._dims % 2), 0)   # (-1)^p
+        arity = n + 2 - dims
+        weight = np.where(arity >= 2, 1 - 2 * (dims % 2), 0)   # (-1)^p
         return FaceRule(self.radix, self.radix ** (n + 2), self.radix ** (n + 1),
-                        arity, weight, self._faces[:, :n + 2])
+                        arity, weight, _block_faces(nerve)[:, :n + 2])
 
 
 class AugmentedRowSpec(ComplexSpec):
@@ -342,6 +356,7 @@ class AugmentedRowSpec(ComplexSpec):
     indexed by (p-1)-dimensional nerve simplices.  Exactness of this complex
     is the row-contraction statement in matrix form.  The local space is
     block 0 and the nerve simplices follow, so d_0 deletes the only index.
+    Degree n reads the nerve through dimension n - 1.
     """
 
     label = "augmented-row"
@@ -350,13 +365,11 @@ class AugmentedRowSpec(ComplexSpec):
         super().__init__()
         self.model = model
         self.q = q
-        self.nerve = model.nerve()
         self.radix = len(model.points)
-        self._faces = _block_faces(self.nerve.simplices, offset=1, empty=0)
 
     def _blocks(self, n: int) -> list:
-        return [(b, idx, self.q + 1) for b, idx in enumerate(self.nerve.simplices, 1)
-                if len(idx) == n]
+        nerve = self.model.nerve(n - 1)
+        return [(b + 1, nerve.simplices[b], self.q + 1, nerve.masks[b]) for b in nerve.span(n - 1)]
 
     def _build_basis(self, n: int) -> np.ndarray:
         if n == 0:
@@ -367,14 +380,14 @@ class AugmentedRowSpec(ComplexSpec):
     def _labels(self, n: int) -> Sequence:
         if n == 0:
             return self.model.tuples_of(self.codes(0), self.q + 1)
-        return [(idx, t) for _, idx, k in self._blocks(n)
+        return [(idx, t) for _, idx, k, _ in self._blocks(n)
                 for t in self.model.intersection_power(idx, k).tuples]
 
     def face_rule(self, n: int) -> FaceRule:
-        blocks = len(self._faces)
+        faces = _block_faces(self.model.nerve(n), offset=1, empty=0)
         size = self.radix ** (self.q + 1)
-        return FaceRule(self.radix, size, size, np.full(blocks, self.q + 1), np.zeros(blocks),
-                        self._faces[:, :n + 1])
+        return FaceRule(self.radix, size, size, np.full(len(faces), self.q + 1),
+                        np.zeros(len(faces)), faces[:, :n + 1])
 
 
 class AugmentedColumnSpec(ComplexSpec):
@@ -499,16 +512,16 @@ def _reduced(entries: tuple, p: int) -> tuple:
 
 
 def _faces(rule: FaceRule, rows: np.ndarray) -> tuple:
-    """(row index, face code, sign) of every face of every row, row by row."""
+    """The face codes of every row, one column per deleted position, point
+    digits first, then block indices; and their signs, 0 where there is no
+    face."""
     block_code = rows // rule.row_size
     t = (rows % rule.row_size)[:, None]
     block = block_code.astype(np.int64, copy=False)
     place = rule.places[block].astype(rows.dtype, copy=False)
     point = (block_code * rule.col_size)[:, None] + delete_digit(t, rule.radix, place)
     index = rule.blocks[block].astype(rows.dtype, copy=False) * rule.col_size + t
-    sign = rule.signs[block]
-    live = sign != 0
-    return live.nonzero()[0], np.concatenate((point, index), axis=1)[live], sign[live]
+    return np.concatenate((point, index), axis=1), rule.signs[block]
 
 
 def _summed(cell: np.ndarray, sign: np.ndarray) -> tuple:
@@ -529,13 +542,21 @@ def assemble_matrix(spec: ComplexSpec, n: int) -> BoundaryMatrix:
     Every face of every row is found at once on integer codes: point faces
     by deleting one digit, index faces through the spec's block table, each
     matched to its column by binary search in the ascending column codes.
-    Repeated cells are summed and zeros dropped.
+    The search runs one deletion position at a time, where the faces of
+    ascending rows nearly ascend, so numpy's search starts from its last
+    bound; everything else, the missing face an error names included, is in
+    row order.  Repeated cells are summed and zeros dropped.
     """
     cols, rows = spec.codes(n), spec.codes(n + 1)
     if cols.dtype != rows.dtype:   # one degree outgrew int64
         cols, rows = cols.astype(object), rows.astype(object)
-    r, face, sign = _faces(spec.face_rule(n), rows)
-    c = cols.searchsorted(face)
+    face, sign = _faces(spec.face_rule(n), rows)
+    live = sign != 0
+    sign = sign[live]
+    at = live.T.copy()   # the faces by deletion position
+    c = np.empty(at.shape, dtype=np.intp)
+    c[at] = cols.searchsorted(face.T[at])
+    r, c, face = live.nonzero()[0], c.T[live], face[live]
     found = np.concatenate((cols, [-1]))[c] == face   # live faces are never negative
     del face   # not needed for the sort below, where memory peaks
     if not found.all():
@@ -882,7 +903,8 @@ def smith_normal_form(matrix: BoundaryMatrix, skip: Iterable[int] = ()) -> Smith
     """Smith normal form of a :class:`BoundaryMatrix`, unit pivots first
     (Dumas, Heckenbach, Saunders and Welker 2003), without the columns listed
     in ``skip``, which are never read; the caller vouches that each is a
-    combination of the columns after it (:func:`cleared_columns`).
+    combination of the columns after it, as :func:`check_smith_certificate`
+    confirms.
 
     A sweep takes the other columns last first, as :func:`_echelon` does.  A
     column whose lead, its least row, is ±1 and held by no pivot becomes a
@@ -1253,10 +1275,10 @@ def field_cohomology(spec: ComplexSpec, system: CoefficientSystem, max_degree: i
 def _certified_smith(mat: BoundaryMatrix, n: int, below: Optional[BoundaryMatrix] = None,
                      below_dec: Optional[SmithDecomposition] = None) -> SmithDecomposition:
     """Smith normal form of d_n, ``mat``, without the columns that the unit
-    pivots of d_{n-1}, ``below``, lead at (:func:`cleared_columns`), its
-    certificate checked before it is used."""
-    leads = below_dec.unit_leads if below_dec else set()
-    dec = smith_normal_form(mat, cleared_columns(mat, below, leads))
+    pivots of d_{n-1}, ``below``, lead at, its certificate checked before it
+    is used.  The check proves d_n d_{n-1} = 0, which justifies the skip
+    (:func:`cleared_columns`), so a pair that fails it is refused."""
+    dec = smith_normal_form(mat, below_dec.unit_leads if below_dec else ())
     if not check_smith_certificate(mat, dec, below, below_dec):
         raise ModelError(f"Smith certificate failed in degree {n}")
     return dec

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
@@ -107,6 +108,15 @@ def product_codes(positions: np.ndarray, arity: int, radix: int) -> np.ndarray:
     return codes
 
 
+def mask_positions(masks: Sequence[int], width: int) -> np.ndarray:
+    """The point positions below ``width`` that bitmasks hold, ascending
+    within each mask, one mask after another."""
+    size = (width + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(masks), size), axis=1, count=width, bitorder="little")
+    return bits.nonzero()[1]
+
+
 @dataclass(frozen=True, eq=False)
 class TupleSet:
     """A finite set of point tuples of fixed length with a frozen basis order.
@@ -180,15 +190,35 @@ class TupleSet:
 
 @dataclass(frozen=True)
 class Nerve:
-    """Index tuples (strictly increasing) whose cover sets meet."""
+    """Index tuples (strictly increasing) whose cover sets meet, sorted by
+    length, then index, so the nerve through a lower dimension is a prefix;
+    with the intersection of each as a bitmask of point positions when the
+    model built it."""
 
-    simplices: tuple  # tuple of index tuples, grouped by dimension, lex sorted
+    simplices: tuple
+    masks: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def bounds(self) -> tuple:
+        """Where each dimension starts in ``simplices``, then their count."""
+        top = len(self.simplices[-1]) if self.simplices else 0
+        return tuple(bisect_left(self.simplices, k, key=len) for k in range(1, top + 2))
+
+    def span(self, p: int) -> range:
+        """The positions of the dimension-p simplices."""
+        bounds = self.bounds
+        return range(bounds[p], bounds[p + 1]) if 0 <= p < len(bounds) - 1 else range(0)
 
     def of_dimension(self, p: int) -> tuple:
-        return tuple(s for s in self.simplices if len(s) == p + 1)
+        at = self.span(p)
+        return self.simplices[at.start:at.stop]
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.simplices)
 
     def __contains__(self, item) -> bool:
-        return tuple(item) in set(self.simplices)
+        return tuple(item) in self._members
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -214,6 +244,9 @@ class CoverModel:
             names[k] = p
         object.__setattr__(self, "_names", names)
         self.validate()
+        # each cover set as a bitmask of point positions
+        object.__setattr__(self, "_masks", tuple(sum(1 << self.point_index[p] for p in members)
+                                                 for members in self.cover))
 
     # -- validation ---------------------------------------------------------
 
@@ -350,34 +383,79 @@ class CoverModel:
         codes = product_codes(positions, arity, radix)
         return TupleSet(arity, codes, self._names, f"U{idx}^{arity}")
 
-    def nerve(self) -> Nerve:
-        """All strictly increasing index tuples with nonempty intersection.
+    def nerve(self, top: Optional[int] = None) -> Nerve:
+        """The strictly increasing index tuples with nonempty intersection,
+        through dimension ``top``, or all of them.
 
-        The budget is charged one unit per simplex kept.  The charge is
-        checked after each dimension, so enumeration stops within one
-        dimension of passing the limit.
+        The nerve grows one dimension at a time, each built once per model
+        (:meth:`cached`), so asking for a lower dimension builds no more
+        than it needs.  The budget is charged one unit per simplex through
+        the dimension being built and checked after it, so enumeration
+        stops within one dimension of passing the limit.
         """
-        return self.cached(("nerve",), self._nerve)
+        return self.cached(("nerve", top), self._nerve, top)
 
-    def _nerve(self) -> Nerve:
+    def _nerve(self, top: Optional[int]) -> Nerve:
+        simplices, masks, d = [], [], 0
+        while (top is None or d <= top) and (layer := self._nerve_layer(d))[0]:
+            simplices += layer[0]
+            masks += layer[1]
+            d += 1
+        return Nerve(simplices=tuple(simplices), masks=tuple(masks))
+
+    def _nerve_layer(self, d: int) -> tuple:
+        """(simplices, intersection bitmasks) of nerve dimension d, in index order."""
+        return self.cached(("nerve-layer", d), self._grow_nerve, d)
+
+    def _grow_nerve(self, d: int) -> tuple:
+        masks = self._masks
+        if d == 0:
+            simplices, common = [(i,) for i in range(len(masks))], list(masks)
+        else:
+            # a subset meets only if it extends a meeting subset one dimension down
+            simplices, common = [], []
+            for base, mask in zip(*self._nerve_layer(d - 1)):
+                for j in range(base[-1] + 1, len(masks)):
+                    if mask & masks[j]:
+                        simplices.append(base + (j,))
+                        common.append(mask & masks[j])
         limit = enumeration_budget()
-        simplices = []
-        # a subset meets only if all its 2-subsets meet; grow dimensionwise
-        current = [(i,) for i in range(len(self.cover)) if self.cover[i]]
-        while current:
-            simplices.extend(current)
-            if len(simplices) > limit:
-                raise BudgetError(len(simplices), limit,
-                                  f"the nerve of {len(self.cover)} cover sets")
-            previous, current = current, []
-            for base in previous:
-                common = set(self.cover[base[0]])
-                for i in base[1:]:
-                    common &= self.cover[i]
-                for j in range(base[-1] + 1, len(self.cover)):
-                    if common & self.cover[j]:
-                        current.append(base + (j,))
-        return Nerve(simplices=tuple(sorted(simplices, key=lambda s: (len(s), s))))
+        charge = len(simplices) + sum(len(self._nerve_layer(k)[0]) for k in range(d))
+        if charge > limit:
+            raise BudgetError(charge, limit, f"the nerve of {len(masks)} cover sets")
+        return simplices, common
+
+    def intersection_closure(self) -> dict:
+        """Every distinct nonempty intersection of cover sets, named by the
+        index tuple of all the cover sets that hold it, a nerve simplex with
+        exactly that intersection, mapped to the number of nerve simplices
+        whose intersection it is.
+
+        The closure of the cover under intersection, kept as bitmasks of
+        point positions, grows one round at a time, charging the budget one
+        unit per intersection.  A set I held by c(I) cover sets lies in the
+        intersection of 2^c(I) - 1 nerve simplices; those whose intersection
+        is exactly I are that number less the counts of the closed sets
+        above I, taken first.
+        """
+        return self.cached(("closure",), self._intersection_closure)
+
+    def _intersection_closure(self) -> dict:
+        masks, limit = self._masks, enumeration_budget()
+        closed = set(masks)
+        new = closed
+        while new:
+            if len(closed) > limit:
+                raise BudgetError(len(closed), limit,
+                                  f"the intersections of {len(masks)} cover sets")
+            new = {a & m for a in new for m in masks if a & m} - closed
+            closed |= new
+        exact: dict = {}
+        for common in sorted(closed, key=int.bit_count, reverse=True):
+            holders = tuple(i for i, m in enumerate(masks) if common & m == common)
+            exact[common] = holders, (1 << len(holders)) - 1 - sum(
+                n for above, (_, n) in exact.items() if above & common == common)
+        return dict(exact.values())
 
     def u_small_subcomplex(self) -> tuple:
         """Simplices of the model complex whose vertex set sits in one cover set."""

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from dataclasses import replace
@@ -14,9 +15,7 @@ from locco import (AcyclicityError, AcyclicityStatus, CoverModel, Integers,
                    left_invariant_cover, model_hash, random_cover_model,
                    verify_lambda_iso, verify_local_vs_cech)
 from locco import compare
-from locco import model as model_module
-from locco.model import Nerve
-from locco.cli import bundled_model_names, load_bundled_model
+from locco.cli import bundled_model_names, load_bundled_model, run
 
 Q = Rationals()
 
@@ -166,6 +165,40 @@ def test_batched_gate_matches_the_per_intersection_oracle(model):
     assert gate_statuses(model, is_acyclic) == gate_statuses(model, oracle_is_acyclic)
 
 
+def nerve_intersections(model):
+    """How many nerve simplices have each intersection, listed simplex by simplex."""
+    counts = {}
+    for simplex in model.nerve().simplices:
+        pts = model.intersection(simplex)
+        counts[pts] = counts.get(pts, 0) + 1
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+@example(-1)
+def test_gate_on_distinct_intersections_matches_the_nerve(seed):
+    # seed -1 stands for every bundled model
+    models = ([load_bundled_model(name) for name in bundled_model_names()] if seed < 0
+              else [random_complex_model(seed), random_cover_model(random.Random(seed))])
+    for model in models:
+        closure = model.intersection_closure()
+        assert {model.intersection(h): n for h, n in closure.items()} == nerve_intersections(model)
+        for holders in closure:   # every cover set that holds the intersection
+            pts = set(model.intersection(holders))
+            assert holders == tuple(i for i, u in enumerate(model.cover) if pts <= u)
+        assert sum(closure.values()) == len(model.nerve())
+        if model.complex is None:
+            continue
+        for system in GATE_SYSTEMS:
+            for simplex in model.nerve().simplices:
+                assert is_acyclic(model, simplex, system) == oracle_is_acyclic(model, simplex, system)
+        if all(is_acyclic(model, simplex, Q) for simplex in model.nerve().simplices):
+            extras = verify_lambda_iso(model, Q, 1).extras
+            assert extras["acyclic_intersections"] == len(model.nerve())
+            assert extras["empty_intersections"] == 0
+
+
 def test_gate_is_one_batch_per_model_and_system(monkeypatch):
     batches = []
     profiles = compare.block_profiles
@@ -260,17 +293,42 @@ def test_lambda_iso_refuses_a_boundary_as_representative(monkeypatch):
     assert rep.matches == (True, False) and rep.isomorphic is False
 
 
-def test_local_vs_cech_builds_one_nerve(monkeypatch):
-    built = []
+def grown_dimensions(monkeypatch):
+    """The nerve dimensions built from here on, one entry per build."""
+    grown, grow = [], CoverModel._grow_nerve
 
-    class CountedNerve(Nerve):
-        def __init__(self, simplices):
-            built.append(len(simplices))
-            super().__init__(simplices)
+    def counted(self, d):
+        grown.append(d)
+        return grow(self, d)
 
-    monkeypatch.setattr(model_module, "Nerve", CountedNerve)
-    verify_local_vs_cech(load_bundled_model("hexagon"), Q, 1)
-    assert len(built) == 1
+    monkeypatch.setattr(CoverModel, "_grow_nerve", counted)
+    return grown
+
+
+def test_each_nerve_dimension_is_grown_once_per_model(monkeypatch):
+    grown = grown_dimensions(monkeypatch)
+    model = load_bundled_model("z12_arcs")
+    verify_local_vs_cech(model, Q, 2)
+    verify_lambda_iso(model, Q, 2)
+    model.nerve()
+    model.nerve(1)
+    assert sorted(grown) == list(range(len(model.nerve().bounds)))
+
+
+@pytest.mark.parametrize("top", [0, 1, 2])
+def test_a_profile_to_degree_n_grows_the_nerve_through_n_plus_1(monkeypatch, tmp_path, top):
+    # cyc(16,3): every 7 consecutive arcs meet, so the nerve reaches dimension 6
+    path = tmp_path / "cyc16_3.json"
+    path.write_text(json.dumps(left_invariant_cover(16, 3).to_json_dict()))
+    grown = grown_dimensions(monkeypatch)
+    calls = [["cohomology", str(path), "--complex", c] for c in ("cech", "total", "nerve")]
+    calls += [["compare", str(path)], ["compare", str(path), "--lambda"]]
+    for argv in calls:
+        del grown[:]
+        argv = ["--output", str(tmp_path / "out.json")] + argv + ["--max-degree", str(top)]
+        assert run(argv) == 0, argv
+        assert grown and max(grown) <= top + 1, argv
+    assert len(left_invariant_cover(16, 3).nerve().bounds) == 8
 
 
 def test_lambda_iso_gate_raises_on_bad_cover():

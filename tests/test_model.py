@@ -213,6 +213,27 @@ def test_nerve_oracle_z6():
     assert [len(nerve.of_dimension(d)) for d in range(4)] == [6, 12, 6, 0]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_nerve_prefixes_and_lookups_match_the_listed_nerve(seed):
+    model = random_cover_model(random.Random(seed), max_sets=6)
+    cover = range(len(model.cover))
+    listed = [s for k in range(1, len(model.cover) + 1) for s in itertools.combinations(cover, k)
+              if set.intersection(*(set(model.cover[i]) for i in s))]
+    nerve = model.nerve()
+    assert nerve.simplices == tuple(listed)
+    top = max(map(len, listed)) - 1
+    for d in range(top + 2):
+        assert nerve.of_dimension(d) == tuple(s for s in listed if len(s) == d + 1)
+        assert model.nerve(d).simplices == tuple(s for s in listed if len(s) <= d + 1)
+        assert [model.intersection(s) for s in model.nerve(d).simplices] == [
+            tuple(p for k, p in enumerate(model.points) if mask >> k & 1)
+            for mask in model.nerve(d).masks]
+    assert nerve.bounds[-1] == len(nerve) and len(nerve.bounds) == top + 2
+    for s in itertools.chain(listed, [(), (0, 0), (len(model.cover),), ("a",), [0]]):
+        assert (s in nerve) == (tuple(s) in set(listed))
+
+
 def test_nerve_is_charged_per_simplex_after_each_dimension(monkeypatch):
     # z6_arcs: 6 vertices, 12 edges and 6 triangles
     m = load_bundled_model("z6_arcs")
