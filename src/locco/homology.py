@@ -5,38 +5,36 @@ profiles over a field reduce to exact ranks of integer matrices.  A basis is
 its ascending integer codes: sizes, matrices and ranks read only those, and
 labels are decoded from them when a caller first asks for them
 (:meth:`ComplexSpec.basis`).  The tuples of a nerve-blocked basis are
-enumerated for all blocks of one arity at once.  One sparse eliminator,
-:class:`Echelon`, takes every field rank, kernel and quotient rank,
-fraction-free with gcd stripping over Q and with normalised pivots over
-GF(p).  Every rank is taken through the matrix's columns, last first, and a
-kernel is that same column elimination with each column tagged by its own
-index, with no back-substitution.  A column whose lead no pivot holds yet is
-kept as its index into the sorted entries and built only when a later
-column leads there, so most columns of a differential are never built as
-dicts.  Once d_n d_{n-1} = 0 is checked exactly by a sparse product, d_n's
-elimination leaves out every column at which a pivot of d_{n-1} leads, and
-its kernel is then h_n cocycle representatives (:func:`kernel_basis`).
-Every differential is assembled in index space by one kernel,
-:func:`assemble_matrix`: basis elements are integer codes, faces are found
-by deleting a digit or swapping a block and matched to their columns by
-binary search.  Over the integers the Smith normal form, which gives free
-ranks and torsion, takes unit pivots first (Dumas, Heckenbach, Saunders and
-Welker 2003): a sweep of the columns, last first and lazy as the field
-elimination is, clears each column by the columns whose lead is ±1 into a
-column echelon with unit leads.  A column left with a lead that is not ±1
-is set aside, and what those columns keep off the pivots' rows, the
-remainder, is finished by a search for an entry of least absolute value.
-As over a field, d_n's sweep leaves out every column at which a unit pivot
-of d_{n-1} leads, and its check proves d_n d_{n-1} = 0.  The certificate is
-the sweep's column operations and the remainder's own: the check replays the
-first on a fresh copy of the matrix and confirms the unit echelon, whose
-finish by row operations then exists, and replays the second on the
-remainder alone, with no determinant taken.  Many small simplicial
-complexes are computed together as the blocks of one
-:class:`SimplicialComplexSpec`: its differentials are block-diagonal, so one
-assembly and one elimination per degree give each block's rank
-(:func:`block_profiles`), while over the integers each block keeps a Smith
-form of its own.
+enumerated for all blocks of one arity at once.  Every differential is
+assembled in index space by one kernel, :func:`assemble_matrix`: basis
+elements are integer codes, faces are found by deleting a digit or swapping
+a block and matched to their columns by binary search.
+
+One column sweep, :func:`_sweep`, eliminates over Z, Q and GF(p), unit
+pivots first (Dumas, Heckenbach, Saunders and Welker 2003).  It takes the
+columns last first; a column whose lead, its least row, is a unit (±1, or
+any nonzero value mod p) held by no pivot is recorded by its index and
+built only when a later column leads there, so most columns of a
+differential are never built as dicts.  Any other column is cleared by the
+pivots at its leads, and one left with a lead that is not a unit is set
+aside, which never happens mod p.  A field rank counts the unit pivots and
+adds an :class:`Echelon` of the set-aside columns (:func:`matrix_rank`); a
+kernel is the same sweep with each column tagged by its own index, with no
+back-substitution (:func:`kernel_basis`).  Over the integers the Smith
+normal form is the sweep with its column operations kept, and what the
+set-aside columns keep off the pivots' rows, the remainder, is finished by
+a search for an entry of least absolute value.  Once d_n d_{n-1} = 0 is
+checked exactly by a sparse product, d_n's sweep leaves out every column at
+which a pivot of d_{n-1} leads, a unit pivot over the integers: its kernel
+is then h_n cocycle representatives.  The Smith certificate is the sweep's
+column operations and the remainder's own: the check replays the first on a
+fresh copy of the matrix and confirms the unit echelon, whose finish by row
+operations then exists, and replays the second on the remainder alone, with
+no determinant taken.  Many small simplicial complexes are computed together
+as the blocks of one :class:`SimplicialComplexSpec`: its differentials are
+block-diagonal, so one assembly and one sweep per degree give each block's
+rank (:func:`block_profiles`), while over the integers each block keeps a
+Smith form of its own.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -115,6 +113,12 @@ def _block_faces(nerve: Nerve, offset: int = 0, empty: int = -1) -> np.ndarray:
                 delete_digit(codes, radix, radix ** (d - k)))
         below = codes
     return table
+
+
+def _nerve_faces(model: CoverModel, top: int) -> np.ndarray:
+    """The face table of ``model.nerve(top)``, built once per model and
+    prefix, and shared by every spec that reads it."""
+    return model.cached(("block-faces", top), _block_faces, model.nerve(top))
 
 
 def _power_blocks(model: CoverModel, blocks: list, size: int, what: str) -> np.ndarray:
@@ -245,7 +249,7 @@ class CechComplexSpec(ComplexSpec):
         return self.model.nerve(n).of_dimension(n)
 
     def face_rule(self, n: int) -> FaceRule:
-        faces = _block_faces(self.model.nerve(n + 1))
+        faces = _nerve_faces(self.model, n + 1)
         blocks = len(faces)
         return FaceRule(1, 1, 1, np.zeros(blocks), np.zeros(blocks), faces[:, :n + 2])
 
@@ -346,7 +350,7 @@ class TotalComplexSpec(ComplexSpec):
         arity = n + 2 - dims
         weight = np.where(arity >= 2, 1 - 2 * (dims % 2), 0)   # (-1)^p
         return FaceRule(self.radix, self.radix ** (n + 2), self.radix ** (n + 1),
-                        arity, weight, _block_faces(nerve)[:, :n + 2])
+                        arity, weight, _nerve_faces(self.model, n + 1)[:, :n + 2])
 
 
 class AugmentedRowSpec(ComplexSpec):
@@ -501,11 +505,8 @@ def _split(major: np.ndarray, minor: np.ndarray, values: np.ndarray, count: int)
 
 
 def _reduced(entries: tuple, p: int) -> tuple:
-    """COO ``entries`` with values reduced mod p and zeros dropped; as they
-    are for p = 0."""
+    """COO ``entries`` with values reduced mod a prime p and zeros dropped."""
     r, c, v = entries
-    if not p:
-        return r, c, v
     v = v % p
     live = v != 0
     return r[live], c[live], v[live]
@@ -575,9 +576,10 @@ def assemble_matrix(spec: ComplexSpec, n: int) -> BoundaryMatrix:
 
 
 class Echelon:
-    """Exact echelon form of sparse integer vectors (a matrix's columns, tagged
-    for a kernel, or a quotient's vectors), filled one at a time; nothing is
-    back-substituted.
+    """Exact echelon form of explicit sparse integer vectors, inserted one at
+    a time; nothing is back-substituted.  It takes the vectors of
+    :func:`rank_in_quotient` and, over Q, the columns :func:`_sweep` sets
+    aside.
 
     Pivot vectors are kept in a dict keyed by their leading index, so a new
     vector meets only the pivots of the indices it reaches and no vector is
@@ -587,30 +589,15 @@ class Echelon:
     rescaling, and any other lead cross-multiplies by gcd-reduced factors,
     after which the vector's content is divided out.  With a prime ``p`` the
     entries of a vector lie in 1..p-1 and pivot vectors are scaled to lead 1.
-
-    A pivot may be held unbuilt, as the int that ``build`` turns into its
-    vector: :func:`_echelon` records a vector so when no pivot holds its
-    lead yet.  :meth:`insert` builds and normalises it only when a later
-    vector leads at it, and :meth:`pivot` reads it built; no caller reads
-    an unbuilt pivot.  Normalising depends only on the vector, so a pivot
-    built late equals the one built at once.
     """
 
-    def __init__(self, p: int = 0, build: Optional[Callable[[int], dict]] = None):
+    def __init__(self, p: int = 0):
         self.p = p
-        self.build = build
-        self.pivots: dict = {}   # leading index -> pivot vector, or its int for ``build``
+        self.pivots: dict = {}   # leading index -> pivot vector
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def pivot(self, c: int) -> dict:
-        """The pivot vector leading at ``c``, built on first read."""
-        pivot = self.pivots[c]
-        if pivot.__class__ is int:
-            pivot = self.pivots[c] = self._normalise(self.build(pivot), c)
-        return pivot
 
     def insert(self, row: dict) -> bool:
         """Reduce ``row`` by the pivots; keep it if it is independent.
@@ -626,8 +613,6 @@ class Echelon:
             if pivot is None:
                 pivots[c] = self._normalise(row, c)
                 return True
-            if pivot.__class__ is int:
-                pivot = self.pivot(c)
             row = self._eliminate(row, pivot, c)
         return False
 
@@ -674,7 +659,8 @@ class Echelon:
 
 
 def _modulus(system: CoefficientSystem) -> int:
-    """The ``p`` of :class:`Echelon` for a field: 0 for Q, p for GF(p)."""
+    """The ``p`` of :func:`_sweep` and :class:`Echelon` for a field: 0 for
+    Q, p for GF(p)."""
     if isinstance(system, Rationals):
         return 0
     if isinstance(system, PrimeField):
@@ -691,69 +677,187 @@ def _by_column(entries: tuple, ncols: int) -> tuple:
     return r[order], v[order], c[order].searchsorted(np.arange(ncols + 1))
 
 
-def _echelon(mat: BoundaryMatrix, p: int, skip: Iterable[int] = (),
-             tagged: bool = False) -> Echelon:
-    """The :class:`Echelon` of ``mat``'s columns, reduced mod p, last first,
-    without the columns listed in ``skip``.  With ``tagged``, column j also
-    holds 1 at ``nrows + j``.
+def _check_integers(values: np.ndarray) -> None:
+    """Raise unless every value reads as a Python int, as an integer dtype does."""
+    for v in values.tolist() if values.dtype.kind not in "iu" else ():
+        if v.__class__ is not int:
+            raise CoefficientError(f"Smith normal form needs integer entries, got {v!r}")
 
-    Each column's lead, its least row, is read from the sorted entries.  A
-    column whose lead no pivot holds yet is recorded by its index and built
-    only if a later column leads there (the emergent pairs of Ripser, Bauer
-    2021); any other column is built once and inserted.  The insertion order
-    and every pivot built are those of inserting each column in turn.
+
+def _add_multiple(col: dict, f: int, vec: dict, p: int = 0) -> None:
+    """col += f * vec, for sparse integer vectors without zeros, mod p
+    unless p is 0."""
+    get = col.get
+    for i, x in vec.items():
+        x = (get(i, 0) + f * x) % p if p else get(i, 0) + f * x
+        if x:
+            col[i] = x
+        else:
+            del col[i]
+
+
+class _Columns:
+    """The columns of an integer matrix, those in ``skip`` zero, as column
+    operations change them: over the integers with ``p`` None, over Q with
+    0, else mod p.  A column is read from the entries in column order until
+    it is first used, with 1 at ``nrows + k`` on column k if ``tagged``;
+    from then on it is a dict row -> entry in ``built``, as a column in
+    ``skip`` is from the start.  Over the integers the entries are the
+    matrix's checked :attr:`~BoundaryMatrix.by_column`, kept for the
+    certificate; over a field they are sorted afresh, first reduced mod p."""
+
+    def __init__(self, matrix: BoundaryMatrix, skip: Sequence[int] = (),
+                 p: Optional[int] = None, tagged: bool = False):
+        self.shape, self.tagged = matrix.shape, tagged
+        if p is None:
+            _check_integers(matrix.entries[2])
+            self.r, self.v, self.bounds = matrix.by_column
+        else:
+            entries = _reduced(matrix.entries, p) if p else matrix.entries
+            self.r, self.v, self.bounds = _by_column(entries, matrix.shape[1])
+        self._starts = self.bounds.tolist()
+        self.built: dict = {k: {} for k in skip}
+
+    def column(self, k: int) -> dict:
+        col = self.built.get(k)
+        if col is None:
+            a, b = self._starts[k], self._starts[k + 1]
+            col = self.built[k] = dict(zip(self.r[a:b].tolist(), self.v[a:b].tolist()))
+            if self.tagged:
+                col[self.shape[0] + k] = 1
+        return col
+
+    def leads_hold(self, lead: dict) -> bool:
+        """Whether column c has its least row at lead[c], holding ±1, for
+        every c in ``lead``."""
+        raw, want = [], []
+        for c, i in lead.items():
+            col = self.built.get(c)
+            if col is None:
+                raw.append(c)
+                want.append(i)
+            elif min(col, default=-1) != i or abs(col[i]) != 1:
+                return False
+        raw = np.array(raw, dtype=np.int64)
+        a, b = self.bounds[raw], self.bounds[raw + 1]
+        # an empty column has no lead
+        return bool((b > a).all() and (self.r[a] == want).all() and (abs(self.v[a]) == 1).all())
+
+    def cells_off(self, lead: dict) -> Optional[list]:
+        """The cells (row, column, entry) of the columns not in ``lead``, or
+        None if one lies on a row in its values."""
+        cells = [(i, k, x) for k, col in self.built.items() if k not in lead for i, x in col.items()]
+        other = np.ones(self.shape[1], dtype=bool)
+        other[list(lead)] = other[list(self.built)] = False
+        counts = np.diff(self.bounds)
+        at = np.repeat(other, counts)   # the entries of the other columns, as read
+        if at.any():
+            cols = np.repeat(np.arange(self.shape[1]), counts)
+            cells += zip(self.r[at].tolist(), cols[at].tolist(), self.v[at].tolist())
+        return cells if set(lead.values()).isdisjoint(i for i, _, _ in cells) else None
+
+
+def _sweep(mat: BoundaryMatrix, p: Optional[int], skip: Iterable[int] = (),
+           tagged: bool = False) -> tuple:
+    """The unit sweep of ``mat``'s columns, over Z, Q or GF(p) as ``p`` is
+    None, 0 or a prime (:class:`_Columns`), without the columns listed in
+    ``skip``, which are never read; with ``tagged``, column j also holds 1
+    at ``nrows + j``.  Returns the :class:`_Columns` it changed, the pivots
+    as a dict lead -> column, the columns set aside and the ``("col", src,
+    dst, f)`` operations applied, in order.
+
+    A unit is ±1 over Z and Q and any nonzero value mod p.  The kept
+    columns are taken last first (an empty one only if tagged, leading at
+    its tag).  A column whose lead, its least row, is a unit held by no
+    pivot becomes a pivot by its index and is built only if a later column
+    leads there (the emergent pairs of Ripser, Bauer 2021).  Any other
+    column is built and cleared by the pivots at its leads, each step one
+    operation, until it is zero, becomes a pivot itself or leads, with an
+    entry that is not a unit, at a row no pivot holds: then it is set
+    aside.  After the sweep each column set aside is cleared the same way
+    at every row a pivot leads at, so it keeps no cell on a pivot's lead.
+    Mod p nothing is set aside.  The pivots form a column echelon with unit
+    leads (Dumas, Heckenbach, Saunders and Welker 2003).
     """
     nrows, ncols = mat.shape
-    r, v, bounds = _by_column(_reduced(mat.entries, p), ncols)
+    cols = _Columns(mat, p=p, tagged=tagged)
+    column, built, r, v, bounds = cols.column, cols.built, cols.r, cols.v, cols.bounds
     kept = np.ones(ncols, dtype=bool)
     kept[np.fromiter(skip, dtype=np.int64)] = False
-    which = kept.nonzero()[0][::-1]
+    which = kept.nonzero()[0][::-1]   # last first
     start, empty = bounds[which], bounds[which] == bounds[which + 1]
     if tagged:
         lead = np.where(empty, nrows + which, np.append(r, 0)[start])
+        value = np.where(empty, 1, np.append(v, 0)[start])
     else:
-        which, lead = which[~empty], r[start[~empty]]   # an empty column adds nothing
-    bounds = bounds.tolist()
+        which, start = which[~empty], start[~empty]
+        lead, value = r[start], v[start]
+    unit = value != 0 if p else abs(value) == 1
+    held, aside, ops = {}, [], []
 
-    def build(k: int) -> dict:
-        a, b = bounds[k], bounds[k + 1]
-        vec = dict(zip(r[a:b].tolist(), v[a:b].tolist()))
-        if tagged:
-            vec[nrows + k] = 1
-        return vec
+    def clear(k: int, col: dict, i: int) -> None:   # col's entry at i, a pivot's lead
+        j = held[i]
+        pivot = built.get(j) or column(j)   # a dict lookup before the method call
+        f = -col[i] * (pow(pivot[i], -1, p) if p else pivot[i])
+        ops.append(("col", j, k, f))
+        _add_multiple(col, f, pivot, p)
 
-    ech = Echelon(p, build)
-    pivots = ech.pivots
-    for k, c in zip(which.tolist(), lead.tolist()):
-        if c in pivots:
-            ech.insert(build(k))
-        else:
-            pivots[c] = k
-    return ech
+    for k, i, u in zip(which.tolist(), lead.tolist(), unit.tolist()):
+        if u and i not in held:
+            held[i] = k
+            continue
+        col = column(k)
+        while col and (i := min(col)) in held:
+            clear(k, col, i)
+        if col and (p or abs(col[i]) == 1):
+            held[i] = k
+        elif col:
+            aside.append(k)
+    for k in aside:   # a pivot adds rows past its lead only
+        col = column(k)
+        while (i := min((x for x in col if x in held), default=-1)) >= 0:
+            clear(k, col, i)
+    return cols, held, aside, ops
+
+
+def _eliminated(mat: BoundaryMatrix, p: int, skip: Iterable[int], tagged: bool = False) -> tuple:
+    """:func:`_sweep` over a field, and the columns it set aside inserted
+    into an :class:`Echelon`: the columns built, the sweep's pivots (lead ->
+    column) and the remainder's (lead -> vector).  Those columns keep no
+    cell on a unit pivot's lead, and the unit pivots' block is triangular
+    with a unit diagonal, so the rank is the pivots' count; only over Q
+    may anything be set aside."""
+    cols, held, aside, _ = _sweep(mat, p, skip, tagged)
+    rest = Echelon(p)
+    for k in aside:
+        rest.insert(cols.column(k))
+    return cols, held, rest.pivots
 
 
 def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
                 leads: Optional[set] = None, blocks: Optional[np.ndarray] = None):
     """Rank over a field; over the integers, the rank over Q.
 
-    The columns are eliminated last first (:func:`_echelon`), which on the
-    differentials here leaves sparse pivot vectors.  Columns listed in
-    ``skip`` are left out; the caller vouches that each is a combination of
-    the columns after it (:func:`cleared_columns`).  A set passed as
-    ``leads`` receives the row index at which each pivot vector leads.
+    The unit pivots of :func:`_sweep` count once each, and an
+    :class:`Echelon` of the columns it sets aside, over Q only, adds the
+    rest.  Columns listed in ``skip`` are left out; the caller vouches that
+    each is a combination of the columns after it (:func:`cleared_columns`).
+    A set passed as ``leads`` receives the row index at which each pivot
+    leads: they are the leads of the column space, whichever way it is
+    eliminated.
 
     With ``blocks``, ascending bounds that cut the rows of a block-diagonal
     matrix into its blocks, the rank comes back per block as an array.
-    Every pivot vector then lies in one block, so a block's rank is the
-    number of pivots that lead inside it.
+    Every pivot then lies in one block, so a block's rank is the number of
+    pivots that lead inside it.
     """
     p = 0 if isinstance(system, Integers) else _modulus(system)
-    ech = _echelon(mat, p, skip)
+    _, held, rest = _eliminated(mat, p, skip)
     if leads is not None:
-        leads.update(ech.pivots)
+        leads.update(held, rest)
     if blocks is None:
-        return ech.rank
-    keys = np.fromiter(ech.pivots, dtype=np.int64, count=ech.rank)
+        return len(held) + len(rest)
+    keys = np.fromiter([*held, *rest], dtype=np.int64, count=len(held) + len(rest))
     return np.bincount(blocks.searchsorted(keys, "right") - 1, minlength=len(blocks) - 1)
 
 
@@ -763,19 +867,23 @@ def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[
     over a field: a nullspace basis, or with ``skip`` from
     :func:`cleared_columns`, h_n cocycle representatives.
 
-    :func:`matrix_rank`'s column elimination runs with column j tagged by
-    one more entry, 1 at key ``nrows + j``.  A column whose row part
-    cancels leads at its own tag, since the tags it met are above it, and
-    its tag part is a nullspace vector, integral over Q; the other pivots'
-    leads go to ``leads``.  The vectors lead at distinct kept columns and
-    B^n's pivots at the skipped ones, so they are independent modulo B^n
-    (the clearing of Chen and Kerber; de Silva, Morozov, Vejdemo-Johansson).
+    :func:`matrix_rank`'s sweep runs with column j tagged by one more
+    entry, 1 at key ``nrows + j``.  A column whose row part cancels leads
+    at its own tag, a unit, since the tags it met are above it, and its tag
+    part is a nullspace vector, integral over Q; over Q the set-aside
+    columns, tagged, add the vectors of the remainder's pivots that lead at
+    a tag.  The other pivots' leads go to ``leads``.  The vectors lead at
+    distinct kept columns and B^n's pivots at the skipped ones, so they are
+    independent modulo B^n (the clearing of Chen and Kerber; de Silva,
+    Morozov, Vejdemo-Johansson).
     """
     nrows = mat.shape[0]
-    ech = _echelon(mat, _modulus(system), skip, tagged=True)
+    cols, held, rest = _eliminated(mat, _modulus(system), skip, tagged=True)
     if leads is not None:
-        leads.update(c for c in ech.pivots if c < nrows)
-    return [{k - nrows: v for k, v in ech.pivot(c).items()} for c in list(ech.pivots) if c >= nrows]
+        leads.update(c for c in [*held, *rest] if c < nrows)
+    vectors = [cols.column(k) for c, k in held.items() if c >= nrows]
+    vectors += [vec for c, vec in rest.items() if c >= nrows]
+    return [{k - nrows: v for k, v in vec.items()} for vec in vectors]
 
 
 def rank_in_quotient(vectors: list, subspace: list, system: CoefficientSystem) -> int:
@@ -849,13 +957,6 @@ class SmithDecomposition:
         return tuple(d for d in self.invariants if abs(d) != 1)
 
 
-def _check_integers(values: np.ndarray) -> None:
-    """Raise unless every value reads as a Python int, as an integer dtype does."""
-    for v in values.tolist() if values.dtype.kind not in "iu" else ():
-        if v.__class__ is not int:
-            raise CoefficientError(f"Smith normal form needs integer entries, got {v!r}")
-
-
 class _SparseIntegers:
     """An integer matrix of ``shape`` as sparse rows (dicts column -> entry), each
     column keeping the set of rows that reach it, filled from (row, column, entry)
@@ -889,16 +990,6 @@ class _SparseIntegers:
                 cols[c].discard(r)
 
 
-def _add_multiple(col: dict, f: int, vec: dict) -> None:
-    """col += f * vec, for sparse integer vectors without zeros."""
-    for i, x in vec.items():
-        x = col.get(i, 0) + f * x
-        if x:
-            col[i] = x
-        else:
-            del col[i]
-
-
 def smith_normal_form(matrix: BoundaryMatrix, skip: Iterable[int] = ()) -> SmithDecomposition:
     """Smith normal form of a :class:`BoundaryMatrix`, unit pivots first
     (Dumas, Heckenbach, Saunders and Welker 2003), without the columns listed
@@ -906,58 +997,17 @@ def smith_normal_form(matrix: BoundaryMatrix, skip: Iterable[int] = ()) -> Smith
     combination of the columns after it, as :func:`check_smith_certificate`
     confirms.
 
-    A sweep takes the other columns last first, as :func:`_echelon` does.  A
-    column whose lead, its least row, is ±1 and held by no pivot becomes a
-    pivot and is never built; any other column is built and cleared by the
-    pivots at its leads, each step ``("col", pivot, k, f)``, until it is
-    zero, becomes a pivot itself or leads, with an entry that is not ±1, at
-    a row no pivot holds: then it is set aside.  After the sweep each column
-    set aside is cleared the same way at every row a pivot leads at.  The
-    pivots then form a column echelon with unit leads, whose finish by row
-    operations :class:`SmithDecomposition` leaves unwritten.  What the
+    It is :func:`_sweep` over the integers, whose ``col`` operations it
+    keeps: the pivots form a column echelon with ±1 leads, whose finish by
+    row operations :class:`SmithDecomposition` leaves unwritten.  What the
     set-aside columns keep is the remainder, which meets no pivot's row or
     column; :func:`_smith_remainder` finishes it.
     """
-    _check_integers(matrix.entries[2])
     skip = tuple(sorted(set(skip)))
-    r, v, bounds = matrix.by_column
-    kept = bounds[1:] != bounds[:-1]   # nonempty columns
-    kept[np.fromiter(skip, dtype=np.int64)] = False
-    which = kept.nonzero()[0][::-1]   # last first
-    start = bounds[which]
-    leads, values = r[start].tolist(), v[start].tolist()
-    r, v, bounds = r.tolist(), v.tolist(), bounds.tolist()
-
-    def column(k: int) -> dict:
-        a, b = bounds[k], bounds[k + 1]
-        return dict(zip(r[a:b], v[a:b]))
-
-    held, built, aside, ops = {}, {}, {}, []   # lead -> pivot column; column -> its vector
-
-    def clear(k: int, col: dict, i: int) -> None:   # col's entry at i, a pivot's lead
-        j = held[i]
-        pivot = built.get(j) or built.setdefault(j, column(j))   # built on first use
-        f = -col[i] * pivot[i]
-        ops.append(("col", j, k, f))
-        _add_multiple(col, f, pivot)
-
-    for k, lead, u in zip(which.tolist(), leads, values):
-        if abs(u) == 1 and lead not in held:
-            held[lead] = k
-            continue
-        col = column(k)
-        while col and (i := min(col)) in held:
-            clear(k, col, i)
-        if col and abs(col[i]) == 1:
-            held[i], built[k] = k, col
-        elif col:
-            aside[k] = col
-    for k, col in aside.items():   # a pivot adds rows past its lead only
-        while (i := min((x for x in col if x in held), default=-1)) >= 0:
-            clear(k, col, i)
+    cols, held, aside, ops = _sweep(matrix, None, skip)
     pivots = [(lead, k, 1) for lead, k in sorted(held.items())]
     units, finish = len(pivots), []
-    cells = [(i, k, x) for k, col in aside.items() for i, x in col.items()]
+    cells = [(i, k, x) for k in aside for i, x in cols.built[k].items()]
     pivots += _smith_remainder(_SparseIntegers(matrix.shape, cells), finish) if cells else []
     return SmithDecomposition(invariants=tuple(d for _, _, d in pivots), pivots=tuple(pivots),
                               ops=tuple(ops), shape=matrix.shape, units=units,
@@ -1040,59 +1090,6 @@ def _is_elementary(op, nrows: int, ncols: int) -> bool:
             and op[1].__class__ is int and 0 <= op[1] < nrows)
 
 
-class _Columns:
-    """The columns of an integer matrix, those in ``skip`` zero, as column
-    operations change them.  A column is read from the matrix's entries in
-    column order until it is first used; from then on it is a dict row ->
-    entry in ``built``, as a column in ``skip`` is from the start."""
-
-    def __init__(self, matrix: BoundaryMatrix, skip: Sequence[int] = ()):
-        _check_integers(matrix.entries[2])
-        self.shape = matrix.shape
-        self.r, self.v, self.bounds = matrix.by_column
-        self.built: dict = {k: {} for k in skip}
-
-    def column(self, k: int) -> dict:
-        col = self.built.get(k)
-        if col is None:
-            a, b = self.bounds[k], self.bounds[k + 1]
-            col = self.built[k] = dict(zip(self.r[a:b].tolist(), self.v[a:b].tolist()))
-        return col
-
-    def add(self, src: int, dst: int, f: int) -> None:
-        """col dst += f * col src."""
-        _add_multiple(self.column(dst), f, self.column(src))
-
-    def leads_hold(self, lead: dict) -> bool:
-        """Whether column c has its least row at lead[c], holding ±1, for
-        every c in ``lead``."""
-        raw, want = [], []
-        for c, i in lead.items():
-            col = self.built.get(c)
-            if col is None:
-                raw.append(c)
-                want.append(i)
-            elif min(col, default=-1) != i or abs(col[i]) != 1:
-                return False
-        raw = np.array(raw, dtype=np.int64)
-        a, b = self.bounds[raw], self.bounds[raw + 1]
-        # an empty column has no lead
-        return bool((b > a).all() and (self.r[a] == want).all() and (abs(self.v[a]) == 1).all())
-
-    def cells_off(self, lead: dict) -> Optional[list]:
-        """The cells (row, column, entry) of the columns not in ``lead``, or
-        None if one lies on a row in its values."""
-        cells = [(i, k, x) for k, col in self.built.items() if k not in lead for i, x in col.items()]
-        other = np.ones(self.shape[1], dtype=bool)
-        other[list(lead)] = other[list(self.built)] = False
-        counts = np.diff(self.bounds)
-        at = np.repeat(other, counts)   # the entries of the other columns, as read
-        if at.any():
-            cols = np.repeat(np.arange(self.shape[1]), counts)
-            cells += zip(self.r[at].tolist(), cols[at].tolist(), self.v[at].tolist())
-        return cells if set(lead.values()).isdisjoint(i for i, _, _ in cells) else None
-
-
 def _replayed(matrix: BoundaryMatrix, dec: SmithDecomposition) -> Optional[_Columns]:
     """M's columns, ``dec.skip`` zero, after ``dec.ops``; None unless the
     shapes agree and every operation is an elementary column operation."""
@@ -1102,7 +1099,7 @@ def _replayed(matrix: BoundaryMatrix, dec: SmithDecomposition) -> Optional[_Colu
         return None
     cols = _Columns(matrix, dec.skip)
     for _, src, dst, f in dec.ops:
-        cols.add(src, dst, f)
+        _add_multiple(cols.column(dst), f, cols.column(src))
     return cols
 
 

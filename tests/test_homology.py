@@ -633,18 +633,45 @@ def test_eliminator_kernel_is_exact(case):
         assert oracle_rank(as_dense, p) == len(basis)
 
 
-def eager_echelon(dense, ncols, p, skip, tagged=False):
-    """The reference for ``homology._echelon``: every column not in ``skip``
-    built from the dense matrix and inserted, in the same order, last first."""
-    ech, nrows = Echelon(p), len(dense)
-    reduce = (lambda x: x % p) if p else (lambda x: x)
-    for j in reversed(range(ncols)):
+class EagerEchelon(Echelon):
+    """An :class:`Echelon` that notes whether a vector ever became a pivot
+    with a lead that is not ±1 over Q, where the sweep would set it aside."""
+
+    non_unit = False
+
+    def _normalise(self, row, c):
+        self.non_unit |= not self.p and abs(row[c]) != 1
+        return super()._normalise(row, c)
+
+
+def eager_echelon(columns, nrows, p, skip=(), tagged=False):
+    """The reference for the sweep: every column (a dict row -> value) not in
+    ``skip`` reduced mod p and inserted, last first; with ``tagged``, column j
+    also holds 1 at ``nrows + j``."""
+    ech = EagerEchelon(p)
+    for j in reversed(range(len(columns))):
         if j not in skip:
-            vec = {i: reduce(row[j]) for i, row in enumerate(dense) if reduce(row[j])}
+            vec = {i: x % p if p else x for i, x in columns[j].items() if (x % p if p else x)}
             if tagged:
                 vec[nrows + j] = 1
             ech.insert(vec)
     return ech
+
+
+def check_kernel(mat, system, p, kernel, skip=()):
+    """``kernel`` holds the nullity of ``mat`` over the field, each vector
+    annihilated by it and led at a kept column no other vector leads at."""
+    nrows, ncols = mat.shape
+    columns = mat.columns
+    assert len(kernel) == ncols - len(skip) - eager_echelon(columns, nrows, p, skip).rank
+    for vec in kernel:
+        image: dict = {}
+        for j, x in vec.items():
+            for i, y in columns[j].items():
+                image[i] = image.get(i, 0) + x * y
+        assert not any(x % p if p else x for x in image.values())
+    heads = [min(vec) for vec in kernel]
+    assert len(set(heads)) == len(heads) and not set(heads) & set(skip)
 
 
 @st.composite
@@ -676,26 +703,52 @@ def block_counts(keys, bounds):
 # wide: fewer rows than kept columns, where the leads are still reported
 @example(([[1, 2, 0, 3], [0, 0, 1, 1]], 4, [], np.array([0, 1, 2])))
 def test_lazy_elimination_matches_eager_insertion(case):
+    # the sweep's rank, leads, block ranks and kernel against inserting every
+    # column at once: the kernel is the eager one exactly wherever the eager
+    # run kept only unit leads, as the sweep then does the same steps
     dense, ncols, skip, blocks = case
     mat, nrows = as_matrix(dense, ncols), len(dense)
+    columns = mat.columns
     for system, p in [(Q, 0), (PrimeField(2), 2), (Z5, 5)]:
-        for tagged in (False, True):
-            lazy = homology._echelon(mat, p, skip, tagged)
-            eager = eager_echelon(dense, ncols, p, skip, tagged)
-            assert list(lazy.pivots) == list(eager.pivots)
-            assert [lazy.pivot(c) for c in lazy.pivots] == list(eager.pivots.values())
-        eager = eager_echelon(dense, ncols, p, skip)
+        eager = eager_echelon(columns, nrows, p, skip)
         leads = set()
         assert matrix_rank(mat, system, skip=skip, leads=leads) == eager.rank
         assert leads == set(eager.pivots)
         ranks = matrix_rank(mat, system, skip=skip, blocks=blocks)
         assert ranks.tolist() == block_counts(eager.pivots, blocks)
-        tagged = eager_echelon(dense, ncols, p, skip, tagged=True)
+        tagged = eager_echelon(columns, nrows, p, skip, tagged=True)
         leads = set()
-        assert kernel_basis(mat, system, skip=skip, leads=leads) == [
-            {k - nrows: v for k, v in row.items()}
-            for c, row in tagged.pivots.items() if c >= nrows]
+        kernel = kernel_basis(mat, system, skip=skip, leads=leads)
         assert leads == {c for c in tagged.pivots if c < nrows}
+        if tagged.non_unit:
+            check_kernel(mat, system, p, kernel, skip)
+        else:
+            assert kernel == [{k - nrows: v for k, v in row.items()}
+                              for c, row in tagged.pivots.items() if c >= nrows]
+
+
+def doubled(mat):
+    r, c, v = mat.entries
+    return replace(mat, entries=(r, c, 2 * v))
+
+
+@pytest.mark.parametrize("case", ["rp2-simplicial-d1", "cyc12_2-local-2d2"])
+def test_the_rational_remainder_matches_eager_insertion(case):
+    # RP^2's d_1 leaves 3 columns with a lead of ±2 over Q, and 2·d_2 of
+    # cyc(12,2) all 732, since no entry is ±1; mod 3 and 5, 2 is a unit
+    if case == "rp2-simplicial-d1":
+        model = load_bundled_model("projective_plane")
+        mat, aside = assemble_matrix(simplicial(model.complex, model.point_key), 1), 3
+    else:
+        mat = doubled(assemble_matrix(LocalComplexSpec(left_invariant_cover(12, 2)), 2))
+        aside = mat.shape[1]
+    nrows, columns = mat.shape[0], mat.columns
+    for system, p in [(Q, 0), (PrimeField(3), 3), (Z5, 5)]:
+        assert len(homology._sweep(mat, p)[2]) == (0 if p else aside)
+        eager, leads = eager_echelon(columns, nrows, p), set()
+        assert matrix_rank(mat, system, leads=leads) == eager.rank
+        assert leads == set(eager.pivots)
+        check_kernel(mat, system, p, kernel_basis(mat, system))
 
 
 def edge_cover(m):
@@ -1213,6 +1266,22 @@ def test_augmented_row_bases_are_charged(monkeypatch):
         AugmentedRowSpec(fresh(m), 1).basis(1)
 
 
+def test_one_face_table_per_nerve_prefix(monkeypatch):
+    # the Čech and total specs of one comparison read the same nerve prefix
+    # for d_n, and share its face table: each is built once
+    built, block_faces = [], homology._block_faces
+
+    def counted(nerve, offset=0, empty=-1):
+        if not offset:   # the augmented rows of the spot checks keep their own
+            built.append(len(nerve))
+        return block_faces(nerve, offset, empty)
+
+    monkeypatch.setattr(homology, "_block_faces", counted)
+    model = left_invariant_cover(12, 2)
+    assert verify_local_vs_cech(model, Q, 2).isomorphic
+    assert built == [len(model.nerve(top)) for top in (1, 2, 3)]
+
+
 # ---------------------------------------------------------------------------
 # field profiles that skip the columns d∘d = 0 proves dependent
 
@@ -1282,39 +1351,29 @@ def test_profiles_skip_the_columns_the_degree_below_proves_dependent(monkeypatch
     # cyc(12,2) local: bases of 12, 108 and 732 tuples in degrees 0..2, with
     # ranks 11 and 96 for d_0 and d_1, so d_1 and d_2 hand 108 - 11 and
     # 732 - 96 columns to the elimination
-    handed, echelon = [], homology._echelon
+    handed, sweep = [], homology._sweep
 
     def counted(mat, p, skip=(), tagged=False):
         handed.append(mat.shape[1] - len(set(skip)))
-        return echelon(mat, p, skip, tagged)
+        return sweep(mat, p, skip, tagged)
 
-    monkeypatch.setattr(homology, "_echelon", counted)
+    monkeypatch.setattr(homology, "_sweep", counted)
     spec = LocalComplexSpec(left_invariant_cover(12, 2))
     assert field_cohomology(spec, Q, 2) == [1, 1, 0]
     assert handed == [12, 108 - 11, 732 - 96]
 
 
-def counting_builds(monkeypatch) -> list:
-    """One count per Echelon made from then on: the vectors it built."""
-    built, init = [], Echelon.__init__
-
-    def counting_init(self, p=0, build=None):
-        built.append(0)
-
-        def counted(k, slot=len(built) - 1):
-            built[slot] += 1
-            return build(k)
-
-        init(self, p, None if build is None else counted)
-
-    monkeypatch.setattr(Echelon, "__init__", counting_init)
-    return built
-
-
 def test_only_the_vectors_that_meet_a_pivot_are_built(monkeypatch):
     # cyc(12,2) local d_2: 636 columns are kept, and nearly every one leads
     # at a row no pivot holds yet, so it is recorded by index and never built
-    built = counting_builds(monkeypatch)
+    built, sweep = [], homology._sweep
+
+    def counted(*args):
+        swept = sweep(*args)
+        built.append(len(swept[0].built))   # the columns of its _Columns store
+        return swept
+
+    monkeypatch.setattr(homology, "_sweep", counted)
     spec = LocalComplexSpec(left_invariant_cover(12, 2))
     assert field_cohomology(spec, Q, 2) == [1, 1, 0]
     assert len(built) == 3
