@@ -273,6 +273,10 @@ def _cmd_sigma_eval(args) -> tuple:
     return doc, None
 
 
+# the keys each --construction takes after its colon
+_CONSTRUCTION_OPTIONS = {"rescue": ("n_max",), "product": ("q",), "ball": ("eps",)}
+
+
 def _cmd_pou_check(args) -> tuple:
     _check_tolerance(args.tol)
     kind, _, size = args.domain.partition(":")
@@ -285,9 +289,14 @@ def _cmd_pou_check(args) -> tuple:
     base = arc_cover_family(domain, int(csize))
 
     name, _, params = args.construction.partition(":")
+    if name not in _CONSTRUCTION_OPTIONS:
+        raise ValueError(f"unknown construction {args.construction!r}")
     opts = {}
     for part in params.split(",") if params else []:
         key, _, val = part.partition("=")
+        if key not in _CONSTRUCTION_OPTIONS[name]:
+            raise ValueError(f"unknown option {key!r} in --construction {args.construction!r}; "
+                             f"{name} takes {', '.join(_CONSTRUCTION_OPTIONS[name])}")
         opts[key] = val
     if name == "rescue":
         family = rescue_partition(base, n_max=int(opts.get("n_max", 8)))
@@ -295,11 +304,9 @@ def _cmd_pou_check(args) -> tuple:
     elif name == "product":
         family = product_family(base, int(opts.get("q", 1)))
         refined = None
-    elif name == "ball":
+    else:
         family = ball_family(domain, float(opts.get("eps", 0.25)))
         refined = None
-    else:
-        raise ValueError(f"unknown construction {args.construction!r}")
 
     rep = family.report()
     ok = (rep["max_sum_deviation"] <= args.tol and rep["uncovered_samples"] == 0
@@ -407,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="circle:10000")
     p.add_argument("--cover", default="arcs:3")
     p.add_argument("--construction", default="rescue",
-                   help="rescue, product:q=1, or ball:eps=0.25")
+                   help="rescue[:n_max=8], product[:q=1] or ball[:eps=0.25]; "
+                        "any other key exits 2")
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=_cmd_pou_check)
 

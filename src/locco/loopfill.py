@@ -14,11 +14,18 @@ to that vertex.  ``sigma_fill`` is the checked batch of one.  A
 contraction's ``apply`` sees a time per row, shaped to broadcast over the
 carrier axes, so one written for a single element runs unchanged on a batch.
 
-The property batteries draw their trials one at a time, in a fixed order
-from one seeded generator, and check all of them with one batched fill per
-property (in chunks that bound memory), so the reports depend only on the
-seed.  They need at least one trial, a simplex size of at least 1 and a
-finite tolerance of at least 0, and raise ``DomainError`` otherwise.
+The property batteries draw their trials in a fixed order from one seeded
+generator and check them with one batched fill per chunk of trials (chunks
+of about ``_CHUNK_CELLS`` floats bound memory), so the reports depend only on
+the seed.  Checks that draw only uniforms (additivity, diagonal constancy,
+the linear oracle) take a whole chunk of trials from one ``rng.random``
+block and map it as ``low + (high - low) * u``, the doubles and arithmetic
+``Generator.uniform`` would use trial by trial; checks that interleave
+``rng.integers`` draw one trial at a time.  The carriers' draws are
+``UniformCarrier``s, vectors and sine-mode paths built from uniform
+coefficients.  The batteries need at least one trial, a simplex size of at
+least 1 and a finite tolerance of at least 0, and raise ``DomainError``
+otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .errors import DomainError
 
 BRANCH_EPS = 1e-12
 DEFAULT_PATH_SAMPLES = 257
+# barycentric weights are normalised exponentials of uniforms on [1e-12, 1)
+_WEIGHT_LOW = 1e-12
 # a battery's --samples comes from outside: its trials are checked in chunks
 # of about this many floats, so memory stays bounded however many there are
 _CHUNK_CELLS = 1 << 18
@@ -194,8 +203,34 @@ def _max_dev(a, b) -> np.float64:
                   initial=0.0)
 
 
+@dataclass(frozen=True)
+class UniformCarrier:
+    """Random carrier elements, each built from ``width`` uniforms on [-1, 1).
+
+    ``build`` maps coefficients shaped ``(..., width)`` to elements shaped
+    ``(..., *shape)``.  Called as ``draw(rng, count)``, like any draw the
+    checks take, it returns ``count`` elements stacked.
+    """
+
+    width: int
+    shape: tuple
+    build: Callable
+
+    def __call__(self, rng, count: int) -> np.ndarray:
+        return self.build(rng.uniform(-1.0, 1.0, size=(count, self.width)))
+
+
+def _vector_carrier(dim: int) -> UniformCarrier:
+    return UniformCarrier(dim, (dim,), lambda coeffs: coeffs)
+
+
+def _uniform_from(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``Generator.uniform(low, high)`` from the doubles ``rng.random`` drew."""
+    return low + (high - low) * u
+
+
 def _uniform_weight_draws(rng, count: int) -> np.ndarray:
-    return rng.uniform(1e-12, 1.0, size=count)
+    return rng.uniform(_WEIGHT_LOW, 1.0, size=count)
 
 
 def _barycentric_from_draws(draws: np.ndarray) -> np.ndarray:
@@ -204,15 +239,9 @@ def _barycentric_from_draws(draws: np.ndarray) -> np.ndarray:
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
-def _run_check(name: str, trials: int, tol: float, draw_trial: Callable,
-               deviation: Callable, count: int = 0) -> CheckReport:
-    """Draw ``trials`` trials in order and check them a chunk at a time.
-
-    ``draw_trial()`` returns one trial as a tuple of arrays or numbers;
-    ``deviation`` gets each field stacked over a chunk of trials and returns
-    the chunk's largest deviation.
-    """
-    dev = np.float64(0.0)
+def _trial_chunks(trials: int, draw_trial: Callable):
+    """Trials drawn one at a time by ``draw_trial()``, each a tuple of arrays
+    or numbers, yielded with each field stacked over a chunk."""
     chunk = 1
     batch = []
     for done in range(trials):
@@ -220,8 +249,42 @@ def _run_check(name: str, trials: int, tol: float, draw_trial: Callable,
         if done == 0:
             chunk = max(1, _CHUNK_CELLS // max(1, sum(np.size(f) for f in batch[0])))
         if len(batch) == chunk or done == trials - 1:
-            dev = np.maximum(dev, deviation(*(np.stack(f) for f in zip(*batch))))
+            yield tuple(np.stack(f) for f in zip(*batch))
             batch = []
+
+
+def _uniform_chunks(rng, trials: int, draw: Callable, elements: int, weights: int):
+    """Trials that each draw ``elements`` carrier elements, then ``weights``
+    uniforms for barycentric weights, yielded a chunk at a time as the
+    elements ``(rows, elements, *carrier)`` and the weight draws ``(rows, weights)``.
+
+    A ``UniformCarrier`` chunk comes from one ``rng.random`` block, which
+    holds each trial's coefficients and weight draws in the order per-trial
+    draws would take them; any other ``draw`` is called trial by trial.
+    """
+    if not isinstance(draw, UniformCarrier):
+        yield from _trial_chunks(trials, lambda: (draw(rng, elements),
+                                                  _uniform_weight_draws(rng, weights)))
+        return
+    coeffs = elements * draw.width
+    chunk = max(1, _CHUNK_CELLS // (elements * math.prod(draw.shape) + weights))
+    for done in range(0, trials, chunk):
+        rows = min(chunk, trials - done)
+        u = rng.random((rows, coeffs + weights))
+        elems = _uniform_from(u[:, :coeffs], -1.0, 1.0).reshape(rows, elements, draw.width)
+        yield draw.build(elems), _uniform_from(u[:, coeffs:], _WEIGHT_LOW, 1.0)
+
+
+def _run_check(name: str, trials: int, tol: float, chunks, deviation: Callable,
+               count: int = 0) -> CheckReport:
+    """Check ``trials`` trials, drawn in order, a chunk at a time.
+
+    ``chunks`` yields each chunk's fields stacked over its trials;
+    ``deviation`` gets them and returns the chunk's largest deviation.
+    """
+    dev = np.float64(0.0)
+    for fields in chunks:
+        dev = np.maximum(dev, deviation(*fields))
     dev = float(dev)
     return CheckReport(name, count or trials, dev, tol, dev <= tol)
 
@@ -244,8 +307,8 @@ def check_contraction_axioms(contraction: LoopContraction, carrier_samples,
                        _max_dev(contraction(v + w, t),
                                 np.asarray(contraction(v, t)) + np.asarray(contraction(w, t)))])
 
-    return _run_check("contraction-axioms", trials, tol, draw_trial, deviation,
-                      count=3 * trials)
+    return _run_check("contraction-axioms", trials, tol, _trial_chunks(trials, draw_trial),
+                      deviation, count=3 * trials)
 
 
 def check_vertex_property(contraction: LoopContraction, draw: Callable,
@@ -253,7 +316,8 @@ def check_vertex_property(contraction: LoopContraction, draw: Callable,
                           tol: float = 1e-12) -> CheckReport:
     """Weight 1 at slot i must return vertex i exactly.
 
-    ``draw(rng, count)`` returns ``count`` random carrier elements stacked.
+    ``draw(rng, count)`` returns ``count`` random carrier elements stacked,
+    as every check's ``draw`` does.
     """
     def draw_trial():
         vs = draw(rng, n + 1)
@@ -265,7 +329,8 @@ def check_vertex_property(contraction: LoopContraction, draw: Callable,
         ws[rows, slot] = 1.0
         return _max_dev(_fill_rows(contraction, vs, ws), vs[rows, slot])
 
-    return _run_check(f"vertex-property-n{n}", trials, tol, draw_trial, deviation)
+    return _run_check(f"vertex-property-n{n}", trials, tol, _trial_chunks(trials, draw_trial),
+                      deviation)
 
 
 def check_face_compatibility(contraction: LoopContraction, draw: Callable,
@@ -287,52 +352,47 @@ def check_face_compatibility(contraction: LoopContraction, draw: Callable,
         return _max_dev(_fill_rows(contraction, small, ws),
                         _fill_rows(contraction, vs, big_ws))
 
-    return _run_check(f"face-compatibility-n{n}", trials, tol, draw_trial, deviation)
+    return _run_check(f"face-compatibility-n{n}", trials, tol,
+                      _trial_chunks(trials, draw_trial), deviation)
 
 
 def check_additivity(contraction: LoopContraction, draw: Callable,
                      n: int, rng, trials: int = 50,
                      tol: float = 1e-12) -> CheckReport:
     """The filler is additive in the vertex family."""
-    def draw_trial():
-        both = draw(rng, 2 * (n + 1))
-        return both[:n + 1], both[n + 1:], _uniform_weight_draws(rng, n + 1)
-
-    def deviation(vs, us, u):
+    def deviation(both, u):
+        vs, us = both[:, :n + 1], both[:, n + 1:]
         ws = _barycentric_from_draws(u)
         lhs = _fill_rows(contraction, vs + us, ws)
         rhs = _fill_rows(contraction, vs, ws) + _fill_rows(contraction, us, ws)
         return _max_dev(lhs, rhs)
 
-    return _run_check(f"additivity-n{n}", trials, tol, draw_trial, deviation)
+    return _run_check(f"additivity-n{n}", trials, tol,
+                      _uniform_chunks(rng, trials, draw, 2 * (n + 1), n + 1), deviation)
 
 
 def check_diagonal_constancy(contraction: LoopContraction, draw: Callable,
                              n: int, rng, trials: int = 50,
                              tol: float = 1e-12) -> CheckReport:
     """Equal vertices give a constant filler."""
-    def draw_trial():
-        return draw(rng, 1)[0], _uniform_weight_draws(rng, n + 1)
+    def deviation(one, u):
+        vs = np.repeat(one, n + 1, axis=1)
+        return _max_dev(_fill_rows(contraction, vs, _barycentric_from_draws(u)), one[:, 0])
 
-    def deviation(v, u):
-        vs = np.repeat(v[:, None], n + 1, axis=1)
-        return _max_dev(_fill_rows(contraction, vs, _barycentric_from_draws(u)), v)
-
-    return _run_check(f"diagonal-constancy-n{n}", trials, tol, draw_trial, deviation)
+    return _run_check(f"diagonal-constancy-n{n}", trials, tol,
+                      _uniform_chunks(rng, trials, draw, 1, n + 1), deviation)
 
 
 def check_linear_oracle(contraction: LoopContraction, dim: int, n: int, rng,
                         trials: int = 100, tol: float = 1e-12) -> CheckReport:
     """Against the closed-form weighted sum; only for the linear contraction."""
-    def draw_trial():
-        vs = rng.uniform(-1.0, 1.0, size=(n + 1, dim))
-        return vs, _uniform_weight_draws(rng, n + 1)
-
     def deviation(vs, u):
         ws = _barycentric_from_draws(u)
         return _max_dev(_fill_rows(contraction, vs, ws), _weighted_sums(vs, ws))
 
-    return _run_check(f"linear-oracle-n{n}", trials, tol, draw_trial, deviation)
+    return _run_check(f"linear-oracle-n{n}", trials, tol,
+                      _uniform_chunks(rng, trials, _vector_carrier(dim), n + 1, n + 1),
+                      deviation)
 
 
 def _check_battery_args(n_max: int, trials: int, tol: float) -> None:
@@ -352,7 +412,7 @@ def vector_battery(dim: int, n_max: int, seed: int, trials: int = 50,
     _check_battery_args(n_max, trials, tol)
     rng = np.random.default_rng(seed)
     contraction = linear_contraction()
-    draw = lambda r, count: r.uniform(-1.0, 1.0, size=(count, dim))
+    draw = _vector_carrier(dim)
     out = [check_contraction_axioms(contraction, draw(rng, 8), rng, tol=tol)]
     for n in range(1, n_max + 1):
         out.append(check_vertex_property(contraction, draw, n, rng, trials, tol))
@@ -451,6 +511,19 @@ def _sine_modes(samples: int) -> np.ndarray:
     return modes
 
 
+def _paths_from_coeffs(samples: int, coeffs: np.ndarray) -> np.ndarray:
+    """The based paths with these sine-mode coefficients, one per row of the last axis."""
+    modes = _sine_modes(samples)
+    out = np.zeros(coeffs.shape[:-1] + (samples,))
+    for k in range(3):
+        out += coeffs[..., k, None] * modes[k]
+    return out
+
+
+def _path_carrier(samples: int) -> UniformCarrier:
+    return UniformCarrier(3, (samples,), functools.partial(_paths_from_coeffs, samples))
+
+
 def random_path_values(rng, samples: int = DEFAULT_PATH_SAMPLES,
                        count: Optional[int] = None) -> np.ndarray:
     """Smooth random based path: a few sine modes vanishing at time zero.
@@ -458,12 +531,7 @@ def random_path_values(rng, samples: int = DEFAULT_PATH_SAMPLES,
     With ``count`` it returns that many paths stacked, drawn as ``count``
     calls in a row would draw them.
     """
-    modes = _sine_modes(samples)
-    coeffs = rng.uniform(-1.0, 1.0, size=3 if count is None else (count, 3))
-    out = np.zeros(coeffs.shape[:-1] + (samples,))
-    for k in range(3):
-        out = out + coeffs[..., k, None] * modes[k]
-    return out
+    return _paths_from_coeffs(samples, rng.uniform(-1.0, 1.0, size=3 if count is None else (count, 3)))
 
 
 def path_battery(n_max: int, seed: int, samples: int = DEFAULT_PATH_SAMPLES,
@@ -474,7 +542,7 @@ def path_battery(n_max: int, seed: int, samples: int = DEFAULT_PATH_SAMPLES,
     _check_battery_args(n_max, trials, tol)
     rng = np.random.default_rng(seed)
     contraction = path_loop_contraction(samples)
-    draw = lambda r, count: random_path_values(r, samples, count)
+    draw = _path_carrier(samples)
     out = [check_contraction_axioms(contraction, draw(rng, 6), rng, tol=tol)]
     for n in range(1, n_max + 1):
         out.append(check_vertex_property(contraction, draw, n, rng, trials, tol))

@@ -4,10 +4,17 @@ Everything here is checked on samples: bump composites, layered families,
 the numerability rescue that upgrades a generalized partition to a locally
 finite one, product families on tuple powers, tent families over metric
 balls, and integer plateau families for shrunken cyclic covers.
+
+The tent and product families are built in place: each holds one float
+array of values and one bool array of supports, filled a block of rows at a
+time and divided by its column sums where it lies, so no construction holds
+a second dense copy of itself.  Power domains keep their tuples as one int
+array and make the tuples of Python ints only when ``points`` is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -21,6 +28,13 @@ from .model import CoverModel, arc, left_invariant_cover, shrink_relation_check
 BUMP_FLOOR = 1e-300
 DEFAULT_RESCUE_LEVELS = 8
 LOG_FLUSH = -50.0
+# rows are filled and checked in blocks of about this many cells, so the
+# transient arrays beside a family stay small however large it is
+_BLOCK_CELLS = 1 << 16
+
+
+def _block_rows(width: int) -> int:
+    return max(1, _BLOCK_CELLS // max(1, width))
 
 
 def bump(x):
@@ -47,7 +61,9 @@ class SampledDomain:
 
     ``points`` are hashable descriptors (angles, tuples of sample indices);
     ``coords`` and ``metric`` exist only on metric domains.  The metric is
-    vectorized over coordinate arrays.
+    vectorized over coordinate arrays: ``metric(a, coords)`` broadcasts the
+    coordinates ``a`` against every sample's, so a column of centers gives
+    one row of distances per center.
     """
 
     points: tuple
@@ -59,15 +75,17 @@ class SampledDomain:
     def size(self) -> int:
         return len(self.points)
 
-    def distances_from(self, center_index: int) -> np.ndarray:
+    def _require_metric(self) -> None:
         if self.metric is None or self.coords is None:
             raise DomainError(f"domain {self.name} carries no pseudometric")
+
+    def distances_from(self, center_index: int) -> np.ndarray:
+        self._require_metric()
         return np.asarray(self.metric(self.coords[center_index], self.coords), dtype=float)
 
     def check_pseudometric(self, rng, trials: int = 64, tol: float = 1e-12) -> bool:
         """Spot-check symmetry, triangle inequality and vanishing diagonal."""
-        if self.metric is None:
-            raise DomainError(f"domain {self.name} carries no pseudometric")
+        self._require_metric()
         for _ in range(trials):
             a, b, c = (int(rng.integers(self.size)) for _ in range(3))
             dab = float(self.metric(self.coords[a], self.coords[b]))
@@ -94,15 +112,44 @@ def circle_domain(n: int) -> SampledDomain:
                          name=f"circle{n}", coords=coords, metric=metric)
 
 
-def power_domain(base: SampledDomain, tuples: Sequence[tuple]) -> SampledDomain:
-    """Domain whose samples are tuples of sample indices of the base."""
-    pts = tuple(tuple(int(k) for k in t) for t in tuples)
-    if not pts:
+class PowerDomain(SampledDomain):
+    """Samples that are tuples of sample indices of a base domain.
+
+    ``tuples`` holds them as one read-only int array, a row per sample;
+    ``points`` makes the tuples of Python ints on its first read.
+    """
+
+    def __init__(self, tuples: np.ndarray, name: str):
+        tuples.setflags(write=False)
+        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "coords", None)
+        object.__setattr__(self, "metric", None)
+
+    @functools.cached_property
+    def points(self) -> tuple:
+        return tuple(map(tuple, self.tuples.tolist()))
+
+    @property
+    def size(self) -> int:
+        return len(self.tuples)
+
+
+def power_domain(base: SampledDomain, tuples) -> PowerDomain:
+    """Domain whose samples are tuples of sample indices of the base.
+
+    ``tuples`` is a sequence of equal-length tuples or an int array with a
+    row per tuple; it is copied.
+    """
+    try:
+        arr = np.array(tuples, dtype=np.intp)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"power-domain tuples must share one arity: {exc}") from exc
+    if not len(arr):
         raise DomainError("a power domain needs at least one tuple")
-    arity = len(pts[0])
-    if any(len(t) != arity for t in pts):
+    if arr.ndim != 2:
         raise DomainError("power-domain tuples must share one arity")
-    return SampledDomain(points=pts, name=f"{base.name}^({arity})")
+    return PowerDomain(arr, name=f"{base.name}^({arr.shape[1]})")
 
 
 def group_tuple_domain(m: int, q: int) -> SampledDomain:
@@ -138,12 +185,15 @@ class ScalarFamily:
                               f"expected {(len(self.labels), self.domain.size)}")
         if sups.shape != vals.shape:
             raise DomainError("support masks must match the value shape")
-        stray = np.logical_and(vals != 0.0, np.logical_not(sups))
-        if stray.any():
-            idx, sample = np.argwhere(stray)[0]
-            raise SupportError(
-                f"family {self.name or '?'}: index {self.labels[idx]} is nonzero "
-                f"outside its declared support at sample {sample}")
+        step = _block_rows(vals.shape[1])
+        for lo in range(0, len(vals), step):
+            stray = np.logical_and(vals[lo:lo + step] != 0.0,
+                                   np.logical_not(sups[lo:lo + step]))
+            if stray.any():
+                idx, sample = np.argwhere(stray)[0]
+                raise SupportError(
+                    f"family {self.name or '?'}: index {self.labels[lo + idx]} is "
+                    f"nonzero outside its declared support at sample {sample}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "supports", sups)
 
@@ -167,25 +217,57 @@ class ScalarFamily:
         return self.max_sum_deviation() <= tol
 
     def normalized(self, name: str = "") -> "ScalarFamily":
-        s = self.sums()
-        dead = np.flatnonzero(s == 0.0)
-        if dead.size:
-            raise UncoveredSampleError([int(k) for k in dead])
+        values = self.values.copy()
+        _divide_by_column_sums(values)
         return ScalarFamily(domain=self.domain, labels=self.labels,
-                            values=self.values / s, supports=self.supports,
+                            values=values, supports=self.supports,
                             unity=True, name=name or (self.name + "-normalized"))
 
     def report(self) -> dict:
+        sums = self.sums()
         return {
             "name": self.name,
             "domain": self.domain.name,
             "indices": self.index_count,
             "samples": self.domain.size,
             "unity": bool(self.unity),
-            "max_sum_deviation": self.max_sum_deviation(),
+            "max_sum_deviation": float(np.max(np.abs(sums - 1.0))),
             "max_active_count": self.max_active_count(),
-            "uncovered_samples": int((self.sums() == 0.0).sum()),
+            "uncovered_samples": int((sums == 0.0).sum()),
         }
+
+
+def _divide_by_column_sums(values: np.ndarray) -> None:
+    """Divide each column by its sum, in place; a zero sum is an uncovered sample."""
+    sums = values.sum(axis=0)
+    dead = np.flatnonzero(sums == 0.0)
+    if dead.size:
+        raise UncoveredSampleError([int(k) for k in dead])
+    values /= sums
+
+
+def _tent_family(domain: SampledDomain, centers: np.ndarray, width: float,
+                 labels: tuple, name: str) -> ScalarFamily:
+    """Tents max(0, 1 - d/width) around center coordinates, normalized to unity.
+
+    A block of rows at a time, the distances are written into the value
+    array, the supports d < width are read off them and the tents are made
+    where they lie; the column sums then divide the whole array in place.
+    """
+    domain._require_metric()
+    values = np.empty((len(centers), domain.size))
+    supports = np.empty(values.shape, dtype=bool)
+    step = _block_rows(domain.size)
+    for lo in range(0, len(centers), step):
+        block = values[lo:lo + step]
+        block[...] = domain.metric(centers[lo:lo + step, None], domain.coords)
+        np.less(block, width, out=supports[lo:lo + step])
+        np.divide(block, width, out=block)
+        np.subtract(1.0, block, out=block)
+        np.maximum(0.0, block, out=block)
+    _divide_by_column_sums(values)
+    return ScalarFamily(domain=domain, labels=labels, values=values,
+                        supports=supports, unity=True, name=name)
 
 
 def arc_cover_family(domain: SampledDomain, k: int) -> ScalarFamily:
@@ -196,17 +278,8 @@ def arc_cover_family(domain: SampledDomain, k: int) -> ScalarFamily:
     """
     if k < 2:
         raise DomainError("an arc cover needs at least two arcs")
-    hw = 1.0 / k
-    rows = []
-    sups = []
-    for j in range(k):
-        d = np.asarray(domain.metric(float(j) / k, domain.coords), dtype=float)
-        rows.append(np.maximum(0.0, 1.0 - d / hw))
-        sups.append(d < hw)
-    raw = ScalarFamily(domain=domain, labels=tuple(range(k)),
-                       values=np.asarray(rows), supports=np.asarray(sups),
-                       name=f"arcs{k}")
-    return raw.normalized(name=f"arcs{k}")
+    return _tent_family(domain, np.arange(k) / k, 1.0 / k, tuple(range(k)),
+                        name=f"arcs{k}")
 
 
 def layered_family(base: ScalarFamily, n: int, tol: float = 1e-9) -> ScalarFamily:
@@ -322,42 +395,37 @@ def product_family(base: ScalarFamily, q: int,
     """Absolute products over sampled (q+1)-tuples, normalized to unity.
 
     Tuples are drawn deterministically: per index, a strided slice of its
-    support is raised to the (q+1)-st power, so every tuple lies in the
-    diagonal neighborhood by construction.  Values for all indices are then
-    evaluated on the union.
+    support is raised to the (q+1)-st power, as an index grid in
+    lexicographic order, so every tuple lies in the diagonal neighborhood by
+    construction.  The first occurrence of each tuple is kept, in the order
+    the grids list them, and values for all indices are then evaluated on
+    that union.
     """
     if q < 0:
         raise DomainError("power level must be nonnegative")
+    if max_tuples_per_index < 1:
+        raise DomainError(f"a product family needs at least one tuple per index, "
+                          f"got max_tuples_per_index={max_tuples_per_index}")
     per_axis = max(1, int(max_tuples_per_index ** (1.0 / (q + 1))))
-    chosen = []
-    seen = set()
+    grids = [np.empty((0, q + 1), dtype=np.intp)]
     for row in range(base.index_count):
         picks = _strided(np.flatnonzero(base.supports[row]), per_axis)
-        if picks.size == 0:
-            continue
-        stack = [()]
-        for _ in range(q + 1):
-            stack = [t + (int(p),) for t in stack for p in picks]
-        for t in stack:
-            if t not in seen:
-                seen.add(t)
-                chosen.append(t)
-    if not chosen:
+        axes = np.meshgrid(*[picks] * (q + 1), indexing="ij")
+        grids.append(np.stack(axes, axis=-1).reshape(-1, q + 1))
+    tuples = np.concatenate(grids)
+    if not len(tuples):
         raise DomainError("no sampled tuples: every support is empty")
-    domain = power_domain(base.domain, chosen)
-    cols = np.asarray(chosen, dtype=int)
-    vals = np.empty((base.index_count, len(chosen)))
-    sups = np.empty((base.index_count, len(chosen)), dtype=bool)
+    _, first = np.unique(tuples, axis=0, return_index=True)
+    domain = power_domain(base.domain, tuples[np.sort(first)])
+    cols = domain.tuples
+    vals = np.empty((base.index_count, domain.size))
+    sups = np.empty(vals.shape, dtype=bool)
     for row in range(base.index_count):
-        factors = np.abs(base.values[row][cols])
-        vals[row] = factors.prod(axis=1)
-        sups[row] = base.supports[row][cols].all(axis=1)
-    fam = ScalarFamily(domain=domain, labels=base.labels, values=vals,
-                       supports=sups, name=f"{base.name}-power{q}")
-    dead = np.flatnonzero(fam.sums() == 0.0)
-    if dead.size:
-        raise UncoveredSampleError([int(k) for k in dead])
-    return fam.normalized(name=f"{base.name}-power{q}")
+        np.abs(base.values[row][cols]).prod(axis=1, out=vals[row])
+        base.supports[row][cols].all(axis=1, out=sups[row])
+    _divide_by_column_sums(vals)
+    return ScalarFamily(domain=domain, labels=base.labels, values=vals,
+                        supports=sups, unity=True, name=f"{base.name}-power{q}")
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +438,18 @@ def ball_family(domain: SampledDomain, eps: float,
 
     The tent max(0, 1 - d/eps) is positive exactly on the sampled ball, so
     cozero sets match the balls; centers are strided to keep the family
-    small on dense domains.
+    small on dense domains.  The family is built in place: besides its
+    values and supports it holds only a block of rows at a time.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"ball radius must be positive and finite, got {eps}")
+    if max_centers < 1:
+        raise DomainError(f"a ball family needs at least one center, "
+                          f"got max_centers={max_centers}")
+    domain._require_metric()
     centers = _strided(np.arange(domain.size), max_centers)
-    rows = []
-    sups = []
-    for c in centers:
-        d = domain.distances_from(int(c))
-        rows.append(np.maximum(0.0, 1.0 - d / eps))
-        sups.append(d < eps)
-    raw = ScalarFamily(domain=domain, labels=tuple(int(c) for c in centers),
-                       values=np.asarray(rows), supports=np.asarray(sups),
-                       name=f"balls-eps{eps}")
-    return raw.normalized(name=f"balls-eps{eps}")
+    return _tent_family(domain, domain.coords[centers], eps,
+                        tuple(int(c) for c in centers), name=f"balls-eps{eps}")
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,21 @@ def test_pou_check_constructions(tmp_path):
         assert doc["result"]["report"]["max_sum_deviation"] <= 1e-9
 
 
+@pytest.mark.parametrize("construction, allowed", [
+    ("product:q=1,foo=2", "q"),
+    ("ball:esp=0.1", "eps"),
+    ("rescue:q=1", "n_max"),
+    ("ball:eps=0.25,", "eps"),
+])
+def test_pou_check_refuses_unknown_construction_options(tmp_path, construction, allowed):
+    code, doc, _ = run_to_file(tmp_path, ["pou-check", "--domain", "circle:500",
+                                          "--construction", construction])
+    assert code == 2
+    assert "result" not in doc
+    assert doc["error"]["kind"] == "ValueError"
+    assert doc["error"]["message"].endswith(f"takes {allowed}")
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -306,9 +306,29 @@ def test_path_battery_matches_oracle_battery(seed):
 @pytest.mark.parametrize("cells", [1, 50])
 def test_chunked_checks_give_the_same_reports(monkeypatch, cells):
     # 37 trials leave a partial last chunk at every chunk length above 1
-    whole = [r.to_json_dict() for r in vector_battery(2, 3, 4, trials=37)]
+    batteries = (lambda: vector_battery(2, 3, 4, trials=37),
+                 lambda: path_battery(2, 4, samples=9, trials=37))
+    whole = [[r.to_json_dict() for r in battery()] for battery in batteries]
     monkeypatch.setattr(loopfill, "_CHUNK_CELLS", cells)
-    assert [r.to_json_dict() for r in vector_battery(2, 3, 4, trials=37)] == whole
+    assert [[r.to_json_dict() for r in battery()] for battery in batteries] == whole
+
+
+@pytest.mark.parametrize("check", [loopfill.check_additivity,
+                                   loopfill.check_diagonal_constancy])
+@pytest.mark.parametrize("carrier, contraction", [
+    (loopfill._vector_carrier(3), linear_contraction()),
+    (loopfill._path_carrier(17), path_loop_contraction(17)),
+], ids=["vector", "path"])
+def test_block_draws_read_the_per_trial_stream(monkeypatch, check, carrier, contraction):
+    # a plain callable is drawn trial by trial; the carrier itself a chunk at a
+    # time, here several chunks of a few trials each
+    monkeypatch.setattr(loopfill, "_CHUNK_CELLS", 100)
+    per_trial = np.random.default_rng(9)
+    block = np.random.default_rng(9)
+    want = check(contraction, lambda r, count: carrier(r, count), 2, per_trial, trials=23)
+    got = check(contraction, carrier, 2, block, trials=23)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert block.random() == per_trial.random()
 
 
 def test_user_contraction_runs_on_a_batch():

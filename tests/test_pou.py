@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,91 @@ from locco import (DomainError, SupportError, UncoveredSampleError, arc,
                    left_invariant_cover, numerability_rescue, plateau_family,
                    plateau_partition, product_family, refines_supports,
                    rescue_partition, shrunken_tuples)
-from locco.pou import ScalarFamily, arc_cover_family, ball_family
+from locco.pou import (SampledDomain, ScalarFamily, arc_cover_family, ball_family,
+                       power_domain)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-row loops the in-place constructions replaced
+
+
+def oracle_strided(indices, limit):
+    if indices.size <= limit:
+        return indices
+    return indices[::-(-indices.size // limit)]
+
+
+def oracle_normalized(domain, labels, rows, sups, name):
+    vals = np.asarray(rows)
+    return ScalarFamily(domain=domain, labels=labels, values=vals / vals.sum(axis=0),
+                        supports=np.asarray(sups), unity=True, name=name)
+
+
+def oracle_arc_cover_family(domain, k):
+    hw = 1.0 / k
+    rows, sups = [], []
+    for j in range(k):
+        d = np.asarray(domain.metric(float(j) / k, domain.coords), dtype=float)
+        rows.append(np.maximum(0.0, 1.0 - d / hw))
+        sups.append(d < hw)
+    return oracle_normalized(domain, tuple(range(k)), rows, sups, f"arcs{k}")
+
+
+def oracle_ball_family(domain, eps, max_centers=256):
+    centers = oracle_strided(np.arange(domain.size), max_centers)
+    rows, sups = [], []
+    for c in centers:
+        d = domain.distances_from(int(c))
+        rows.append(np.maximum(0.0, 1.0 - d / eps))
+        sups.append(d < eps)
+    return oracle_normalized(domain, tuple(int(c) for c in centers), rows, sups,
+                             f"balls-eps{eps}")
+
+
+def oracle_product_family(base, q, max_tuples_per_index=10000):
+    per_axis = max(1, int(max_tuples_per_index ** (1.0 / (q + 1))))
+    chosen, seen = [], set()
+    for row in range(base.index_count):
+        picks = oracle_strided(np.flatnonzero(base.supports[row]), per_axis)
+        stack = [()]
+        for _ in range(q + 1):
+            stack = [t + (int(p),) for t in stack for p in picks]
+        for t in stack:
+            if t not in seen:
+                seen.add(t)
+                chosen.append(t)
+    domain = SampledDomain(points=tuple(chosen), name=f"{base.domain.name}^({q + 1})")
+    cols = np.asarray(chosen, dtype=int)
+    rows, sups = [], []
+    for row in range(base.index_count):
+        rows.append(np.abs(base.values[row][cols]).prod(axis=1))
+        sups.append(base.supports[row][cols].all(axis=1))
+    return oracle_normalized(domain, base.labels, rows, sups, f"{base.name}-power{q}")
+
+
+def oracle_report(fam):
+    sums = fam.values.sum(axis=0)
+    return {
+        "name": fam.name,
+        "domain": fam.domain.name,
+        "indices": len(fam.labels),
+        "samples": len(fam.domain.points),
+        "unity": bool(fam.unity),
+        "max_sum_deviation": float(np.max(np.abs(sums - 1.0))),
+        "max_active_count": int((fam.values != 0.0).sum(axis=0).max()),
+        "uncovered_samples": int((sums == 0.0).sum()),
+    }
+
+
+def assert_bit_equal(got, want):
+    assert got.labels == want.labels
+    assert got.name == want.name and got.unity == want.unity
+    assert got.domain.name == want.domain.name
+    assert got.domain.points == want.domain.points
+    assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert np.array_equal(got.supports, want.supports)
+    assert json.dumps(got.report(), sort_keys=True) == json.dumps(oracle_report(want), sort_keys=True)
 
 
 def test_bump_frozen_values():
@@ -211,3 +297,86 @@ def test_group_tuple_domain_size():
     dom = group_tuple_domain(5, 1)
     assert dom.size == 25
     assert dom.points[0] == (0, 0)
+
+
+@pytest.mark.parametrize("size, k", [(50, 7), (999, 3), (10000, 3)])
+def test_arc_cover_family_matches_oracle(size, k):
+    dom = circle_domain(size)
+    assert_bit_equal(arc_cover_family(dom, k), oracle_arc_cover_family(dom, k))
+
+
+# 500 samples: strided at 40 and 256 centers (an exact and an inexact stride),
+# unstrided at 500 and 1000; then the benchmark's size with the default 256
+@pytest.mark.parametrize("size, eps, max_centers", [
+    (500, 0.25, 40), (500, 0.1, 256), (500, 0.25, 500), (500, 0.6, 1000),
+    (500, 0.05, 500), (10000, 0.25, 256),
+])
+def test_ball_family_matches_oracle(size, eps, max_centers):
+    dom = circle_domain(size)
+    assert_bit_equal(ball_family(dom, eps, max_centers=max_centers),
+                     oracle_ball_family(dom, eps, max_centers=max_centers))
+
+
+# each arc of circle(120) holds 80 samples and each of circle(40) 26, so the
+# per-axis limit strides the supports or takes them whole
+@pytest.mark.parametrize("size, k, q, max_tuples", [
+    (120, 3, 0, 10000), (120, 3, 0, 30),
+    (120, 3, 1, 10000), (120, 3, 1, 400),
+    (120, 5, 2, 10000), (40, 3, 2, 10 ** 6),
+])
+def test_product_family_matches_oracle(size, k, q, max_tuples):
+    base = arc_cover_family(circle_domain(size), k)
+    assert_bit_equal(product_family(base, q, max_tuples_per_index=max_tuples),
+                     oracle_product_family(base, q, max_tuples_per_index=max_tuples))
+
+
+def test_product_family_on_balls_matches_oracle():
+    # many overlapping supports, so most tuples repeat across indices
+    base = ball_family(circle_domain(200), 0.2, max_centers=25)
+    assert_bit_equal(product_family(base, 1, max_tuples_per_index=100),
+                     oracle_product_family(base, 1, max_tuples_per_index=100))
+
+
+def test_ball_family_holds_no_second_copy():
+    dom = circle_domain(4000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fam = ball_family(dom, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (fam.values.nbytes + fam.supports.nbytes)
+
+
+@pytest.mark.parametrize("call", [
+    lambda dom, base: ball_family(dom, 0.25, max_centers=0),
+    lambda dom, base: ball_family(dom, 0.25, max_centers=-4),
+    lambda dom, base: product_family(base, 1, max_tuples_per_index=0),
+    lambda dom, base: product_family(base, 1, max_tuples_per_index=-4),
+], ids=["centers-0", "centers-negative", "tuples-0", "tuples-negative"])
+def test_family_limits_below_one_are_refused(call):
+    dom = circle_domain(100)
+    with pytest.raises(DomainError):
+        call(dom, arc_cover_family(dom, 3))
+
+
+def test_power_domain_makes_points_when_read():
+    base = arc_cover_family(circle_domain(30), 3)
+    fam = product_family(base, 1)
+    fam.report()
+    assert "points" not in vars(fam.domain)
+    assert fam.domain.size == len(fam.domain.tuples)
+    points = fam.domain.points
+    assert points[0] == tuple(int(k) for k in fam.domain.tuples[0])
+    assert all(type(k) is int for t in points for k in t)
+    assert fam.domain.points is points
+    with pytest.raises(ValueError):
+        fam.domain.tuples[0, 0] = 1
+
+
+@pytest.mark.parametrize("tuples", [[], [(0, 1), (2,)], [0, 1]],
+                         ids=["empty", "ragged", "not-tuples"])
+def test_power_domain_refuses_bad_tuples(tuples):
+    with pytest.raises(DomainError):
+        power_domain(circle_domain(5), tuples)
