@@ -24,11 +24,11 @@ from .bicomplex import (PartitionFamily, contraction_defect, first_hit_family,
                         random_page)
 from .cochains import (smallest_point, standard_column_contraction,
                        standard_differential)
-from .coeff import CoefficientSystem, Integers, PrimeField, Rationals
+from .coeff import CoefficientSystem, Integers, Rationals
 from .errors import AcyclicityError, CoefficientError, ModelError
 from .homology import (CechComplexSpec, LocalComplexSpec,
                        SimplicialComplexSpec, TotalComplexSpec,
-                       BoundaryMatrix, assemble_matrix, block_profiles,
+                       _as_columns, _modulus, assemble_matrix, block_profiles,
                        cleared_columns, cohomology_profile, composes_to_zero,
                        kernel_basis, matrix_rank, profile_from_ranks,
                        rank_in_quotient)
@@ -265,14 +265,6 @@ def _local_positions(model: CoverModel, n: int, simplices: tuple) -> list:
     return at.tolist()
 
 
-def _as_columns(vectors: list, length: int) -> BoundaryMatrix:
-    """Sparse vectors (dicts index -> exact integer) as a matrix's columns."""
-    cells = sorted((k, j, v) for j, vec in enumerate(vectors) for k, v in vec.items())
-    entries = [np.array([cell[i] for cell in cells], dtype=object if i == 2 else np.int64)
-               for i in range(3)]
-    return BoundaryMatrix((length, len(vectors)), tuple(entries))
-
-
 def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
                       max_degree: int) -> ComparisonReport:
     """Restriction to simplices induces a bijection on cohomology.
@@ -301,7 +293,7 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
 
     local_spec = LocalComplexSpec(model)
     simp_spec = SimplicialComplexSpec(model.u_small_subcomplex(), model.point_key)
-    p = system.p if isinstance(system, PrimeField) else 0
+    p = _modulus(system)
     local_ranks, simp_ranks, induced, cocycles = [], [], [], []
     chain_map_ok = True
     d_local_below, d_simp_below, leads = None, None, set()

@@ -10,17 +10,19 @@ assembled in index space by one kernel, :func:`assemble_matrix`: basis
 elements are integer codes, faces are found by deleting a digit or swapping
 a block and matched to their columns by binary search.
 
-One column sweep, :func:`_sweep`, eliminates over Z, Q and GF(p), unit
-pivots first (Dumas, Heckenbach, Saunders and Welker 2003).  It takes the
-columns last first; a column whose lead, its least row, is a unit (±1, or
-any nonzero value mod p) held by no pivot is recorded by its index and
-built only when a later column leads there, so most columns of a
-differential are never built as dicts.  Any other column is cleared by the
-pivots at its leads, and one left with a lead that is not a unit is set
-aside, which never happens mod p.  A field rank counts the unit pivots and
-adds an :class:`Echelon` of the set-aside columns (:func:`matrix_rank`); a
-kernel is the same sweep with each column tagged by its own index, with no
-back-substitution (:func:`kernel_basis`).  Over the integers the Smith
+One column sweep, :func:`_sweep`, is the only eliminator, over Z, Q and
+GF(p), unit pivots first (Dumas, Heckenbach, Saunders and Welker 2003).  It
+takes the columns last first; a column whose lead, its least row, is a unit
+(±1 over Z, any nonzero value over a field) held by no pivot is recorded by
+its index and built only when a later column leads there, so most columns
+of a differential are never built as dicts.  Any other column is cleared by
+the pivots at its leads, fraction-free over Q, until it is zero or leads
+where no pivot does.  Over a field it then becomes a pivot: a rank counts
+the pivots (:func:`matrix_rank`), a kernel is the same sweep with each
+column tagged by its own index, with no back-substitution
+(:func:`kernel_basis`), and a rank modulo a subspace is one sweep with the
+subspace's columns taken first (:func:`rank_in_quotient`).  Over the
+integers a column left with a lead that is not ±1 is set aside; the Smith
 normal form is the sweep with its column operations kept, and what the
 set-aside columns keep off the pivots' rows, the remainder, is finished by
 a search for an entry of least absolute value.  Once d_n d_{n-1} = 0 is
@@ -47,7 +49,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .coeff import CoefficientSystem, Integers, PrimeField, Rationals
-from .errors import BudgetError, CoefficientError, ModelError
+from .errors import BudgetError, CoefficientError, DomainError, ModelError
 from .model import (CoverModel, Nerve, code_dtype, delete_digit, encode, enumeration_budget,
                     mask_positions)
 
@@ -494,6 +496,18 @@ class BoundaryMatrix:
         return [dict(zip(c[at].tolist(), v[at].tolist())).get(j, 0) for j in range(self.shape[1])]
 
 
+def _as_columns(vectors: list, length: Optional[int] = None) -> BoundaryMatrix:
+    """Sparse vectors (dicts index -> exact integer) as a matrix's columns,
+    their zeros dropped, with ``length`` rows, by default one past the last
+    index used."""
+    cells = sorted((k, j, v) for j, vec in enumerate(vectors) for k, v in vec.items() if v)
+    r, c, v = zip(*cells) if cells else ((), (), ())
+    if length is None:
+        length = r[-1] + 1 if cells else 0
+    entries = (np.array(r, dtype=np.int64), np.array(c, dtype=np.int64), np.array(v, dtype=object))
+    return BoundaryMatrix((length, len(vectors)), entries)
+
+
 def _split(major: np.ndarray, minor: np.ndarray, values: np.ndarray, count: int):
     """Dicts minor -> value, one per major index 0..count-1, in order, each
     made when it is read; ``major`` ascends."""
@@ -575,92 +589,8 @@ def assemble_matrix(spec: ComplexSpec, n: int) -> BoundaryMatrix:
 # exact sparse elimination
 
 
-class Echelon:
-    """Exact echelon form of explicit sparse integer vectors, inserted one at
-    a time; nothing is back-substituted.  It takes the vectors of
-    :func:`rank_in_quotient` and, over Q, the columns :func:`_sweep` sets
-    aside.
-
-    Pivot vectors are kept in a dict keyed by their leading index, so a new
-    vector meets only the pivots of the indices it reaches and no vector is
-    scanned again when a pivot is chosen.  With ``p = 0`` elimination is
-    fraction-free over the integers and gives ranks over Q: a pivot vector
-    is primitive with a positive lead, a lead of 1 is subtracted without
-    rescaling, and any other lead cross-multiplies by gcd-reduced factors,
-    after which the vector's content is divided out.  With a prime ``p`` the
-    entries of a vector lie in 1..p-1 and pivot vectors are scaled to lead 1.
-    """
-
-    def __init__(self, p: int = 0):
-        self.p = p
-        self.pivots: dict = {}   # leading index -> pivot vector
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def insert(self, row: dict) -> bool:
-        """Reduce ``row`` by the pivots; keep it if it is independent.
-
-        The row is taken over, not copied, and may be changed or kept as a
-        pivot vector.  Over GF(p) its entries must already be reduced mod p,
-        with no zeros.
-        """
-        pivots = self.pivots
-        while row:
-            c = min(row)
-            pivot = pivots.get(c)
-            if pivot is None:
-                pivots[c] = self._normalise(row, c)
-                return True
-            row = self._eliminate(row, pivot, c)
-        return False
-
-    def _normalise(self, row: dict, c: int) -> dict:
-        p, lead = self.p, row[c]
-        if p:
-            if lead == 1:
-                return row
-            inv = pow(lead, -1, p)
-            return {k: v * inv % p for k, v in row.items()}
-        g = gcd(*row.values())
-        if lead < 0:
-            g = -g
-        return row if g == 1 else {k: v // g for k, v in row.items()}
-
-    def _eliminate(self, row: dict, pivot: dict, c: int) -> dict:
-        """Clear column ``c`` of ``row`` with the pivot row leading there."""
-        a, p, lead = row[c], self.p, pivot[c]
-        if p:
-            for k, v in pivot.items():
-                nv = (row.get(k, 0) - a * v) % p
-                if nv:
-                    row[k] = nv
-                else:
-                    del row[k]
-            return row
-        if lead != 1:
-            g = gcd(a, lead)
-            a //= g
-            scale = lead // g
-            if scale != 1:
-                row = {k: scale * v for k, v in row.items()}
-        for k, v in pivot.items():
-            nv = row.get(k, 0) - a * v
-            if nv:
-                row[k] = nv
-            else:
-                del row[k]
-        if lead != 1 and row:
-            g = gcd(*row.values())
-            if g > 1:
-                row = {k: v // g for k, v in row.items()}
-        return row
-
-
 def _modulus(system: CoefficientSystem) -> int:
-    """The ``p`` of :func:`_sweep` and :class:`Echelon` for a field: 0 for
-    Q, p for GF(p)."""
+    """The ``p`` of :func:`_sweep` for a field: 0 for Q, p for GF(p)."""
     if isinstance(system, Rationals):
         return 0
     if isinstance(system, PrimeField):
@@ -757,33 +687,51 @@ class _Columns:
         return cells if set(lead.values()).isdisjoint(i for i, _, _ in cells) else None
 
 
+def _checked_skip(skip: Iterable[int], ncols: int) -> list:
+    """``skip`` as a list; raises :class:`DomainError` unless each entry is
+    a column index, a Python int in 0..ncols-1, as the Smith certificate
+    check also requires."""
+    skip = list(skip)
+    if skip and ({*map(type, skip)} != {int} or min(skip) < 0 or max(skip) >= ncols):
+        bad = next(k for k in skip if type(k) is not int or not 0 <= k < ncols)
+        raise DomainError(f"skip entry {bad!r} is not a column index in 0..{ncols - 1}")
+    return skip
+
+
 def _sweep(mat: BoundaryMatrix, p: Optional[int], skip: Iterable[int] = (),
            tagged: bool = False) -> tuple:
-    """The unit sweep of ``mat``'s columns, over Z, Q or GF(p) as ``p`` is
-    None, 0 or a prime (:class:`_Columns`), without the columns listed in
-    ``skip``, which are never read; with ``tagged``, column j also holds 1
-    at ``nrows + j``.  Returns the :class:`_Columns` it changed, the pivots
-    as a dict lead -> column, the columns set aside and the ``("col", src,
-    dst, f)`` operations applied, in order.
+    """The sweep of ``mat``'s columns, over Z, Q or GF(p) as ``p`` is None,
+    0 or a prime (:class:`_Columns`), without the columns listed in
+    ``skip``, which are never read (:class:`DomainError` if one is not a
+    column index); with ``tagged``, column j also holds 1 at ``nrows + j``.
+    Returns the :class:`_Columns` it changed, the pivots as a dict lead ->
+    column, the columns set aside and, over Z, the ``("col", src, dst, f)``
+    operations applied, in order.
 
-    A unit is ±1 over Z and Q and any nonzero value mod p.  The kept
+    A unit is ±1 over Z and any nonzero value over a field.  The kept
     columns are taken last first (an empty one only if tagged, leading at
     its tag).  A column whose lead, its least row, is a unit held by no
     pivot becomes a pivot by its index and is built only if a later column
     leads there (the emergent pairs of Ripser, Bauer 2021).  Any other
-    column is built and cleared by the pivots at its leads, each step one
-    operation, until it is zero, becomes a pivot itself or leads, with an
-    entry that is not a unit, at a row no pivot holds: then it is set
-    aside.  After the sweep each column set aside is cleared the same way
-    at every row a pivot leads at, so it keeps no cell on a pivot's lead.
-    Mod p nothing is set aside.  The pivots form a column echelon with unit
-    leads (Dumas, Heckenbach, Saunders and Welker 2003).
+    column is built and cleared by the pivots at its leads, one lead at a
+    time, until it is zero or becomes a pivot itself; over Z it may also
+    lead, with an entry that is not ±1, at a row no pivot holds: then it is
+    set aside.  After the sweep each column set aside is cleared the same
+    way at every row a pivot leads at, so it keeps no cell on a pivot's
+    lead.  Over Q a clear stays fraction-free: where the pivot's lead b
+    does not divide the column's entry a, the column is first scaled by
+    b/gcd(a, b), and a column so scaled is divided by its content when it
+    becomes a pivot, so a kernel vector is primitive.  Over Z the pivots
+    form a column echelon with ±1 leads (Dumas, Heckenbach, Saunders and
+    Welker 2003); over a field nothing is set aside and the pivots span the
+    columns kept.
     """
     nrows, ncols = mat.shape
+    skip = _checked_skip(skip, ncols)
     cols = _Columns(mat, p=p, tagged=tagged)
     column, built, r, v, bounds = cols.column, cols.built, cols.r, cols.v, cols.bounds
     kept = np.ones(ncols, dtype=bool)
-    kept[np.fromiter(skip, dtype=np.int64)] = False
+    kept[np.array(skip, dtype=np.int64)] = False
     which = kept.nonzero()[0][::-1]   # last first
     start, empty = bounds[which], bounds[which] == bounds[which + 1]
     if tagged:
@@ -792,15 +740,27 @@ def _sweep(mat: BoundaryMatrix, p: Optional[int], skip: Iterable[int] = (),
     else:
         which, start = which[~empty], start[~empty]
         lead, value = r[start], v[start]
-    unit = value != 0 if p else abs(value) == 1
-    held, aside, ops = {}, [], []
+    field = p is not None
+    unit = value != 0 if field else abs(value) == 1
+    held, aside, ops, scaled = {}, [], [], set()
 
     def clear(k: int, col: dict, i: int) -> None:   # col's entry at i, a pivot's lead
         j = held[i]
         pivot = built.get(j) or column(j)   # a dict lookup before the method call
-        f = -col[i] * (pow(pivot[i], -1, p) if p else pivot[i])
-        ops.append(("col", j, k, f))
-        _add_multiple(col, f, pivot, p)
+        a, b = col[i], pivot[i]
+        if p:
+            _add_multiple(col, -a * pow(b, -1, p), pivot, p)
+        elif a % b:   # over Q, at a lead that is not ±1
+            g = gcd(a, b)
+            for x in col:
+                col[x] *= b // g
+            _add_multiple(col, -a // g, pivot)
+            scaled.add(k)
+        else:
+            f = -a // b
+            if not field:
+                ops.append(("col", j, k, f))
+            _add_multiple(col, f, pivot)
 
     for k, i, u in zip(which.tolist(), lead.tolist(), unit.tolist()):
         if u and i not in held:
@@ -809,8 +769,12 @@ def _sweep(mat: BoundaryMatrix, p: Optional[int], skip: Iterable[int] = (),
         col = column(k)
         while col and (i := min(col)) in held:
             clear(k, col, i)
-        if col and (p or abs(col[i]) == 1):
+        if col and (field or abs(col[i]) == 1):
             held[i] = k
+            if k in scaled:   # made primitive again
+                g = gcd(*col.values())
+                for x in col:
+                    col[x] //= g
         elif col:
             aside.append(k)
     for k in aside:   # a pivot adds rows past its lead only
@@ -820,27 +784,12 @@ def _sweep(mat: BoundaryMatrix, p: Optional[int], skip: Iterable[int] = (),
     return cols, held, aside, ops
 
 
-def _eliminated(mat: BoundaryMatrix, p: int, skip: Iterable[int], tagged: bool = False) -> tuple:
-    """:func:`_sweep` over a field, and the columns it set aside inserted
-    into an :class:`Echelon`: the columns built, the sweep's pivots (lead ->
-    column) and the remainder's (lead -> vector).  Those columns keep no
-    cell on a unit pivot's lead, and the unit pivots' block is triangular
-    with a unit diagonal, so the rank is the pivots' count; only over Q
-    may anything be set aside."""
-    cols, held, aside, _ = _sweep(mat, p, skip, tagged)
-    rest = Echelon(p)
-    for k in aside:
-        rest.insert(cols.column(k))
-    return cols, held, rest.pivots
-
-
 def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
                 leads: Optional[set] = None, blocks: Optional[np.ndarray] = None):
     """Rank over a field; over the integers, the rank over Q.
 
-    The unit pivots of :func:`_sweep` count once each, and an
-    :class:`Echelon` of the columns it sets aside, over Q only, adds the
-    rest.  Columns listed in ``skip`` are left out; the caller vouches that
+    It is the number of pivots of :func:`_sweep`.  Columns listed in
+    ``skip``, each a column index, are left out; the caller vouches that
     each is a combination of the columns after it (:func:`cleared_columns`).
     A set passed as ``leads`` receives the row index at which each pivot
     leads: they are the leads of the column space, whichever way it is
@@ -852,12 +801,12 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
     pivots that lead inside it.
     """
     p = 0 if isinstance(system, Integers) else _modulus(system)
-    _, held, rest = _eliminated(mat, p, skip)
+    held = _sweep(mat, p, skip)[1]
     if leads is not None:
-        leads.update(held, rest)
+        leads.update(held)
     if blocks is None:
-        return len(held) + len(rest)
-    keys = np.fromiter([*held, *rest], dtype=np.int64, count=len(held) + len(rest))
+        return len(held)
+    keys = np.fromiter(held, dtype=np.int64, count=len(held))
     return np.bincount(blocks.searchsorted(keys, "right") - 1, minlength=len(blocks) - 1)
 
 
@@ -869,41 +818,32 @@ def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[
 
     :func:`matrix_rank`'s sweep runs with column j tagged by one more
     entry, 1 at key ``nrows + j``.  A column whose row part cancels leads
-    at its own tag, a unit, since the tags it met are above it, and its tag
-    part is a nullspace vector, integral over Q; over Q the set-aside
-    columns, tagged, add the vectors of the remainder's pivots that lead at
-    a tag.  The other pivots' leads go to ``leads``.  The vectors lead at
-    distinct kept columns and B^n's pivots at the skipped ones, so they are
-    independent modulo B^n (the clearing of Chen and Kerber; de Silva,
-    Morozov, Vejdemo-Johansson).
+    at its own tag, since the tags it met are above it, and its tag part
+    is a nullspace vector, integral over Q.  The other pivots' leads go to
+    ``leads``.  The vectors lead at distinct kept columns and B^n's pivots
+    at the skipped ones, so they are independent modulo B^n (the clearing
+    of Chen and Kerber; de Silva, Morozov, Vejdemo-Johansson).
     """
     nrows = mat.shape[0]
-    cols, held, rest = _eliminated(mat, _modulus(system), skip, tagged=True)
+    cols, held = _sweep(mat, _modulus(system), skip, tagged=True)[:2]
     if leads is not None:
-        leads.update(c for c in [*held, *rest] if c < nrows)
-    vectors = [cols.column(k) for c, k in held.items() if c >= nrows]
-    vectors += [vec for c, vec in rest.items() if c >= nrows]
-    return [{k - nrows: v for k, v in vec.items()} for vec in vectors]
+        leads.update(c for c in held if c < nrows)
+    return [{k - nrows: x for k, x in cols.column(j).items()} for c, j in held.items()
+            if c >= nrows]
 
 
 def rank_in_quotient(vectors: list, subspace: list, system: CoefficientSystem) -> int:
     """Dimension of span(vectors) inside the quotient by span(subspace).
 
-    Vectors are dicts index -> int, reduced mod p here over GF(p).  One
-    elimination takes the subspace first; each vector that still adds a
-    pivot after it counts once.
+    Vectors are dicts index -> int.  One :func:`_sweep` of the columns
+    ``[*vectors, *subspace]`` takes the subspace first, as it comes last;
+    each vector that still becomes a pivot after it counts once.
     """
     p = _modulus(system)
-    ech = Echelon(p)
-
-    def row(vec: dict) -> dict:   # a fresh row without zeros: the eliminator takes it over
-        if p:
-            return {c: v % p for c, v in vec.items() if v % p}
-        return {c: v for c, v in vec.items() if v}
-
-    for vec in subspace:
-        ech.insert(row(vec))
-    return sum(ech.insert(row(vec)) for vec in vectors)
+    if not vectors:
+        return 0
+    held = _sweep(_as_columns([*vectors, *subspace]), p)[1]
+    return sum(k < len(vectors) for k in held.values())
 
 
 def profile_from_ranks(dims: Sequence[int], ranks: Sequence[int]) -> list:
@@ -1003,7 +943,7 @@ def smith_normal_form(matrix: BoundaryMatrix, skip: Iterable[int] = ()) -> Smith
     set-aside columns keep is the remainder, which meets no pivot's row or
     column; :func:`_smith_remainder` finishes it.
     """
-    skip = tuple(sorted(set(skip)))
+    skip = tuple(sorted(set(_checked_skip(skip, matrix.shape[1]))))
     cols, held, aside, ops = _sweep(matrix, None, skip)
     pivots = [(lead, k, 1) for lead, k in sorted(held.items())]
     units, finish = len(pivots), []

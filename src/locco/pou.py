@@ -216,13 +216,6 @@ class ScalarFamily:
     def is_generalized_partition(self, tol: float = 1e-9) -> bool:
         return self.max_sum_deviation() <= tol
 
-    def normalized(self, name: str = "") -> "ScalarFamily":
-        values = self.values.copy()
-        _divide_by_column_sums(values)
-        return ScalarFamily(domain=self.domain, labels=self.labels,
-                            values=values, supports=self.supports,
-                            unity=True, name=name or (self.name + "-normalized"))
-
     def report(self) -> dict:
         sums = self.sums()
         return {

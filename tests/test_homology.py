@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locco import (AugmentedColumnSpec, AugmentedRowSpec, BudgetError,
-                   CechComplexSpec, CoefficientError, CoverModel, Integers,
+                   CechComplexSpec, CoefficientError, CoverModel, DomainError, Integers,
                    LocalComplexSpec, ModelError, PrimeField, Rationals,
                    SimplicialComplexSpec, TotalComplexSpec,
                    assemble_matrix, check_smith_certificate,
@@ -22,10 +22,10 @@ from locco import (AugmentedColumnSpec, AugmentedRowSpec, BudgetError,
                    rank_in_quotient, smith_normal_form, verify_local_vs_cech)
 from locco import homology
 from locco import model as model_module
-from locco.homology import (BoundaryMatrix, Echelon, SmithDecomposition, block_profiles,
+from locco.homology import (BoundaryMatrix, SmithDecomposition, _as_columns, block_profiles,
                             cleared_columns, composes_to_zero, profile_from_ranks)
 from locco.cli import bundled_model_names, load_bundled_model, run
-from locco.compare import _as_columns, random_cover_model
+from locco.compare import random_cover_model
 
 Q = Rationals()
 Z5 = PrimeField(5)
@@ -530,7 +530,7 @@ def test_smith_from_entries_equals_smith_from_dense_rows_on_bundled_models(name)
 
 
 def test_smith_on_entries_keeps_its_typed_errors():
-    # object-dtype values, as compare._as_columns builds them
+    # object-dtype values, as homology._as_columns builds them
     halves = _as_columns([{0: 1, 1: Fraction(1, 2)}], 2)
     assert halves.entries[2].dtype == object
     with pytest.raises(CoefficientError):
@@ -586,6 +586,26 @@ def test_rank_in_quotient():
     assert rank_in_quotient([one, two], [one], Q) == 1
     assert rank_in_quotient([one], [one], Q) == 0
     assert rank_in_quotient([two], [], Q) == 1
+    # zeros are dropped, and 2 is no unit mod 2
+    assert rank_in_quotient([{0: 0, 3: 2}], [], Q) == 1
+    assert rank_in_quotient([{0: 0, 3: 2}], [], PrimeField(2)) == 0
+    assert rank_in_quotient([], [one], Z5) == 0
+    with pytest.raises(CoefficientError):
+        rank_in_quotient([], [], Integers())
+
+
+@pytest.mark.parametrize("bad", [-1, 30, 10 ** 6, True, np.int64(3), 1.0, "0", None])
+def test_elimination_refuses_a_skip_that_is_no_column_index(bad):
+    # cyc(6,1) local d_1 has 30 columns and rank 24; skip=[-1] once dropped
+    # the last column and gave 23
+    mat = assemble_matrix(LocalComplexSpec(left_invariant_cover(6, 1)), 1)
+    assert mat.shape[1] == 30 and matrix_rank(mat, Q) == 24
+    for call in (lambda: matrix_rank(mat, Q, skip=[bad]),
+                 lambda: matrix_rank(mat, Integers(), skip=[0, bad]),
+                 lambda: kernel_basis(mat, Z5, skip=[bad]),
+                 lambda: smith_normal_form(mat, skip=[1, bad])):
+        with pytest.raises(DomainError):
+            call()
 
 
 # property tests of the sparse eliminator against the dense oracles above
@@ -619,6 +639,9 @@ def test_eliminator_rank_matches_oracles(case):
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices())
+# over Q column 4 is scaled at column 6's lead 2, then cleared at column 5's
+# lead: its kernel vector comes out as 2·(1, -1) unless divided by its content
+@example(([[0, 0, 0, 0, 1, 1, 2], [0, 0, 0, 0, 0, 0, 1]], 7))
 def test_eliminator_kernel_is_exact(case):
     dense, ncols = case
     for system, p in FIELDS:
@@ -631,11 +654,94 @@ def test_eliminator_kernel_is_exact(case):
                 assert (total % p if p else total) == 0
         as_dense = [[vec.get(c, 0) for c in range(ncols)] for vec in basis]
         assert oracle_rank(as_dense, p) == len(basis)
+        assert p or all(gcd(*vec.values()) == 1 for vec in basis)   # primitive over Q
+
+
+class Echelon:
+    """The eager reference for the sweep: exact echelon form of explicit
+    sparse integer vectors, inserted one at a time; nothing is
+    back-substituted.
+
+    Pivot vectors are kept in a dict keyed by their leading index, so a new
+    vector meets only the pivots of the indices it reaches and no vector is
+    scanned again when a pivot is chosen.  With ``p = 0`` elimination is
+    fraction-free over the integers and gives ranks over Q: a pivot vector
+    is primitive with a positive lead, a lead of 1 is subtracted without
+    rescaling, and any other lead cross-multiplies by gcd-reduced factors,
+    after which the vector's content is divided out.  With a prime ``p`` the
+    entries of a vector lie in 1..p-1 and pivot vectors are scaled to lead 1.
+    """
+
+    def __init__(self, p: int = 0):
+        self.p = p
+        self.pivots: dict = {}   # leading index -> pivot vector
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def insert(self, row: dict) -> bool:
+        """Reduce ``row`` by the pivots; keep it if it is independent.
+
+        The row is taken over, not copied, and may be changed or kept as a
+        pivot vector.  Over GF(p) its entries must already be reduced mod p,
+        with no zeros.
+        """
+        pivots = self.pivots
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = self._normalise(row, c)
+                return True
+            row = self._eliminate(row, pivot, c)
+        return False
+
+    def _normalise(self, row: dict, c: int) -> dict:
+        p, lead = self.p, row[c]
+        if p:
+            if lead == 1:
+                return row
+            inv = pow(lead, -1, p)
+            return {k: v * inv % p for k, v in row.items()}
+        g = gcd(*row.values())
+        if lead < 0:
+            g = -g
+        return row if g == 1 else {k: v // g for k, v in row.items()}
+
+    def _eliminate(self, row: dict, pivot: dict, c: int) -> dict:
+        """Clear column ``c`` of ``row`` with the pivot row leading there."""
+        a, p, lead = row[c], self.p, pivot[c]
+        if p:
+            for k, v in pivot.items():
+                nv = (row.get(k, 0) - a * v) % p
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+            return row
+        if lead != 1:
+            g = gcd(a, lead)
+            a //= g
+            scale = lead // g
+            if scale != 1:
+                row = {k: scale * v for k, v in row.items()}
+        for k, v in pivot.items():
+            nv = row.get(k, 0) - a * v
+            if nv:
+                row[k] = nv
+            else:
+                del row[k]
+        if lead != 1 and row:
+            g = gcd(*row.values())
+            if g > 1:
+                row = {k: v // g for k, v in row.items()}
+        return row
 
 
 class EagerEchelon(Echelon):
     """An :class:`Echelon` that notes whether a vector ever became a pivot
-    with a lead that is not ±1 over Q, where the sweep would set it aside."""
+    with a lead that is not ±1 over Q, where the sweep clears fraction-free."""
 
     non_unit = False
 
@@ -702,6 +808,8 @@ def block_counts(keys, bounds):
 @example(([[2, 4], [4, 8], [1, 0]], 2, [1], np.array([0, 3])))
 # wide: fewer rows than kept columns, where the leads are still reported
 @example(([[1, 2, 0, 3], [0, 0, 1, 1]], 4, [], np.array([0, 1, 2])))
+# leads 3 and 2 on row 0: 3 does not divide 2, so over Q the clear scales
+@example(([[2, 3, 0], [1, 1, 1]], 3, [], np.array([0, 1, 2])))
 def test_lazy_elimination_matches_eager_insertion(case):
     # the sweep's rank, leads, block ranks and kernel against inserting every
     # column at once: the kernel is the eager one exactly wherever the eager
@@ -734,21 +842,24 @@ def doubled(mat):
 
 @pytest.mark.parametrize("case", ["rp2-simplicial-d1", "cyc12_2-local-2d2"])
 def test_the_rational_remainder_matches_eager_insertion(case):
-    # RP^2's d_1 leaves 3 columns with a lead of ±2 over Q, and 2·d_2 of
-    # cyc(12,2) all 732, since no entry is ±1; mod 3 and 5, 2 is a unit
+    # RP^2's d_1 leads with ±2 over Q at 3 columns, and 2·d_2 of cyc(12,2)
+    # has no entry ±1 at all: over Q the sweep pivots on those leads, as mod
+    # 3 and 5, so nothing is set aside over any field
     if case == "rp2-simplicial-d1":
         model = load_bundled_model("projective_plane")
-        mat, aside = assemble_matrix(simplicial(model.complex, model.point_key), 1), 3
+        mat = assemble_matrix(simplicial(model.complex, model.point_key), 1)
     else:
         mat = doubled(assemble_matrix(LocalComplexSpec(left_invariant_cover(12, 2)), 2))
-        aside = mat.shape[1]
     nrows, columns = mat.shape[0], mat.columns
+    assert homology._sweep(mat, None)[2]   # over Z the lead 2 is still set aside
     for system, p in [(Q, 0), (PrimeField(3), 3), (Z5, 5)]:
-        assert len(homology._sweep(mat, p)[2]) == (0 if p else aside)
+        assert homology._sweep(mat, p)[2] == []
         eager, leads = eager_echelon(columns, nrows, p), set()
         assert matrix_rank(mat, system, leads=leads) == eager.rank
         assert leads == set(eager.pivots)
-        check_kernel(mat, system, p, kernel_basis(mat, system))
+        kernel = kernel_basis(mat, system)
+        check_kernel(mat, system, p, kernel)
+        assert p or all(gcd(*vec.values()) == 1 for vec in kernel)
 
 
 def edge_cover(m):
