@@ -23,8 +23,8 @@ from .cochains import (CechPage, LocalCochain, SimplicialCochain,
                        random_local_cochain, simplicial_coboundary,
                        smallest_point, standard_column_contraction,
                        standard_differential, vertex_pullback)
-from .bicomplex import (PartitionFamily, TotalCochain, approximate_row_contraction,
-                        augment_cech, augment_local, contraction_defect,
+from .bicomplex import (PartitionFamily, TotalCochain, augment_cech,
+                        augment_local, contraction_defect,
                         family_from_json, first_hit_family, random_page,
                         random_unity_family, row_contraction,
                         row_contraction_to_local, scale_page_by_weight_sum,

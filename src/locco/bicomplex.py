@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coeff import CoefficientSystem, RealVectors
-from .cochains import (CechPage, LocalCochain, _is_int, cech_coboundary,
-                       page_vertical_differential, permutation_sign)
+from .cochains import (CechPage, LocalCochain, _alternating_value, _is_int, cech_coboundary,
+                       page_vertical_differential)
 from .errors import DomainError, SupportError
 from .model import CoverModel, decode
 
@@ -167,11 +167,14 @@ def first_hit_family(model: CoverModel, q: int) -> PartitionFamily:
     return PartitionFamily(model, q, weights, unity=True, label="first-hit")
 
 
-def random_unity_family(model: CoverModel, q: int, rng, spread: int = 2) -> PartitionFamily:
+_UNITY_SPREAD = 2   # random weights are drawn from -2..2
+
+
+def random_unity_family(model: CoverModel, q: int, rng) -> PartitionFamily:
     """Integer weights, random except the first active index restores the sum."""
     weights: dict = {}
     for t, active in _active_sets(model, q):
-        drawn = {i: rng.randrange(-spread, spread + 1) for i in active[1:]}
+        drawn = {i: rng.randrange(-_UNITY_SPREAD, _UNITY_SPREAD + 1) for i in active[1:]}
         drawn[active[0]] = 1 - sum(drawn.values())
         for i, w in drawn.items():
             if w:
@@ -213,18 +216,6 @@ def _contraction_candidates(page: CechPage) -> dict:
     return cands
 
 
-def _signed_value(page: CechPage, prefix: int, ivec: tuple, t: tuple):
-    """Alternating value of the page at (prefix, *ivec) without domain checks."""
-    if prefix in ivec:
-        return None
-    full = (prefix,) + ivec
-    sign = permutation_sign(full)
-    val = page.components.get(tuple(sorted(full)), {}).get(t)
-    if val is None:
-        return None
-    return val if sign > 0 else page.system.neg(val)
-
-
 def _contract(page: CechPage, family: PartitionFamily, combine: Callable) -> dict:
     """Entries {index tuple: {t: value}} of a row contraction, one Cech degree down.
 
@@ -237,7 +228,7 @@ def _contract(page: CechPage, family: PartitionFamily, combine: Callable) -> dic
     for ivec, xs in _contraction_candidates(page).items():
         entry = {}
         for t in xs:
-            terms = [(i, wmap[t], _signed_value(page, i, ivec, t))
+            terms = [(i, wmap[t], _alternating_value(page, (i,) + ivec, t))
                      for i, wmap in family.weights.items() if wmap.get(t)]
             value = combine(terms)
             if value is not None and not system.is_zero(value):
@@ -288,29 +279,16 @@ def contraction_defect(page: CechPage, family: PartitionFamily) -> CechPage:
     return left.add(row_contraction(cech_coboundary(page), family)).sub(page)
 
 
-def approximate_row_contraction(page: CechPage, family: PartitionFamily):
-    """Same formula without the unity requirement.
-
-    Returns the contracted page together with the family's weight-sum
-    function on the level-q neighborhood; the contraction identity holds up
-    to pointwise multiplication by that sum.
-    """
-    _require_page(page, 1)
+def scale_page_by_weight_sum(page: CechPage, family: PartitionFamily) -> CechPage:
+    """Multiply every stored value by the family's weight sum at its tuple.
+    For any family, this is h∘δ + δ∘h for its row contraction h."""
     _check_family(page, family)
-    contracted = row_contraction(page, family)
-    sums = {t: family.weight_sum(t)
-            for t in page.model.diagonal_neighborhood(page.q).tuples}
-    return contracted, sums
-
-
-def scale_page_by_weight_sum(page: CechPage, sums: dict) -> CechPage:
-    """Multiply every stored value by the weight sum at its tuple."""
     system = page.system
     out = {}
     for idx, func in page.components.items():
         entry = {}
         for t, v in func.items():
-            w = sums.get(t, 0)
+            w = family.weight_sum(t)
             if w:
                 scaled = system.scale(w, v)
                 if not system.is_zero(scaled):
@@ -461,15 +439,18 @@ def augment_cech(model: CoverModel, system: CoefficientSystem,
 
 def random_page(model: CoverModel, system: CoefficientSystem, p: int, q: int,
                 rng, entries: int = 5) -> CechPage:
+    """Up to ``entries`` random values, each at a random nerve simplex σ and
+    the k-th tuple of U_σ^(q+1) for a random k, decoded from k's digits in
+    base |U_σ| as ``model.intersection_power(σ, q + 1).at(k)`` would be."""
     simplices = model.nerve(p).of_dimension(p)
     components: dict = {}
     if not simplices:
         return CechPage(model, system, p, q, {})
     for _ in range(entries):
         idx = simplices[rng.randrange(len(simplices))]
-        power = model.intersection_power(idx, q + 1)
-        if len(power) == 0:
-            continue
-        t = power.at(rng.randrange(len(power)))
+        members = model.intersection(idx)   # nonempty: σ is a nerve simplex
+        radix = len(members)
+        k = rng.randrange(radix ** (q + 1))
+        t = tuple(members[k // radix ** (q - j) % radix] for j in range(q + 1))
         components.setdefault(idx, {})[t] = system.random_value(rng)
     return CechPage(model, system, p, q, components)

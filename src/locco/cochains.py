@@ -19,6 +19,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .coeff import CoefficientSystem, PrimeField
@@ -113,11 +114,11 @@ class LocalCochain:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        domain = self.model.diagonal_neighborhood(self.degree)
+        keys = [tuple(key) for key in self.values]
+        at = self.model.diagonal_neighborhood(self.degree).positions(keys)
         clean = {}
-        for key, raw in self.values.items():
-            t = tuple(key)
-            if t not in domain:
+        for t, k, raw in zip(keys, at.tolist(), self.values.values()):
+            if k < 0:
                 raise DomainError(f"tuple {t} is outside the level-{self.degree} neighborhood")
             v = self.system.check_value(raw)
             if not self.system.is_zero(v):
@@ -178,9 +179,10 @@ def local_cochain_from_json(model: CoverModel, system: CoefficientSystem, doc: d
 
 def local_differential(f: LocalCochain) -> LocalCochain:
     """Alternating sum over coordinate deletions, landing one level up."""
-    target = f.model.diagonal_neighborhood(f.degree + 1)
-    candidates = _cofaces(f.values, f.model.points, target.__contains__)
-    return LocalCochain(f.model, f.system, f.degree + 1, _face_sum(f.values, candidates, f.system))
+    candidates = list(_cofaces(f.values, f.model.points))
+    inside = f.model.diagonal_neighborhood(f.degree + 1).positions(candidates) >= 0
+    return LocalCochain(f.model, f.system, f.degree + 1,
+                        _face_sum(f.values, compress(candidates, inside), f.system))
 
 
 def random_local_cochain(model: CoverModel, system: CoefficientSystem, degree: int,
@@ -273,21 +275,26 @@ class CechPage:
         return dev
 
 
+def _alternating_value(page: CechPage, indices: tuple, t: tuple):
+    """Value of the alternating extension at an index tuple, unchecked:
+    None where an index repeats or nothing is stored."""
+    sign = permutation_sign(indices)
+    value = page.components.get(tuple(sorted(indices)), {}).get(t) if sign else None
+    return value if value is None or sign > 0 else page.system.neg(value)
+
+
 def evaluate_alternating(page: CechPage, indices: Sequence[int], t: Sequence):
-    """Value of the alternating extension at a possibly unsorted index tuple."""
-    idx = tuple(indices)
+    """Value of the alternating extension at a possibly unsorted index tuple;
+    zero, with the point tuple unchecked, where an index repeats."""
+    idx, tt = tuple(indices), tuple(t)
     if len(idx) != page.p + 1:
         raise DomainError(f"index tuple {idx} has wrong length for p = {page.p}")
-    sign = permutation_sign(idx)
-    if sign == 0:
-        return page.system.zero()
     ordered = tuple(sorted(idx))
-    members = set(page.model.intersection(ordered))
-    tt = tuple(t)
-    if len(tt) != page.q + 1 or any(c not in members for c in tt):
+    if len(set(idx)) == len(idx) and (len(tt) != page.q + 1
+                                      or not set(tt) <= set(page.model.intersection(ordered))):
         raise DomainError(f"point tuple {tt} is outside the intersection power of {ordered}")
-    v = page.value(ordered, tt)
-    return v if sign > 0 else page.system.neg(v)
+    value = _alternating_value(page, idx, tt)
+    return page.system.zero() if value is None else value
 
 
 def cech_coboundary(page: CechPage) -> CechPage:
@@ -414,14 +421,10 @@ def vertex_pullback(f: LocalCochain, subcomplex: Optional[tuple] = None) -> Simp
     model = f.model
     if subcomplex is None:
         subcomplex = model.u_small_subcomplex()
-    domain = model.diagonal_neighborhood(f.degree)
-    vals = {}
-    for simplex in subcomplex:
-        if len(simplex) != f.degree + 1:
-            continue
-        if simplex not in domain:
-            raise DomainError(f"vertex tuple {simplex} escapes the level-{f.degree} neighborhood")
-        v = f.values.get(simplex)
-        if v is not None:
-            vals[simplex] = v
+    simplices = [s for s in subcomplex if len(s) == f.degree + 1]
+    outside = model.diagonal_neighborhood(f.degree).positions(simplices) < 0
+    if outside.any():
+        raise DomainError(f"vertex tuple {simplices[int(outside.argmax())]} escapes "
+                          f"the level-{f.degree} neighborhood")
+    vals = {s: f.values[s] for s in simplices if s in f.values}
     return SimplicialCochain(subcomplex, f.system, f.degree, vals)

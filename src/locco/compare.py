@@ -32,7 +32,7 @@ from .homology import (CechComplexSpec, LocalComplexSpec,
                        cleared_columns, cohomology_profile, composes_to_zero,
                        kernel_basis, matrix_rank, profile_from_ranks,
                        rank_in_quotient)
-from .model import CoverModel, encode, left_invariant_cover
+from .model import CoverModel, left_invariant_cover
 
 
 def model_hash(model: CoverModel) -> str:
@@ -254,14 +254,9 @@ def _intersection_statuses(model: CoverModel, system: CoefficientSystem) -> dict
 def _local_positions(model: CoverModel, n: int, simplices: tuple) -> list:
     """Where each degree-n simplex's vertex tuple sits in the local basis:
     restriction to simplices reads exactly these coordinates."""
-    codes = model.diagonal_neighborhood(n).codes
-    digits = np.array([model.point_key(s) for s in simplices], dtype=np.int64).reshape(-1, n + 1)
-    wanted = encode(digits, len(model.points), codes.dtype)
-    at = codes.searchsorted(wanted)
-    found = np.concatenate((codes, [-1]))[at] == wanted   # codes are never negative
-    if not found.all():
-        missing = simplices[int(np.argmin(found))]
-        raise ModelError(f"simplex {missing} has no tuple in the local basis")
+    at = model.diagonal_neighborhood(n).positions(simplices)
+    if (at < 0).any():
+        raise ModelError(f"simplex {simplices[int(np.argmin(at))]} has no tuple in the local basis")
     return at.tolist()
 
 

@@ -4,8 +4,8 @@ Differentials of all complexes used here have integer entries, so dimension
 profiles over a field reduce to exact ranks of integer matrices.  A basis is
 its ascending integer codes: sizes, matrices and ranks read only those, and
 labels are decoded from them when a caller first asks for them
-(:meth:`ComplexSpec.basis`).  The tuples of a nerve-blocked basis are
-enumerated for all blocks of one arity at once.  Every differential is
+(:meth:`ComplexSpec.basis`).  Point-tuple bases come from the model's one
+enumerator (:meth:`CoverModel.power_codes`).  Every differential is
 assembled in index space by one kernel, :func:`assemble_matrix`: basis
 elements are integer codes, faces are found by deleting a digit or swapping
 a block and matched to their columns by binary search.
@@ -49,9 +49,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .coeff import CoefficientSystem, Integers, PrimeField, Rationals
-from .errors import BudgetError, CoefficientError, DomainError, ModelError
-from .model import (CoverModel, Nerve, code_dtype, delete_digit, encode, enumeration_budget,
-                    mask_positions)
+from .errors import CoefficientError, DomainError, ModelError
+from .model import CoverModel, Nerve, code_dtype, delete_digit, encode
 
 # ---------------------------------------------------------------------------
 # complex descriptors: ordered bases, their integer codes and one face rule
@@ -97,21 +96,19 @@ def _alternating_rule(radix: int, arity: int, blocks: int = 1) -> FaceRule:
                     [1] * blocks, np.zeros((blocks, 0), dtype=np.int64))
 
 
-def _block_faces(nerve: Nerve, offset: int = 0, empty: int = -1) -> np.ndarray:
+def _block_faces(nerve: Nerve) -> np.ndarray:
     """Face blocks of a nerve's simplices for :class:`FaceRule`, one int64
-    row per block: simplex b is block ``offset + b`` and its row lists it
-    with each index deleted in turn, padded with -1.  The empty tuple is
-    block ``empty`` (-1: no face); the ``offset`` leading blocks have no
-    index faces.  A degree's rule reads the first columns.  Each face is
-    found by binary search among the simplices one dimension down, coded
-    with their indices as digits in base one past the last vertex."""
+    row per block: simplex b is block b and its row lists it with each index
+    deleted in turn, padded with -1.  The empty tuple is no face (-1).  A
+    degree's rule reads the first columns.  Each face is found by binary
+    search among the simplices one dimension down, coded with their indices
+    as digits in base one past the last vertex."""
     bounds, radix = nerve.bounds, 1 + max((s[0] for s in nerve.of_dimension(0)), default=0)
-    table = np.full((offset + len(nerve), len(bounds) - 1), -1, dtype=np.int64)
+    table = np.full((len(nerve), len(bounds) - 1), -1, dtype=np.int64)
     for d in range(len(bounds) - 1):
-        rows = slice(offset + bounds[d], offset + bounds[d + 1])
         codes = encode(np.array(nerve.of_dimension(d)), radix, code_dtype(radix ** (d + 1)))
-        for k in range(d + 1):
-            table[rows, k] = empty if d == 0 else offset + bounds[d - 1] + below.searchsorted(
+        for k in range(d + 1 if d else 0):
+            table[bounds[d]:bounds[d + 1], k] = bounds[d - 1] + below.searchsorted(
                 delete_digit(codes, radix, radix ** (d - k)))
         below = codes
     return table
@@ -121,44 +118,6 @@ def _nerve_faces(model: CoverModel, top: int) -> np.ndarray:
     """The face table of ``model.nerve(top)``, built once per model and
     prefix, and shared by every spec that reads it."""
     return model.cached(("block-faces", top), _block_faces, model.nerve(top))
-
-
-def _power_blocks(model: CoverModel, blocks: list, size: int, what: str) -> np.ndarray:
-    """Codes of the tuples from intersections, in (block id, index tuple,
-    arity, intersection bitmask) blocks with ascending ids: ``block id *
-    size + tuple code``.
-
-    The budget is charged |U_indices|^arity per block before any block is
-    enumerated.  Each run of blocks of one arity is enumerated at once: the
-    j-th tuple of a block is j written in base |U| with the first digit
-    most significant, each digit naming a point of U in point order, so the
-    codes ascend within each block as across blocks.
-    """
-    limit = enumeration_budget()
-    masks = [mask for _, _, _, mask in blocks]
-    count = np.array([mask.bit_count() for mask in masks], dtype=np.int64)   # |U| per block
-    charge = sum(c ** a for c, (_, _, a, _) in zip(count.tolist(), blocks))
-    if charge > limit:
-        raise BudgetError(charge, limit, what)
-    dtype = code_dtype(max((b + 1) * size for b, _, _, _ in blocks) if blocks else 1)
-    ids = np.array([b for b, _, _, _ in blocks], dtype=np.int64)
-    arity = np.array([a for _, _, a, _ in blocks], dtype=np.int64)
-    positions = mask_positions(masks, len(model.points))
-    first = np.cumsum(count) - count   # where each block's points start in ``positions``
-    starts = np.flatnonzero(np.diff(arity, prepend=0)).tolist()   # arities are positive
-    codes = [np.zeros(0, dtype=dtype)]
-    for lo, hi in zip(starts, starts[1:] + [len(blocks)]):
-        k = int(arity[lo])
-        sizes = count[lo:hi] ** k
-        block = np.repeat(np.arange(lo, hi), sizes)
-        j = np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        radix_u, start = count[block], first[block]
-        t = np.zeros(len(block), dtype=dtype)
-        for place in range(k - 1, -1, -1):
-            digit = j // radix_u ** place % radix_u
-            t = t * len(model.points) + positions[start + digit].astype(dtype)
-        codes.append(ids[block].astype(dtype) * size + t)
-    return np.concatenate(codes)
 
 
 class ComplexSpec:
@@ -338,8 +297,8 @@ class TotalComplexSpec(ComplexSpec):
                 for b, (idx, mask) in enumerate(zip(nerve.simplices, nerve.masks))]
 
     def _build_basis(self, n: int) -> np.ndarray:
-        return _power_blocks(self.model, self._blocks(n), self.radix ** (n + 1),
-                             f"total-complex basis in degree {n}")
+        return self.model.power_codes(self._blocks(n), self.radix ** (n + 1),
+                                      f"total-complex basis in degree {n}")
 
     def _labels(self, n: int) -> Sequence:
         return [(len(idx) - 1, idx, t) for _, idx, k, _ in self._blocks(n)
@@ -380,8 +339,8 @@ class AugmentedRowSpec(ComplexSpec):
     def _build_basis(self, n: int) -> np.ndarray:
         if n == 0:
             return self.model.diagonal_neighborhood(self.q).codes
-        return _power_blocks(self.model, self._blocks(n), self.radix ** (self.q + 1),
-                             f"augmented-row basis in degree {n}")
+        return self.model.power_codes(self._blocks(n), self.radix ** (self.q + 1),
+                                      f"augmented-row basis in degree {n}")
 
     def _labels(self, n: int) -> Sequence:
         if n == 0:
@@ -390,7 +349,11 @@ class AugmentedRowSpec(ComplexSpec):
                 for t in self.model.intersection_power(idx, k).tuples]
 
     def face_rule(self, n: int) -> FaceRule:
-        faces = _block_faces(self.model.nerve(n), offset=1, empty=0)
+        # the nerve's face table one block on, with a vertex's face the local block 0
+        faces = _nerve_faces(self.model, n)
+        faces = np.where(faces >= 0, faces + 1, -1)
+        faces[self.model.nerve(n).span(0), 0] = 0
+        faces = np.concatenate((np.full((1, faces.shape[1]), -1), faces))
         size = self.radix ** (self.q + 1)
         return FaceRule(self.radix, size, size, np.full(len(faces), self.q + 1),
                         np.zeros(len(faces)), faces[:, :n + 1])

@@ -7,7 +7,8 @@ A tuple is also coded as one integer, its point positions read as digits in
 base |X| with the first most significant, so ascending codes are exactly that
 order.  Bases are built as sorted code arrays, and the codes are the basis:
 the point tuples are decoded only when a caller reads them, the whole set at
-most once, or one tuple at a time.
+most once, or one tuple at a time.  Every power is enumerated by
+:meth:`CoverModel.power_codes` and looked up by :meth:`TupleSet.positions`.
 """
 
 from __future__ import annotations
@@ -100,14 +101,6 @@ def delete_digit(codes: np.ndarray, radix: int, weight) -> np.ndarray:
     return codes // (weight * radix) * weight + codes % weight
 
 
-def product_codes(positions: np.ndarray, arity: int, radix: int) -> np.ndarray:
-    """Ascending codes of all arity-tuples over ascending ``positions``."""
-    codes = np.zeros(1, dtype=positions.dtype)
-    for _ in range(arity):
-        codes = (codes[:, None] * radix + positions[None, :]).ravel()
-    return codes
-
-
 def mask_positions(masks: Sequence[int], width: int) -> np.ndarray:
     """The point positions below ``width`` that bitmasks hold, ascending
     within each mask, one mask after another."""
@@ -123,9 +116,10 @@ class TupleSet:
 
     The set is its ascending ``codes``; ``names`` holds the point id at each
     position, so the code digits name the points.  ``tuples`` is decoded on
-    first use and :meth:`at` decodes a single tuple, while ``in`` and
-    :meth:`index` encode the item and search the codes, decoding nothing.
-    Two sets are equal when their arity, label, points and codes are.
+    first use and :meth:`at` decodes a single tuple, while :meth:`positions`
+    encodes a batch of items and searches the codes, decoding nothing; ``in``
+    and :meth:`index` ask it about one item.  Two sets are equal when their
+    arity, label, points and codes are.
     """
 
     arity: int                      # tuple length, n + 1 for level n
@@ -139,22 +133,23 @@ class TupleSet:
         return decode_tuples(self.names, self.codes, self.arity)
 
     @cached_property
-    def _positions(self) -> dict:
+    def _digit_of(self) -> dict:
         return {x: k for k, x in enumerate(self.names.tolist())}
 
-    def _find(self, item) -> int:
-        """Where ``item`` is in the codes, or -1: a tuple of the wrong arity
-        or with an unknown point id is not a member."""
-        if not isinstance(item, tuple) or len(item) != self.arity:
-            return -1
-        code, radix, positions = 0, len(self.names), self._positions
-        for x in item:
-            digit = positions.get(x)
-            if digit is None:
-                return -1
-            code = code * radix + digit
-        k = int(self.codes.searchsorted(code))
-        return k if k < len(self.codes) and self.codes[k] == code else -1
+    def positions(self, items: Iterable) -> np.ndarray:
+        """Where each of ``items`` is in the codes, as int64, or -1 for a
+        non-member (a non-tuple, or a tuple of the wrong arity or with an
+        unknown point id); one encoding and one binary search for them all."""
+        digit_of, arity = self._digit_of, self.arity
+        rows = [tuple(digit_of.get(x, -1) for x in item)
+                if isinstance(item, tuple) and len(item) == arity else (-1,) * arity
+                for item in items]
+        digits = np.array(rows, dtype=np.int64).reshape(len(rows), arity)
+        known = (digits >= 0).all(axis=1)
+        wanted = encode(np.where(known[:, None], digits, 0), len(self.names), self.codes.dtype)
+        at = self.codes.searchsorted(wanted)
+        found = known & (np.concatenate((self.codes, [-1]))[at] == wanted)   # codes are never negative
+        return np.where(found, at, -1)
 
     @property
     def degree(self) -> int:
@@ -179,10 +174,10 @@ class TupleSet:
         return decode_tuples(self.names, self.codes[k:k + 1], self.arity)[0]
 
     def __contains__(self, item) -> bool:
-        return self._find(item) >= 0
+        return self.positions([item])[0] >= 0
 
     def index(self, item) -> int:
-        k = self._find(item)
+        k = int(self.positions([item])[0])
         if k < 0:
             raise KeyError(item)
         return k
@@ -319,11 +314,44 @@ class CoverModel:
                 value = self._cache.setdefault(key, value)
         return value
 
+    def power_codes(self, blocks: list, size: int, what: str) -> np.ndarray:
+        """Codes of the tuples from intersections, in (block id, index tuple,
+        arity, intersection bitmask) blocks with ascending ids: ``block id *
+        size + tuple code``, so the codes ascend within each block as across
+        blocks.
+
+        The budget is charged |U_indices|^arity per block before any block is
+        enumerated.  The blocks of one arity k and one size |U| are enumerated
+        at once, as k-fold products of their points in point order.
+        """
+        limit = enumeration_budget()
+        masks = [mask for _, _, _, mask in blocks]
+        count = np.array([mask.bit_count() for mask in masks], dtype=np.int64)   # |U| per block
+        arity = np.array([a for _, _, a, _ in blocks], dtype=np.int64)
+        charge = sum(c ** a for c, a in zip(count.tolist(), arity.tolist()))
+        if charge > limit:
+            raise BudgetError(charge, limit, what)
+        dtype = code_dtype(max((b + 1) * size for b, _, _, _ in blocks) if blocks else 1)
+        offsets = np.array([b * size for b, _, _, _ in blocks], dtype=dtype)
+        radix, positions = len(self.points), mask_positions(masks, len(self.points))
+        first = np.cumsum(count) - count   # where each block's points start in ``positions``
+        sizes = count ** arity
+        start = np.cumsum(sizes) - sizes   # where each block's codes start
+        codes = np.empty(int(sizes.sum()), dtype=dtype)
+        for k, c in set(zip(arity.tolist(), count.tolist())):
+            at = np.flatnonzero((arity == k) & (count == c))
+            points = positions[first[at, None] + np.arange(c)].astype(dtype)
+            t = np.zeros((len(at), 1), dtype=dtype)
+            for _ in range(k):   # one more digit, least significant, on every tuple
+                t = (t[:, :, None] * radix + points[:, None, :]).reshape(len(at), -1)
+            codes[start[at, None] + np.arange(c ** k)] = offsets[at, None] + t
+        return codes
+
     def diagonal_neighborhood(self, n: int) -> TupleSet:
         """All (n+1)-tuples lying in some cover set's (n+1)-st power.
 
-        The budget is charged for the tuples the loop visits, the sum of
-        |U_i|^(n+1) over the cover sets, before any is enumerated.  A level
+        The budget is charged for the tuples the enumeration visits, the sum
+        of |U_i|^(n+1) over the cover sets, before any is enumerated.  A level
         already enumerated is not charged again.
         """
         return self.cached(("diag", n), self._diagonal_neighborhood, n)
@@ -331,24 +359,15 @@ class CoverModel:
     def _diagonal_neighborhood(self, n: int) -> TupleSet:
         if n < 0:
             raise ModelError(f"level must be nonnegative, got {n}")
-        limit = enumeration_budget()
-        size = sum(len(members) ** (n + 1) for members in self.cover)
-        if size > limit:
-            raise BudgetError(size, limit,
-                              f"sum of |U_i|^{n + 1} over {len(self.cover)} cover sets")
-        radix = len(self.points)
-        dtype = code_dtype(radix ** (n + 1))
-        codes = np.concatenate([product_codes(self._positions(members, dtype), n + 1, radix)
-                                for members in self.cover])
-        # a stable sort shares its code with the assembly kernel's; np.unique
-        # would fault in about 0.8 MB more of numpy at first use
+        blocks = [(0, (i,), n + 1, mask) for i, mask in enumerate(self._masks)]
+        codes = self.power_codes(blocks, len(self.points) ** (n + 1),
+                                 f"sum of |U_i|^{n + 1} over {len(self.cover)} cover sets")
+        # every power is block 0, so the level is their sorted codes less repeats; a
+        # stable sort shares its code with the assembly kernel's, and np.unique would
+        # fault in about 0.8 MB more of numpy at first use
         codes.sort(kind="stable")
         codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
         return TupleSet(n + 1, codes, self._names, f"diag[{n}]")
-
-    def _positions(self, pts: Iterable, dtype) -> np.ndarray:
-        """Ascending point positions of ``pts``, as digits of the given dtype."""
-        return np.array(sorted(self.point_index[p] for p in pts), dtype=dtype)
 
     def tuples_of(self, codes: np.ndarray, arity: int) -> tuple:
         """The point tuples of arity-tuple ``codes``, decoded now."""
@@ -373,15 +392,16 @@ class CoverModel:
         return self.sort_points(common)
 
     def intersection_power(self, indices: Sequence[int], arity: int) -> TupleSet:
-        """All arity-tuples drawn from the intersection of the named sets."""
+        """All arity-tuples drawn from the intersection of the named sets,
+        charged to the budget before any is enumerated."""
         idx = tuple(indices)
         return self.cached(("ipow", idx, arity), self._intersection_power, idx, arity)
 
     def _intersection_power(self, idx: tuple, arity: int) -> TupleSet:
-        radix = len(self.points)
-        positions = self._positions(self.intersection(idx), code_dtype(radix ** arity))
-        codes = product_codes(positions, arity, radix)
-        return TupleSet(arity, codes, self._names, f"U{idx}^{arity}")
+        mask = sum(1 << self.point_index[p] for p in self.intersection(idx))
+        label = f"U{idx}^{arity}"
+        codes = self.power_codes([(0, idx, arity, mask)], len(self.points) ** arity, label)
+        return TupleSet(arity, codes, self._names, label)
 
     def nerve(self, top: Optional[int] = None) -> Nerve:
         """The strictly increasing index tuples with nonempty intersection,

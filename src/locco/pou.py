@@ -294,8 +294,7 @@ def layered_family(base: ScalarFamily, n: int, tol: float = 1e-9) -> ScalarFamil
                         supports=sups, name=f"{base.name}-layer{n}")
 
 
-def numerability_rescue(layers: Sequence[ScalarFamily],
-                        n_max: Optional[int] = None) -> ScalarFamily:
+def numerability_rescue(layers: Sequence[ScalarFamily]) -> ScalarFamily:
     """Merge squeezed layers into a normalized partition of unity.
 
     Level n is damped by n times the running total q_n of all earlier
@@ -306,12 +305,10 @@ def numerability_rescue(layers: Sequence[ScalarFamily],
     still representable; terms more than 50 e-folds below the leader are
     dropped.
 
-    Samples untouched by every level up to the truncation are an error.
+    Samples untouched by every level are an error.
     """
     if not layers:
         raise DomainError("rescue needs at least one layer")
-    if n_max is not None:
-        layers = list(layers)[:n_max + 1]
     domain = layers[0].domain
     base_labels = layers[0].labels
     for fam in layers:

@@ -1175,7 +1175,9 @@ def compose(second, first):
 
 
 def listed_block_faces(simplices, offset=0, empty=-1):
-    """The face-block table of ``homology._block_faces``, as lists of rows."""
+    """The face-block table of ``homology._block_faces``, as lists of rows;
+    with ``offset`` leading blocks that have no index faces, and the empty
+    tuple block ``empty``, that of an augmented row."""
     position = {s: b for b, s in enumerate(simplices, offset)}
     position[()] = empty
     width = max(map(len, simplices), default=0)
@@ -1347,10 +1349,10 @@ def fresh(model):
 
 def forbid_enumeration(monkeypatch):
     """Fail on the first step that enumerates a nerve block: the code dtype
-    of the batched blocks, or a per-block power for the labels."""
+    of the model's enumerator, or a per-block power for the labels."""
     def fail(*args):
         pytest.fail("enumerated before the budget was charged")
-    monkeypatch.setattr(homology, "code_dtype", fail)
+    monkeypatch.setattr(model_module, "code_dtype", fail)
     monkeypatch.setattr(CoverModel, "intersection_power", fail)
 
 
@@ -1382,10 +1384,9 @@ def test_one_face_table_per_nerve_prefix(monkeypatch):
     # for d_n, and share its face table: each is built once
     built, block_faces = [], homology._block_faces
 
-    def counted(nerve, offset=0, empty=-1):
-        if not offset:   # the augmented rows of the spot checks keep their own
-            built.append(len(nerve))
-        return block_faces(nerve, offset, empty)
+    def counted(nerve):
+        built.append(len(nerve))
+        return block_faces(nerve)
 
     monkeypatch.setattr(homology, "_block_faces", counted)
     model = left_invariant_cover(12, 2)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from locco.cli import bundled_model_names, load_bundled_model
 from locco.cochains import local_cochain_from_json, random_local_cochain
 from locco.compare import model_hash, random_cover_model
 from locco import model as model_module
-from locco.model import code_dtype, decode, delete_digit, encode, product_codes
+from locco.model import code_dtype, decode, delete_digit, encode
 
 
 def brute_diagonal(model, n):
@@ -108,10 +109,47 @@ def test_code_helpers_do_not_wrap(radix, arity):
         # a place value per code, as the assembly kernel passes them
         places = np.array([radix ** (arity - 1 - j)] * len(rows), dtype=dtype)
         assert delete_digit(codes, radix, places).tolist() == faces.tolist()
-    positions = np.array(sorted({0, 1, radix - 1}), dtype=dtype)
-    power = product_codes(positions, arity, radix)
-    assert power.tolist() == sorted(by_hand(t, radix) for t in
-                                    itertools.product(positions.tolist(), repeat=arity))
+
+
+@pytest.mark.parametrize("radix, arity", [(12, 3), (600, 7)])
+def test_power_codes_match_a_product_oracle(radix, arity):
+    # 600^7 is past int64: the codes become Python integers
+    m = CoverModel(points=tuple(range(radix)), cover=(frozenset(range(radix)),),
+                   cover_names=("U0",))
+    rng, size = random.Random(radix), radix ** arity
+    blocks, b = [], 0
+    for _ in range(12):   # ascending ids with gaps, runs of one arity, empty sets
+        b += rng.randrange(1, 4)
+        picks = rng.choice([(), (radix - 1,), tuple(range(3)),
+                            tuple(rng.sample(range(radix), rng.randrange(1, 4)))])
+        blocks.append((b, (b,), rng.choice((1, arity, arity)), sum(1 << k for k in picks)))
+    codes = m.power_codes(blocks, size, "the test blocks")
+    assert codes.dtype == code_dtype((b + 1) * size) == (object if radix == 600 else np.int64)
+    assert codes.tolist() == [
+        b * size + by_hand(t, radix) for b, _, a, mask in blocks
+        for t in itertools.product([k for k in range(radix) if mask >> k & 1], repeat=a)]
+    assert m.power_codes([], size, "no blocks").tolist() == []
+
+
+def test_intersection_powers_are_charged_before_enumeration(monkeypatch):
+    # U0 and U1 of z6_arcs share 2 points, so their cube holds 8 tuples
+    m = load_bundled_model("z6_arcs")
+
+    def fresh():
+        return CoverModel(points=m.points, cover=m.cover, cover_names=m.cover_names)
+
+    assert len(m.intersection((0, 1))) == 2
+    monkeypatch.setenv("LOCCO_BUDGET", "8")
+    power = fresh().intersection_power((0, 1), 3)
+    assert power.tuples == tuple(itertools.product(m.intersection((0, 1)), repeat=3))
+    monkeypatch.setenv("LOCCO_BUDGET", "7")
+
+    def fail(*args):
+        pytest.fail("enumerated before the budget was charged")
+    monkeypatch.setattr(model_module, "code_dtype", fail)
+    monkeypatch.setattr(model_module, "mask_positions", fail)
+    with pytest.raises(BudgetError, match=re.escape("U(0, 1)^3 needs 8 raw")):
+        fresh().intersection_power((0, 1), 3)
 
 
 def test_tuple_sets_carry_ascending_codes():
@@ -179,6 +217,34 @@ def test_tuple_set_membership_reads_codes(monkeypatch):
     assert wide.codes.dtype == object
     assert (0, 1, 1, 0, 1, 0, 1) in wide and wide.index((599,) * 7) == len(wide) - 1
     assert (0, 1, 2, 0, 1, 0, 1) not in wide and (599,) * 6 not in wide
+
+
+def test_tuple_set_positions_match_a_decoded_index():
+    # one batch lookup answers as the list of decoded tuples does, -1 for a
+    # stranger: wrong arity, an unknown point id, a non-tuple
+    for name in bundled_model_names():
+        m = load_bundled_model(name)
+        for n in range(3):
+            ts = m.diagonal_neighborhood(n)
+            listed = list(ts.tuples)
+            rng = random.Random(n)
+            items = [tuple(rng.choice(m.points) for _ in range(n + 1)) for _ in range(40)]
+            items += listed[::3] + [listed[0][:n], listed[0] + listed[0][:1], (),
+                                    ("nowhere",) * (n + 1), list(listed[-1]), None, 7]
+            rng.shuffle(items)
+            want = [listed.index(t) if t in listed else -1 for t in items]
+            got = ts.positions(items)
+            assert got.dtype == np.int64 and got.tolist() == want, (name, n)
+            assert ts.positions([]).tolist() == []
+    # codes past int64
+    cover = (frozenset({0, 1}),) + tuple(frozenset({p}) for p in range(2, 600))
+    wide = CoverModel(points=tuple(range(600)), cover=cover,
+                      cover_names=tuple(f"U{i}" for i in range(len(cover))))
+    wide = wide.diagonal_neighborhood(6)
+    listed = list(wide.tuples)
+    items = [(599,) * 7, (0, 1, 2, 0, 1, 0, 1), (1, 0, 1, 1, 0, 0, 0), (599,) * 6, (600,) * 7]
+    assert wide.positions(items).tolist() == [listed.index(t) if t in listed else -1
+                                              for t in items]
 
 
 def test_tuple_sets_compare_by_codes():
