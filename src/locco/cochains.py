@@ -173,6 +173,8 @@ def local_cochain_from_json(model: CoverModel, system: CoefficientSystem, doc: d
         if not (isinstance(entry, dict) and "value" in entry
                 and isinstance(entry.get("tuple"), list)):
             raise DomainError(f"cochain entry {entry!r} needs a tuple list and a value")
+        if any(isinstance(c, (list, dict)) for c in entry["tuple"]):
+            raise DomainError(f"cochain tuple {entry['tuple']!r} is not a list of point ids")
         vals[tuple(entry["tuple"])] = system.value_from_json(entry["value"])
     return LocalCochain(model, system, degree, vals)
 

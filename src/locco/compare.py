@@ -279,9 +279,9 @@ def verify_lambda_iso(model: CoverModel, system: CoefficientSystem,
         raise CoefficientError("induced-map ranks need field coefficients")
     if model.complex is None:
         raise ModelError("the restriction map needs a model with a complex")
-    # one question per distinct intersection; the nerve is listed only to name failures
-    if not all(is_acyclic(model, holders, system) for holders in model.intersection_closure()):
-        failures = [s for s in model.nerve().simplices if not is_acyclic(model, s, system)]
+    # one question per distinct intersection, named by the cover sets that hold it
+    failures = [s for s in model.intersection_closure() if not is_acyclic(model, s, system)]
+    if failures:
         raise AcyclicityError(
             f"intersections {failures} have nonvanishing reduced cohomology; "
             "the restriction map cannot be certified on this cover")

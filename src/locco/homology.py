@@ -29,14 +29,17 @@ a search for an entry of least absolute value.  Once d_n d_{n-1} = 0 is
 checked exactly by a sparse product, d_n's sweep leaves out every column at
 which a pivot of d_{n-1} leads, a unit pivot over the integers: its kernel
 is then h_n cocycle representatives.  The Smith certificate is the sweep's
-column operations and the remainder's own: the check replays the first on a
-fresh copy of the matrix and confirms the unit echelon, whose finish by row
-operations then exists, and replays the second on the remainder alone, with
-no determinant taken.  Many small simplicial complexes are computed together
-as the blocks of one :class:`SimplicialComplexSpec`: its differentials are
-block-diagonal, so one assembly and one sweep per degree give each block's
-rank (:func:`block_profiles`), while over the integers each block keeps a
-Smith form of its own.
+column operations and the remainder's own, and a whole chain d_0, ..., d_N
+is checked at once, each d_n replayed once: the check replays the first on
+a fresh copy of the matrix and confirms the unit echelon, whose finish by
+row operations then exists, and replays the second on the remainder alone,
+with no determinant taken; a column that d_n leaves out must lead a unit
+pivot of d_{n-1} that the check has just confirmed.  Many small simplicial
+complexes are computed together as the blocks of one
+:class:`SimplicialComplexSpec`: its differentials are block-diagonal, so one
+assembly and one sweep per degree give each block's rank
+(:func:`block_profiles`), while over the integers each block keeps a chain
+of Smith forms of its own.
 """
 
 from __future__ import annotations
@@ -748,7 +751,7 @@ def _sweep(mat: BoundaryMatrix, p: Optional[int], skip: Iterable[int] = (),
 
 
 def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
-                leads: Optional[set] = None, blocks: Optional[np.ndarray] = None):
+                leads: Optional[set] = None) -> int:
     """Rank over a field; over the integers, the rank over Q.
 
     It is the number of pivots of :func:`_sweep`.  Columns listed in
@@ -757,20 +760,12 @@ def matrix_rank(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[i
     A set passed as ``leads`` receives the row index at which each pivot
     leads: they are the leads of the column space, whichever way it is
     eliminated.
-
-    With ``blocks``, ascending bounds that cut the rows of a block-diagonal
-    matrix into its blocks, the rank comes back per block as an array.
-    Every pivot then lies in one block, so a block's rank is the number of
-    pivots that lead inside it.
     """
     p = 0 if isinstance(system, Integers) else _modulus(system)
     held = _sweep(mat, p, skip)[1]
     if leads is not None:
         leads.update(held)
-    if blocks is None:
-        return len(held)
-    keys = np.fromiter(held, dtype=np.int64, count=len(held))
-    return np.bincount(blocks.searchsorted(keys, "right") - 1, minlength=len(blocks) - 1)
+    return len(held)
 
 
 def kernel_basis(mat: BoundaryMatrix, system: CoefficientSystem, skip: Iterable[int] = (),
@@ -824,9 +819,11 @@ class SmithDecomposition:
     ``("col", src, dst, f)`` is col dst += f * col src, ``("row", src, dst,
     f)`` row dst += f * row src and ``("neg", i)`` row i = -row i.
 
-    The columns in ``skip`` are left out: M' is M with them zero, and each is
-    vouched for by a unit pivot of d_{n-1} (:func:`check_smith_certificate`),
-    so M' has M's invariants.  ``ops``, the sweep of
+    The columns in ``skip`` are left out: M' is M with them zero.  M is d_n
+    of a chain, and each skipped column is the lead of a unit pivot of
+    d_{n-1}'s decomposition, which the check of the chain confirms with
+    d_n d_{n-1} = 0 (:func:`check_smith_certificate`), so M' has M's
+    invariants.  ``ops``, the sweep of
     :func:`smith_normal_form`, are ``col`` operations only, and make M'V a
     unit echelon.  The first ``units`` pivots are ``(lead, col, 1)``: column
     col of M'V has its least row at lead, holding ±1, no two pivots share a
@@ -897,8 +894,8 @@ def smith_normal_form(matrix: BoundaryMatrix, skip: Iterable[int] = ()) -> Smith
     """Smith normal form of a :class:`BoundaryMatrix`, unit pivots first
     (Dumas, Heckenbach, Saunders and Welker 2003), without the columns listed
     in ``skip``, which are never read; the caller vouches that each is a
-    combination of the columns after it, as :func:`check_smith_certificate`
-    confirms.
+    combination of the columns after it, as the check of the chain with
+    d_{n-1}'s decomposition confirms (:func:`check_smith_certificate`).
 
     It is :func:`_sweep` over the integers, whose ``col`` operations it
     keeps: the pivots form a column echelon with ±1 leads, whose finish by
@@ -1006,32 +1003,6 @@ def _replayed(matrix: BoundaryMatrix, dec: SmithDecomposition) -> Optional[_Colu
     return cols
 
 
-def _unit_pivots(pivots: Sequence, nrows: int, ncols: int) -> Optional[dict]:
-    """Unit pivots (row, col, 1) as a dict col -> row, or None unless their
-    rows and columns are ints in range, each used once."""
-    lead = {c: r for r, c, d in pivots
-            if r.__class__ is c.__class__ is int and 0 <= r < nrows and 0 <= c < ncols and d == 1}
-    return lead if len(lead) == len(pivots) == len(set(lead.values())) else None
-
-
-def _skip_justified(matrix: BoundaryMatrix, skip: Sequence[int], below: Optional[BoundaryMatrix],
-                    below_dec: Optional[SmithDecomposition]) -> bool:
-    """Whether each column j in ``skip`` is an integer combination of the
-    columns after it.  A unit pivot of ``below_dec`` must lead at row j:
-    replaying its sweep on ``below`` gives a column v of below·V, so in the
-    image of ``below``, whose least entry is ±1 at j.  With ``matrix ·
-    below = 0``, matrix · v = 0 writes column j through the later ones."""
-    if below is None or below_dec is None or not all(j.__class__ is int for j in skip):
-        return False
-    wanted = set(skip)
-    lead = _unit_pivots([p for p in below_dec.pivots[:below_dec.units] if p[0] in wanted],
-                        *below.shape)
-    if lead is None or set(lead.values()) != wanted:
-        return False
-    cols = _replayed(below, below_dec)
-    return cols is not None and cols.leads_hold(lead) and composes_to_zero(matrix, below)
-
-
 def _off_units(op: tuple, rows: set, cols: set) -> bool:
     """Whether a remainder operation meets no lead row and no pivot column."""
     if op[0] == "neg":
@@ -1039,52 +1010,63 @@ def _off_units(op: tuple, rows: set, cols: set) -> bool:
     return not {op[1], op[2]} & (rows if op[0] == "row" else cols)
 
 
-def check_smith_certificate(matrix: BoundaryMatrix, dec: SmithDecomposition,
-                            below: Optional[BoundaryMatrix] = None,
-                            below_dec: Optional[SmithDecomposition] = None) -> bool:
-    """Check ``dec`` against M without forming U or V.
+def check_smith_certificate(matrices: Sequence[BoundaryMatrix],
+                            decs: Sequence[SmithDecomposition]) -> bool:
+    """Check the decompositions of a chain d_0, ..., d_N against its
+    matrices, each replayed once, without forming U or V; lists of unequal
+    length are refused.
 
-    A nonempty ``dec.skip`` needs d_{n-1}, ``below``, with its decomposition:
-    each skipped column must be the lead row of one of its unit pivots, whose
-    lead is replayed, and M · below = 0 is checked exactly
-    (:func:`composes_to_zero`).  Then ``dec.ops``, column operations only,
-    are replayed on a fresh copy of M without the skipped columns.  Each unit
-    pivot's column must have its least row at the pivot's row, holding ±1,
-    at distinct rows; every other column keeps no cell on a lead row, and
-    those cells, the remainder, are replayed alone under
-    ``dec.remainder_ops``, which must meet no lead row or pivot column, to
-    leave only the remaining pivots, positive, a divisor chain.  Each
-    operation must be elementary, which makes U and V unimodular without a
-    determinant; the finish of the unit echelon by row operations exists
-    (:class:`SmithDecomposition`).
+    d_0's decomposition skips nothing.  A column j that dec_n skips must be
+    the lead of a unit pivot of dec_{n-1}, just confirmed: its column v of
+    d_{n-1}·V is in the image of d_{n-1}, with least entry ±1 at j, so once
+    d_n d_{n-1} = 0 is checked exactly (:func:`composes_to_zero`), d_n v = 0
+    writes column j through the columns after it.  Then ``dec.ops``, column
+    operations only, are replayed on a fresh copy of d_n without the skipped
+    columns.  Each unit pivot's column must have its least row at the
+    pivot's row, holding ±1, at distinct rows; every other column keeps no
+    cell on a lead row, and those cells, the remainder, are replayed alone
+    under ``dec.remainder_ops``, which must meet no lead row or pivot
+    column, to leave only the remaining pivots, positive, a divisor chain.
+    Each operation must be elementary, which makes U and V unimodular
+    without a determinant; the finish of the unit echelon by row operations
+    exists (:class:`SmithDecomposition`).
     """
-    nrows, ncols = matrix.shape
-    units = dec.units
-    if units.__class__ is not int or not 0 <= units <= len(dec.pivots):
+    if len(matrices) != len(decs):
         return False
-    if dec.skip and not _skip_justified(matrix, dec.skip, below, below_dec):
-        return False
-    cols = _replayed(matrix, dec)
-    lead = _unit_pivots(dec.pivots[:units], nrows, ncols)
-    if cols is None or lead is None or not cols.leads_hold(lead):
-        return False
-    cells = cols.cells_off(lead)
-    rows, columns = set(lead.values()), set(lead)
-    if cells is None or not all(_is_elementary(op, nrows, ncols) and _off_units(op, rows, columns)
-                                for op in dec.remainder_ops):
-        return False
-    rest = dec.pivots[units:]
-    if cells or dec.remainder_ops or rest:
-        work = _SparseIntegers(matrix.shape, cells)
-        for op in dec.remainder_ops:
-            work.apply(op)
-        if (len({r for r, _, _ in rest}) != len(rest) or len({c for _, c, _ in rest}) != len(rest)
-                or sum(map(len, work.rows)) != len(rest)
-                or any(not 0 <= r < nrows or work.rows[r].get(c) != d for r, c, d in rest)):
+    below, confirmed = None, set()
+    for matrix, dec in zip(matrices, decs):
+        (nrows, ncols), units = matrix.shape, dec.units
+        if units.__class__ is not int or not 0 <= units <= len(dec.pivots):
             return False
-    seen = tuple(d for _, _, d in rest)
-    return (dec.invariants == (1,) * units + seen and all(d > 0 for d in seen)
-            and all(b % a == 0 for a, b in zip(seen, seen[1:])))
+        if dec.skip and not (all(j.__class__ is int and j in confirmed for j in dec.skip)
+                             and composes_to_zero(matrix, below)):
+            return False
+        cols = _replayed(matrix, dec)
+        lead = {c: r for r, c, d in dec.pivots[:units] if r.__class__ is c.__class__ is int
+                and 0 <= r < nrows and 0 <= c < ncols and d == 1}   # col -> row
+        rows, columns = set(lead.values()), set(lead)
+        if cols is None or not (len(lead) == len(rows) == units) or not cols.leads_hold(lead):
+            return False
+        cells = cols.cells_off(lead)
+        if cells is None or not all(_is_elementary(op, nrows, ncols)
+                                    and _off_units(op, rows, columns) for op in dec.remainder_ops):
+            return False
+        rest = dec.pivots[units:]
+        if cells or dec.remainder_ops or rest:
+            work = _SparseIntegers(matrix.shape, cells)
+            for op in dec.remainder_ops:
+                work.apply(op)
+            if (len({r for r, _, _ in rest}) != len(rest)
+                    or len({c for _, c, _ in rest}) != len(rest)
+                    or sum(map(len, work.rows)) != len(rest)
+                    or any(not 0 <= r < nrows or work.rows[r].get(c) != d for r, c, d in rest)):
+                return False
+        seen = tuple(d for _, _, d in rest)
+        if not (dec.invariants == (1,) * units + seen and all(d > 0 for d in seen)
+                and all(b % a == 0 for a, b in zip(seen, seen[1:]))):
+            return False
+        below, confirmed = matrix, rows
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1147,62 +1129,56 @@ def cleared_columns(mat: BoundaryMatrix, below: Optional[BoundaryMatrix], leads:
     return leads if leads and composes_to_zero(mat, below) else ()
 
 
-def _field_ranks(spec: ComplexSpec, system: CoefficientSystem, max_degree: int,
-                 split: bool = False) -> list:
-    """Ranks of d_0, ..., d_max over a field, each without the columns that
-    :func:`cleared_columns` leaves out; with ``split``, one array of ranks
-    per degree, by block of a block-coded :class:`SimplicialComplexSpec`.
-    """
+def _field_ranks(spec: ComplexSpec, system: CoefficientSystem, max_degree: int) -> list:
+    """The rows at which the pivots of d_0, ..., d_max lead over a field, one
+    set per degree, each d_n without the columns that :func:`cleared_columns`
+    leaves out; a degree's rank is the size of its set."""
     if not system.is_field:
         raise CoefficientError(f"{system.name} is not a field; use the integer path")
-    ranks, below, leads = [], None, set()
+    out, below = [], None
     for n in range(max_degree + 1):
         mat = assemble_matrix(spec, n)
-        skip = cleared_columns(mat, below, leads)
+        skip = cleared_columns(mat, below, out[-1] if out else set())
         below, leads = mat, set()   # the matrix below is let go before the rank
-        blocks = spec.block_bounds(n + 1) if split else None
-        ranks.append(matrix_rank(mat, system, skip=skip, leads=leads, blocks=blocks))
-    return ranks
+        matrix_rank(mat, system, skip=skip, leads=leads)
+        out.append(leads)
+    return out
 
 
 def field_cohomology(spec: ComplexSpec, system: CoefficientSystem, max_degree: int) -> list:
     """Dimensions of the cohomology of the described complex, degrees 0..max,
     from the ranks of :func:`_field_ranks`."""
-    ranks = _field_ranks(spec, system, max_degree)
+    ranks = [len(leads) for leads in _field_ranks(spec, system, max_degree)]
     return profile_from_ranks([spec.size(n) for n in range(max_degree + 2)], ranks)
 
 
-def _certified_smith(mat: BoundaryMatrix, n: int, below: Optional[BoundaryMatrix] = None,
-                     below_dec: Optional[SmithDecomposition] = None) -> SmithDecomposition:
-    """Smith normal form of d_n, ``mat``, without the columns that the unit
-    pivots of d_{n-1}, ``below``, lead at, its certificate checked before it
-    is used.  The check proves d_n d_{n-1} = 0, which justifies the skip
-    (:func:`cleared_columns`), so a pair that fails it is refused."""
-    dec = smith_normal_form(mat, below_dec.unit_leads if below_dec else ())
-    if not check_smith_certificate(mat, dec, below, below_dec):
+def _smith_chain(matrices: Iterable[BoundaryMatrix]) -> list:
+    """Smith forms of d_0, ..., d_N, each d_n without the columns at which
+    d_{n-1}'s unit pivots lead, their chain checked once; a failure names
+    the first degree whose prefix fails (:func:`check_smith_certificate`)."""
+    mats, decs = [], []
+    for mat in matrices:
+        mats.append(mat)
+        decs.append(smith_normal_form(mat, decs[-1].unit_leads if decs else ()))
+    if not check_smith_certificate(mats, decs):
+        n = next(n for n in range(len(decs))
+                 if not check_smith_certificate(mats[:n + 1], decs[:n + 1]))
         raise ModelError(f"Smith certificate failed in degree {n}")
-    return dec
+    return decs
 
 
 def _integer_profile(dims: Sequence[int], decs: Sequence[SmithDecomposition]) -> list:
-    """(free rank, torsion) per degree from the Smith forms of d_0, d_1, ..."""
-    out = []
-    for n, dec in enumerate(decs):
-        below = decs[n - 1] if n else None
-        out.append((dims[n] - dec.rank - (below.rank if below else 0),
-                    below.torsion() if below else ()))
-    return out
+    """(free rank, torsion) per degree from the Smith forms of d_0, d_1, ...:
+    the free ranks are the profile of their ranks, the torsion d_{n-1}'s."""
+    free = profile_from_ranks(dims, [dec.rank for dec in decs])
+    return [(f, decs[n - 1].torsion() if n else ()) for n, f in enumerate(free)]
 
 
 def integer_cohomology(spec: ComplexSpec, max_degree: int) -> list:
     """Free rank and torsion factors per degree, from Smith normal forms."""
     dims = [spec.size(n) for n in range(max_degree + 2)]
-    decs, below = [], None
-    for n in range(max_degree + 1):
-        mat = assemble_matrix(spec, n)
-        decs.append(_certified_smith(mat, n, below, decs[-1] if decs else None))
-        below = mat
-    return _integer_profile(dims, decs)
+    return _integer_profile(dims, _smith_chain(assemble_matrix(spec, n)
+                                               for n in range(max_degree + 1)))
 
 
 def cohomology_profile(spec: ComplexSpec, system: CoefficientSystem, max_degree: int):
@@ -1219,30 +1195,31 @@ def block_profiles(spec: SimplicialComplexSpec, system: CoefficientSystem,
     """The profile of each block of ``spec``, block b in degrees 0..tops[b].
 
     Each degree is assembled once for all blocks.  Over a field one
-    elimination per degree gives every block's rank (:func:`_field_ranks`).
-    Over the integers each block gets its own certified Smith form, on its
-    slice of the assembled matrix: a divisibility repair may fold a row of
-    one block into another, so one Smith form of the whole matrix would not
-    tell each block's torsion.
+    elimination per degree gives the pivot leads of every block
+    (:func:`_field_ranks`): every pivot lies in one block, so a block's rank
+    is the number of leads inside it.  Over the integers each block gets its
+    own certified chain of Smith forms, on its slices of the assembled
+    matrices: a divisibility repair may fold a row of one block into
+    another, so one Smith form of the whole matrix would not tell each
+    block's torsion.
     """
     top = max(tops)
     bounds = [spec.block_bounds(n) for n in range(top + 2)]
     dims = np.diff(bounds, axis=1).T.tolist()   # per block, per degree
     if system.is_field:
-        ranks = np.array(_field_ranks(spec, system, top, split=True)).T.tolist()
+        ranks = np.array([np.bincount(bounds[n + 1].searchsorted(list(leads), "right") - 1,
+                                      minlength=len(tops))
+                          for n, leads in enumerate(_field_ranks(spec, system, top))]).T.tolist()
         return [profile_from_ranks(dims[b][:t + 2], ranks[b][:t + 1]) for b, t in enumerate(tops)]
     if not isinstance(system, Integers):
         raise CoefficientError(f"no cohomology profile over {system.name}")
-    decs: list = [[] for _ in tops]
-    below: list = [None] * len(tops)   # each block's matrix one degree down
+    mats: list = [[] for _ in tops]   # each block's d_0, d_1, ...
     for n in range(top + 1):
         r, c, v = assemble_matrix(spec, n).entries
         rows, cols = bounds[n + 1], bounds[n]
         at = r.searchsorted(rows)   # each block's first entry
         for b in (b for b, t in enumerate(tops) if n <= t):
             part = slice(at[b], at[b + 1])
-            block = BoundaryMatrix((int(rows[b + 1] - rows[b]), int(cols[b + 1] - cols[b])),
-                                   (r[part] - rows[b], c[part] - cols[b], v[part]))
-            decs[b].append(_certified_smith(block, n, below[b], decs[b][-1] if n else None))
-            below[b] = block
-    return [_integer_profile(dims[b], decs[b]) for b in range(len(tops))]
+            mats[b].append(BoundaryMatrix((int(rows[b + 1] - rows[b]), int(cols[b + 1] - cols[b])),
+                                          (r[part] - rows[b], c[part] - cols[b], v[part])))
+    return [_integer_profile(dims[b], _smith_chain(mats[b])) for b in range(len(tops))]

@@ -103,7 +103,10 @@ def test_local_cochain_validation_and_json():
     {"degree": 0, "values": [[0]]},
     {"degree": None, "values": []},
     {"degree": True, "values": []},
-], ids=["not-an-object", "values-int", "entry-list", "degree-null", "degree-bool"])
+    {"degree": 0, "values": [{"tuple": [[0]], "value": 1}]},
+    {"degree": 0, "values": [{"tuple": [{}], "value": 1}]},
+], ids=["not-an-object", "values-int", "entry-list", "degree-null", "degree-bool",
+        "point-list", "point-object"])
 def test_malformed_cochain_document_is_a_domain_error(doc):
     with pytest.raises(DomainError):
         local_cochain_from_json(load_bundled_model("interval"), Q, doc)

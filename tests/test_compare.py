@@ -341,6 +341,27 @@ def test_lambda_iso_gate_raises_on_bad_cover():
         verify_lambda_iso(rp2, PrimeField(2), 1)
 
 
+def test_lambda_iso_gate_names_failures_without_growing_the_nerve(tmp_path, monkeypatch):
+    # every cover set holds the whole hexagon, a circle: one distinct
+    # intersection fails, while the nerve of 6 sets is over a budget of 50
+    hexa = load_bundled_model("hexagon")
+    doc = hexa.to_json_dict()
+    doc["cover"] = [{"name": f"U{i}", "members": list(hexa.points)} for i in range(24)]
+    path = tmp_path / "hex24.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert run(["--output", str(out), "compare", str(path), "--max-degree", "1"]) == 0
+    assert run(["--output", str(out), "compare", str(path), "--lambda", "--max-degree", "1"]) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["kind"] == "AcyclicityError"
+    assert f"intersections [{tuple(range(24))}]" in error["message"]
+    six = CoverModel(points=hexa.points, cover=(frozenset(hexa.points),) * 6,
+                     cover_names=tuple(f"U{i}" for i in range(6)), complex=hexa.complex)
+    monkeypatch.setenv("LOCCO_BUDGET", "50")
+    with pytest.raises(AcyclicityError, match=re.escape(f"intersections [{tuple(range(6))}]")):
+        verify_lambda_iso(six, Q, 1)
+
+
 def test_lambda_iso_over_prime_field():
     hexa = load_bundled_model("hexagon")
     rep = verify_lambda_iso(hexa, PrimeField(5), 1)
